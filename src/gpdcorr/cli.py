@@ -16,22 +16,18 @@ import sys
 from . import cgx as cgxmod
 from . import mn as mnmod
 from .corr import Correspondence, compose, validate_correspondence
-from .diagram import discrete_diagram, from_generators, validate_diagram
+from .diagram import (discrete_diagram, from_generators, singleton_thetas,
+                      validate_diagram)
 from .errors import (BoundExceeded, DepthInsufficient, Mismatch,
                      NotSupported, ParseError, SchemaError, Undefined)
 from .fincat import FinCategory, PresentedShape, validate_category
-from .groupoid import (FinGroupoid, Group, germ_groupoid,
-                       validate_groupoid)
-from .model import (model_discrete_shape, model_group_shape,
-                    ore_universal_action, pair_groupoid_model,
-                    tight_universal_action, verify_model)
+from .groupoid import FinGroupoid, Group, germ_groupoid, validate_groupoid
+from .model import (OreUniversal, model_discrete_shape, model_group_shape,
+                    pair_groupoid_model, tight_universal_action, verify_model)
 from .selfsim import (SelfSimilarData, act_on_word, effective_check,
                       germ_equal, nf, nf_mul, slice_intersections)
 
 FORMAT_VERSION = "1"
-
-KINDS = ("category", "groupoid", "correspondence", "diagram",
-         "complex_of_groups", "selfsimilar", "mn", "action")
 
 
 def _enc(value):
@@ -208,11 +204,20 @@ def action_from(payload):
                       {_dec(g): _unpairs(t) for g, t in payload["alph"]})
 
 
+def mn_params(m, n, depth=0):
+    """The (m, n) of an mn request, checked with its depth; else exit 2."""
+    for name, v, low in (("m", m, 1), ("n", n, 1), ("depth", depth, 0)):
+        if type(v) is not int or v < low:
+            raise SchemaError(f"{name} must be an integer >= {low}, got {v!r}")
+    return m, n
+
+
 PAYLOADERS = {"category": category_from, "groupoid": groupoid_from,
               "correspondence": correspondence_from,
               "diagram": diagram_from,
               "complex_of_groups": complex_from,
               "selfsimilar": selfsimilar_from,
+              "mn": lambda payload: mn_params(payload["m"], payload["n"]),
               "action": action_from}
 
 
@@ -235,7 +240,7 @@ def parse_document(text):
     if doc["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {doc['format_version']!r}")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if kind not in PAYLOADERS:
         raise SchemaError(f"unknown kind {kind!r}")
     return kind, doc["payload"]
 
@@ -246,8 +251,6 @@ def load(path):
 
 
 def value_of(kind, payload):
-    if kind == "mn":
-        return (payload["m"], payload["n"])
     if kind not in PAYLOADERS:
         raise SchemaError(f"no loader for kind {kind!r}")
     try:
@@ -265,6 +268,11 @@ def parse_word(data, text):
         text, vtext = text.split("@", 1)
         vertex = vtext
     letters = () if text in ("e", "") else tuple(text.split("."))
+    for e in letters:
+        if e not in data.edges:
+            raise ParseError(f"unknown letter {e!r}")
+    if vertex is not None and vertex not in data.vertices:
+        raise ParseError(f"unknown vertex {vertex!r}")
     return data.path(letters, vertex)
 
 
@@ -272,6 +280,8 @@ def parse_nf(data, text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f"normal form must be w1:g:w2, got {text!r}")
+    if parts[1] not in data.group.elements:
+        raise ParseError(f"unknown group element {parts[1]!r} in {text!r}")
     w1 = parse_word(data, parts[0])
     w2 = parse_word(data, parts[2])
     return nf(data, w1.edges, parts[1], w2.edges, rv1=w1.rv, rv2=w2.rv)
@@ -378,14 +388,8 @@ def cmd_model(args):
         emit(args, lines, {"ok": True, "lines": lines})
         return 0
     if kind == "mn":
-        m, n = value_of(kind, payload)
-        configs = mnmod.omega_depth(m, n, args.depth)
-        gd = mnmod.mn_groupoid_depth(m, n, args.depth)
-        lines = [f"configurations at depth {args.depth}: {len(configs)}",
-                 f"arrows at depth {args.depth}: {len(gd.arrows())}"]
-        emit(args, lines, {"ok": True, "configs": len(configs),
-                           "arrows": len(gd.arrows())})
-        return 0
+        return mn_report(args, *value_of(kind, payload),
+                         at=f" at depth {args.depth}", head={"ok": True})
     if kind != "diagram":
         raise SchemaError(f"model does not handle kind {kind!r}")
     d = value_of(kind, payload)
@@ -411,7 +415,7 @@ def cmd_model(args):
                            "groupoid": groupoid_payload(model.groupoid)})
         return 0
     if shape.kind == "free" and len(shape.gens) == 1:
-        om = ore_universal_action(d, depth=args.depth)
+        om = OreUniversal(d, depth=args.depth)
         pm = pair_groupoid_model(d, depth=args.depth)
         points = om.points(1, 1)
         arrows = pm.arrows_over(points, word_len=1)
@@ -445,10 +449,7 @@ def cmd_model(args):
                 "pass --effective-quotient for the germ groupoid of the "
                 "unit-space action")
         omega = tight_universal_action(d)
-        thetas = {}
-        from .diagram import theta_from_action
-        for (g, xi), pb in theta_from_action(d, omega).items():
-            thetas[(g, xi)] = pb
+        thetas = singleton_thetas(d, omega)
         gg = germ_groupoid({repr(k): v for k, v in thetas.items()},
                            omega.carrier)
         lines = ["warning: non-Ore shape, emitting the effective quotient "
@@ -460,11 +461,19 @@ def cmd_model(args):
     raise NotSupported(f"no model construction for shape kind {shape.kind!r}")
 
 
+SELFSIM_ARITY = {"effective": 0, "nf-mul": 2, "act": 2, "germ": 3,
+                 "slices": 2}
+
+
 def cmd_selfsim(args):
     kind, payload = load(args.path)
     if kind != "selfsimilar":
         raise SchemaError("selfsim expects a selfsimilar document")
     data = value_of(kind, payload)
+    arity = SELFSIM_ARITY.get(args.sub)
+    if arity is not None and len(args.args) != arity:
+        raise ParseError(f"selfsim {args.sub} takes {arity} arguments, "
+                         f"got {len(args.args)}")
     if args.sub == "effective":
         res = effective_check(data)
         if res.effective:
@@ -527,13 +536,18 @@ def cmd_cgx(args):
     return 0
 
 
-def cmd_mn(args):
-    configs = mnmod.omega_depth(args.m, args.n, args.depth)
-    gd = mnmod.mn_groupoid_depth(args.m, args.n, args.depth)
-    lines = [f"configurations: {len(configs)}",
-             f"arrows: {len(gd.arrows())}"]
-    emit(args, lines, {"configs": len(configs), "arrows": len(gd.arrows())})
+def mn_report(args, m, n, at="", head=None):
+    """Configurations and groupoid arrows of E_{m,n} at --depth."""
+    m, n = mn_params(m, n, args.depth)
+    configs = len(mnmod.omega_depth(m, n, args.depth))
+    arrows = len(mnmod.mn_groupoid_depth(m, n, args.depth).arrows())
+    emit(args, [f"configurations{at}: {configs}", f"arrows{at}: {arrows}"],
+         {**(head or {}), "configs": configs, "arrows": arrows})
     return 0
+
+
+def cmd_mn(args):
+    return mn_report(args, args.m, args.n)
 
 
 def build_parser():

@@ -9,6 +9,7 @@ serialisable.
 """
 
 from .errors import NotCoOrbital
+from .fincat import canonical_classes
 from .groupoid import FinGroupoid, GroupoidAction, check_basic
 
 
@@ -40,13 +41,9 @@ class Correspondence:
     def p(self, x):
         """Orbit projection for the right action, as a canonical member."""
         if self._orbit_rep is None:
-            rep = {z: z for z in self.carrier}
-            for (u, g), v in self.ract.items():
-                a, b = sorted((rep[u], rep[v]), key=self._index.get)
-                if a != b:
-                    for z in [z for z, r in rep.items() if r == b]:
-                        rep[z] = a
-            self._orbit_rep = rep
+            self._orbit_rep = canonical_classes(
+                self.carrier, ((u, v) for (u, g), v in self.ract.items()),
+                self._index.get)
         return self._orbit_rep[x]
 
     def orbits(self):
@@ -154,31 +151,22 @@ def compose(c1, c2):
     fibre = [(x, y) for x in c1.carrier for y in c2.carrier
              if c1.smap[x] == c2.rmap[y]]
     fset = set(fibre)
-    parent = {p: p for p in fibre}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
 
     def key(p):
         return (c1._index[p[0]], c2._index[p[1]])
 
-    for (x, y) in fibre:
-        for g in mid.arrow_ids():
-            gy = c2.lact.get((g, y))
-            xg = c1.ract.get((x, mid.invert(g)))
-            if gy is None or xg is None:
-                continue
-            q = (xg, gy)
-            if q in fset:
-                a, b = sorted((find((x, y)), find(q)), key=key)
-                parent[b] = a
+    def moves():
+        for (x, y) in fibre:
+            for g in mid.arrow_ids():
+                gy = c2.lact.get((g, y))
+                xg = c1.ract.get((x, mid.invert(g)))
+                if gy is not None and xg is not None and (xg, gy) in fset:
+                    yield (x, y), (xg, gy)
 
-    reps = sorted({find(p) for p in fibre}, key=key)
+    canon = canonical_classes(fibre, moves(), key)
+    reps = sorted(set(canon.values()), key=key)
     index = {rep: i for i, rep in enumerate(reps)}
-    cls = {p: index[find(p)] for p in fibre}
+    cls = {p: index[canon[p]] for p in fibre}
     carrier = list(range(len(reps)))
     pairs = {i: rep for i, rep in enumerate(reps)}
     rmap = {i: c1.rmap[pairs[i][0]] for i in carrier}
@@ -275,13 +263,9 @@ def morita_check(c):
     if len(right_orbit_reps) != len(c.left.objects) or \
             rstar != set(c.left.objects):
         return False
-    lrep = {x: x for x in c.carrier}
-    for (h, x), y in c.lact.items():
-        a, b = sorted((lrep[x], lrep[y]), key=c._index.get)
-        for z, r in list(lrep.items()):
-            if r == b:
-                lrep[z] = a
-    left_orbit_reps = set(lrep.values())
+    left_orbit_reps = set(canonical_classes(
+        c.carrier, ((x, y) for (h, x), y in c.lact.items()),
+        c._index.get).values())
     sstar = {c.smap[rep] for rep in left_orbit_reps}
     return len(left_orbit_reps) == len(c.right.objects) and \
         sstar == set(c.right.objects)
@@ -289,10 +273,10 @@ def morita_check(c):
 
 def associator(c1, c2, c3):
     """The canonical bijection ((c1.c2).c3) -> (c1.(c2.c3))."""
-    left = compose(compose(c1, c2), c3)
-    right = compose(c1, compose(c2, c3))
     c12 = compose(c1, c2)
     c23 = compose(c2, c3)
+    left = compose(c12, c3)
+    right = compose(c1, c23)
     out = {}
     for i in left.carrier:
         xy, z = left.pairs[i]

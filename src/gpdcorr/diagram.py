@@ -21,7 +21,7 @@ from itertools import product
 from .corr import (Correspondence, compose, identity_correspondence,
                    inner_product)
 from .errors import ConditionFailed, HexagonViolation
-from .fincat import COMM, PresentedShape
+from .fincat import COMM, PresentedShape, canonical_classes
 from .groupoid import FinGroupoid, PartialBijection
 
 
@@ -77,32 +77,23 @@ class _Tuples:
             raw = [t + (y,) for t in raw for y in c.carrier
                    if comps[k - 1].smap[t[-1]] == c.rmap[y]]
         self.raw = raw
-        parent = {t: t for t in raw}
         index = [{x: i for i, x in enumerate(c.carrier)} for c in comps]
 
         def key(t):
             return tuple(index[i][x] for i, x in enumerate(t))
 
-        def find(t):
-            while parent[t] != t:
-                parent[t] = parent[parent[t]]
-                t = parent[t]
-            return t
+        def junction_moves():
+            mids = [c.right for c in comps[:-1]]
+            for t in raw:
+                for i, mid in enumerate(mids):
+                    for g in mid.arrow_ids():
+                        xg = comps[i].ract.get((t[i], g))
+                        gy = comps[i + 1].lact.get((mid.invert(g), t[i + 1]))
+                        if xg is not None and gy is not None:
+                            yield t, t[:i] + (xg, gy) + t[i + 2:]
 
-        mids = [c.right for c in comps[:-1]]
-        for t in raw:
-            for i, mid in enumerate(mids):
-                for g in mid.arrow_ids():
-                    xg = comps[i].ract.get((t[i], g))
-                    gy = comps[i + 1].lact.get((mid.invert(g), t[i + 1]))
-                    if xg is None or gy is None:
-                        continue
-                    other = t[:i] + (xg, gy) + t[i + 2:]
-                    a, b = sorted((find(t), find(other)), key=key)
-                    if a != b:
-                        parent[b] = a
-        self.canon = {t: find(t) for t in raw}
-        self.carrier = sorted({self.canon[t] for t in raw}, key=key)
+        self.canon = canonical_classes(raw, junction_moves(), key)
+        self.carrier = sorted(set(self.canon.values()), key=key)
 
 
 def _as_tuple_corr(tp):
@@ -558,15 +549,11 @@ def singleton_thetas(d, a):
     return out
 
 
-def theta_from_action(d, a):
-    return singleton_thetas(d, a)
-
-
 def action_from_theta(d, part, anchor, thetas):
     """Rebuild the unique action inducing the given singleton thetas.
 
     ``thetas`` maps (arrow, xi) -> PartialBijection as produced by
-    theta_from_action.  The four reconstruction conditions
+    singleton_thetas.  The four reconstruction conditions
     are checked and violations raise ConditionFailed.
     """
     carrier = sorted(part, key=repr)
@@ -709,9 +696,7 @@ def _left_actions(gpd, ys, anchor):
         g = arrows[i]
         dom = [y for y in ys if anchor[y] == gpd.src(g)]
         cod = [y for y in ys if anchor[y] == gpd.dst(g)]
-        if len(dom) != len(cod):
-            return
-        for image in _injections(dom, cod):
+        for image in _bijections(dom, cod):
             nxt = dict(act)
             nxt.update({(g, y): image[y] for y in dom})
             yield from extend(i + 1, nxt)
@@ -719,13 +704,15 @@ def _left_actions(gpd, ys, anchor):
     yield from extend(0, base)
 
 
-def _injections(dom, cod):
+def _bijections(dom, cod):
+    if len(dom) != len(cod):
+        return
     if not dom:
         yield {}
         return
     y, rest = dom[0], dom[1:]
     for z in cod:
-        for tail in _injections(rest, [c for c in cod if c != z]):
+        for tail in _bijections(rest, [c for c in cod if c != z]):
             yield {y: z, **tail}
 
 
@@ -733,50 +720,38 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
     """All candidate alpha tables for one generator arrow."""
     pairs = [(xi, y) for xi in c.carrier for y in ys_src
              if c.smap[xi] == anchor[y]]
+
+    def balance_moves():
+        for (xi, y) in pairs:
+            for gamma in c.right.arrow_ids():
+                xig = c.ract.get((xi, gamma))
+                giy = gact.get((c.right.invert(gamma), y))
+                if xig is not None and giy is not None:
+                    yield (xi, y), (xig, giy)
+
+    canon = canonical_classes(pairs, balance_moves(), repr)
     classes = {}
-    parent = {p: p for p in pairs}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for (xi, y) in pairs:
-        for gamma in c.right.arrow_ids():
-            xig = c.ract.get((xi, gamma))
-            if xig is None:
-                continue
-            giy = gact.get((c.right.invert(gamma), y))
-            if giy is None:
-                continue
-            q = (xig, giy)
-            a, b = sorted((find((xi, y)), find(q)), key=repr)
-            if a != b:
-                parent[b] = a
     for p in pairs:
-        classes.setdefault(find(p), []).append(p)
+        classes.setdefault(canon[p], []).append(p)
     reps = sorted(classes, key=repr)
-    # orbits of the left groupoid action on classes
+
     def act_left(gamma, rep):
         xi, y = rep
         moved = c.lact.get((gamma, xi))
-        return None if moved is None else find((moved, y))
-
-    def anchor_of(rep):
-        return c.rmap[rep[0]]
+        return None if moved is None else canon[(moved, y)]
 
     gpd = c.left
-    orbit = {rep: rep for rep in reps}
-    for rep in reps:
-        for gamma in gpd.arrow_ids():
-            moved = act_left(gamma, rep)
-            if moved is not None and orbit[moved] != orbit[rep]:
-                a, b = sorted((orbit[rep], orbit[moved]), key=repr)
-                for k, v in list(orbit.items()):
-                    if v == b:
-                        orbit[k] = a
-    orbit_reps = sorted({orbit[rep] for rep in reps}, key=repr)
+
+    def left_moves():
+        for rep in reps:
+            for gamma in gpd.arrow_ids():
+                moved = act_left(gamma, rep)
+                if moved is not None:
+                    yield rep, moved
+
+    # orbits of the left groupoid action on classes
+    orbit = canonical_classes(reps, left_moves(), repr)
+    orbit_reps = sorted(set(orbit.values()), key=repr)
 
     def place(i, assign):
         if i == len(orbit_reps):
@@ -790,7 +765,7 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
             return
         base = orbit_reps[i]
         for z in ys_dst:
-            if anchor[z] != anchor_of(base):
+            if anchor[z] != c.rmap[base[0]]:
                 continue
             nxt = dict(assign)
             nxt[base] = z
@@ -812,22 +787,25 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
 
 def enumerate_actions(d, n, up_to_iso=True):
     """All actions of the diagram on carriers of size <= n."""
-    objects = list(d.shape.objects)
     out = []
     for k in range(n + 1):
-        carrier = list(range(k))
-        for parts in product(objects, repeat=k):
-            part = dict(zip(carrier, parts))
-            anchor_choices = [sorted(d.gr[part[y]].objects, key=repr)
-                              for y in carrier]
-            for anchors in product(*anchor_choices):
-                anchor = dict(zip(carrier, anchors))
-                for a in _actions_with_frame(d, carrier, part, anchor):
-                    if up_to_iso and any(actions_isomorphic(a, b)
-                                         for b in out):
-                        continue
-                    out.append(a)
+        for a in actions_on(d, list(range(k))):
+            if up_to_iso and any(actions_isomorphic(a, b) for b in out):
+                continue
+            out.append(a)
     return out
+
+
+def actions_on(d, carrier):
+    """Every action on the labelled carrier, over every part and anchor."""
+    objects = list(d.shape.objects)
+    for parts in product(objects, repeat=len(carrier)):
+        part = dict(zip(carrier, parts))
+        anchor_choices = [sorted(d.gr[part[y]].objects, key=repr)
+                          for y in carrier]
+        for anchors in product(*anchor_choices):
+            anchor = dict(zip(carrier, anchors))
+            yield from _actions_with_frame(d, carrier, part, anchor)
 
 
 def _actions_with_frame(d, carrier, part, anchor):

@@ -18,6 +18,31 @@ from collections import namedtuple
 from .errors import BoundExceeded, NotSupported
 
 
+def canonical_classes(items, links, key):
+    """Map each item to the key-least member of its connected component.
+
+    ``links`` is an iterable of pairs of items, each joining the classes
+    of its two ends.  Every quotient in the package takes its canonical
+    representatives from here, so the answer depends only on the
+    components and the key, not on the order of the links.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if key(rb) < key(ra):
+                ra, rb = rb, ra
+            parent[rb] = ra
+    return {x: find(x) for x in parent}
+
+
 class FinCategory:
     """A finite category given by an explicit composition table.
 
@@ -167,12 +192,9 @@ class PresentedShape:
     @classmethod
     def group_shape(cls, category):
         """A one-object category all of whose arrows are invertible."""
-        gens = tuple(a for a in category.arrow_ids()
-                     if not category.is_identity(a))
-        gen_src = {a: category.src(a) for a in gens}
-        gen_dst = {a: category.dst(a) for a in gens}
-        return cls(GROUP, category.objects, gens, gen_src, gen_dst, 1,
-                   category=category)
+        shape = cls.finite(category)
+        shape.kind = GROUP
+        return shape
 
     @classmethod
     def finite(cls, category, length_bound=1):
@@ -364,37 +386,26 @@ class ZigzagGroupoid:
         self._arrows = shape.arrows(bound)
         arrows = self._arrows
         pairs = [(g, h) for g in arrows for h in arrows if g[1] == h[1]]
-        parent = {p: p for p in pairs}
 
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
+        def extensions():
+            for (g, h) in pairs:
+                for k in arrows:
+                    if k[0] != g[1] or k[2] == ():
+                        continue
+                    gk, hk = shape.compose(g, k), shape.compose(h, k)
+                    if shape.length(gk) <= bound and shape.length(hk) <= bound:
+                        yield (g, h), (gk, hk)
 
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                lo, hi = sorted((rp, rq), key=self._key)
-                parent[hi] = lo
-
-        for (g, h) in pairs:
-            for k in arrows:
-                if k[0] != g[1] or k[2] == ():
-                    continue
-                gk, hk = shape.compose(g, k), shape.compose(h, k)
-                if shape.length(gk) <= bound and shape.length(hk) <= bound:
-                    union((g, h), (gk, hk))
-        self._find = find
+        self._canon = canonical_classes(pairs, extensions(), self._key)
         classes = {}
         for p in pairs:
-            classes.setdefault(find(p), []).append(p)
+            classes.setdefault(self._canon[p], []).append(p)
         self.classes = sorted(classes, key=self._key)
         self.members = {rep: sorted(classes[rep], key=self._key)
                         for rep in self.classes}
 
     def cls(self, g, h):
-        return self._find((g, h))
+        return self._canon[(g, h)]
 
     def r(self, c):
         return c[0][0]

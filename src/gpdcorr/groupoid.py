@@ -9,7 +9,7 @@ an oracle supplied by the caller.
 """
 
 from .errors import NotEquivariant, OracleIncomplete
-from .fincat import FinCategory, validate_category
+from .fincat import FinCategory, canonical_classes, validate_category
 
 
 class Group:
@@ -243,20 +243,8 @@ def check_basic_bruteforce(action):
 
 def orbit_space(action):
     """The partition of the carrier into orbits, with the class map."""
-    parent = {y: y for y in action.carrier}
-
-    def find(y):
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        return y
-
-    for (g, y), z in action.act.items():
-        ry, rz = find(y), find(z)
-        if ry != rz:
-            lo, hi = sorted((ry, rz), key=repr)
-            parent[hi] = lo
-    proj = {y: find(y) for y in action.carrier}
+    proj = canonical_classes(
+        action.carrier, ((y, z) for (g, y), z in action.act.items()), repr)
     orbits = {}
     for y, rep in proj.items():
         orbits.setdefault(rep, []).append(y)

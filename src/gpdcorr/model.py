@@ -19,9 +19,9 @@ checks naturality on every map, equivariant or not.
 from itertools import product
 
 from .corr import Correspondence, classify, morita_check
-from .diagram import (FAction, _actions_with_frame, _left_actions,
-                      enumerate_actions, equivariant_maps, from_generators,
-                      invariant_check, validate_action)
+from .diagram import (FAction, _bijections, _is_equivariant, _left_actions,
+                      actions_on, enumerate_actions, equivariant_maps,
+                      from_generators, invariant_check, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight)
 from .fincat import FREE, GROUP, IS_ORE, FinCategory, PresentedShape, ore_check
@@ -52,6 +52,23 @@ def groupoid_semidirect(gpd, carrier, anchor, act):
 
 # -- models with translators -------------------------------------------------
 
+def _ua_equivariant(ua1, ua2, f):
+    anchor1, act1 = ua1
+    anchor2, act2 = ua2
+    for y in anchor1:
+        if anchor2[f[y]] != anchor1[y]:
+            return False
+    for (g, y), z in act1.items():
+        if act2.get((g, f[y])) != f[z]:
+            return False
+    return True
+
+
+def _ua_invariant(ua, f):
+    _, act = ua
+    return all(f[y] == f[z] for (g, y), z in act.items())
+
+
 class DisjointUnionModel:
     """Model of a discrete-shape diagram: the disjoint union groupoid."""
 
@@ -73,11 +90,8 @@ class DisjointUnionModel:
         return FAction(self.d, sorted(anchor, key=repr), part, fanchor,
                        gact, alph)
 
-    def is_equivariant(self, ua1, ua2, f):
-        return _ua_equivariant(ua1, ua2, f)
-
-    def is_invariant(self, ua, f):
-        return _ua_invariant(ua, f)
+    is_equivariant = staticmethod(_ua_equivariant)
+    is_invariant = staticmethod(_ua_invariant)
 
 
 class GradedGroupoidModel:
@@ -135,11 +149,8 @@ class GradedGroupoidModel:
         return FAction(d, sorted(anchor, key=repr), part, dict(anchor),
                        gact, alph)
 
-    def is_equivariant(self, ua1, ua2, f):
-        return _ua_equivariant(ua1, ua2, f)
-
-    def is_invariant(self, ua, f):
-        return _ua_invariant(ua, f)
+    is_equivariant = staticmethod(_ua_equivariant)
+    is_invariant = staticmethod(_ua_invariant)
 
 
 def _groupoid_actions_on(gpd, carrier):
@@ -150,23 +161,6 @@ def _groupoid_actions_on(gpd, carrier):
         for act in _left_actions(gpd, list(carrier), anchor):
             out.append((anchor, act))
     return out
-
-
-def _ua_equivariant(ua1, ua2, f):
-    anchor1, act1 = ua1
-    anchor2, act2 = ua2
-    for y in anchor1:
-        if anchor2[f[y]] != anchor1[y]:
-            return False
-    for (g, y), z in act1.items():
-        if act2.get((g, f[y])) != f[z]:
-            return False
-    return True
-
-
-def _ua_invariant(ua, f):
-    _, act = ua
-    return all(f[y] == f[z] for (g, y), z in act.items())
 
 
 class PresentationModel:
@@ -209,10 +203,7 @@ class PresentationModel:
             return
         name = names[i]
         dst, src = self.gens[name]
-        dom, cod = fibers[src], fibers[dst]
-        if len(dom) != len(cod):
-            return
-        for bij in _bijections(dom, cod):
+        for bij in _bijections(fibers[src], fibers[dst]):
             imgs[name] = bij
             self._extend(names, i + 1, imgs, fibers, anchor, out)
             del imgs[name]
@@ -303,18 +294,6 @@ class PresentationModel:
                    for y, z in table.items())
 
 
-def _bijections(dom, cod):
-    if len(dom) != len(cod):
-        return
-    if not dom:
-        yield {}
-        return
-    y, rest = dom[0], dom[1:]
-    for z in cod:
-        for tail in _bijections(rest, [c for c in cod if c != z]):
-            yield {y: z, **tail}
-
-
 def model_discrete_shape(d):
     if d.gen_arrows():
         raise NotSupported("shape is not discrete")
@@ -372,19 +351,6 @@ def _signature(a):
                           for g, t in a.alph.items()), key=repr)))
 
 
-def _factions_on(d, carrier):
-    out = []
-    objects = list(d.shape.objects)
-    for parts in product(objects, repeat=len(carrier)):
-        part = dict(zip(carrier, parts))
-        anchor_choices = [sorted(d.gr[part[y]].objects, key=repr)
-                          for y in carrier]
-        for anchors in product(*anchor_choices):
-            anchor = dict(zip(carrier, anchors))
-            out.extend(_actions_with_frame(d, list(carrier), part, anchor))
-    return out
-
-
 def verify_model(d, model, n):
     """Check the defining property of a groupoid model up to size n.
 
@@ -396,7 +362,7 @@ def verify_model(d, model, n):
     per_size = {}
     for k in range(n + 1):
         carrier = list(range(k))
-        fas = _factions_on(d, carrier)
+        fas = list(actions_on(d, carrier))
         fsigs = {_signature(a) for a in fas}
         uas = model.enumerate_on(carrier)
         translated, tsigs = [], set()
@@ -440,14 +406,7 @@ def _fa_equivariant(a1, a2, f):
         if a2.part.get(f[y]) != a1.part[y] or \
                 a2.anchor.get(f[y]) != a1.anchor[y]:
             return False
-    for (g, y), z in a1.gact.items():
-        if a2.gact.get((g, f[y])) != f[z]:
-            return False
-    for g, table in a1.alph.items():
-        for (xi, y), z in table.items():
-            if a2.alph[g].get((xi, f[y])) != f[z]:
-                return False
-    return True
+    return _is_equivariant(a1.diagram, a1, a2, f)
 
 
 # -- free-monoid shapes: the letter system and the universal space -----------
@@ -476,8 +435,8 @@ def as_selfsim(d):
     vact = {("1", v): v for v in base.objects}
     eact = {("1", e): e for e in letters}
     coc = {("1", e): "1" for e in letters}
-    return SelfSimilarData.graph(triv, base.objects, letters, er, es,
-                                 vact, eact, coc)
+    return SelfSimilarData(triv, base.objects, letters, er, es, vact, eact,
+                           coc)
 
 
 class OreUniversal:
@@ -575,10 +534,6 @@ class OreUniversal:
     def act(self, t, z):
         """The diagram action on points, through the letter calculus."""
         return act_on_word(t, z)
-
-
-def ore_universal_action(d, depth=3):
-    return OreUniversal(d, depth)
 
 
 def rho(d, a, g, y):

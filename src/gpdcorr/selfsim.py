@@ -44,10 +44,6 @@ class SelfSimilarData:
                    {a: "*" for a in letters}, {a: "*" for a in letters},
                    {(g, "*"): "*" for g in group}, eact, cocycle)
 
-    @classmethod
-    def graph(cls, group, vertices, edges, er, es, vact, eact, cocycle):
-        return cls(group, vertices, edges, er, es, vact, eact, cocycle)
-
     def validate(self):
         report = []
         G = self.group

@@ -52,4 +52,4 @@ def ep_graph():
             ("a", "x"): "y", ("a", "y"): "x", ("a", "z"): "z"}
     coc = {("1", "x"): "1", ("1", "y"): "1", ("1", "z"): "1",
            ("a", "x"): "1", ("a", "y"): "1", ("a", "z"): "a"}
-    return SelfSimilarData.graph(z2, vertices, edges, er, es, vact, eact, coc)
+    return SelfSimilarData(z2, vertices, edges, er, es, vact, eact, coc)

@@ -16,7 +16,7 @@ from gpdcorr.corr import (associator, classify, compose, from_group_hom,
                           identity_correspondence, inner_product,
                           space_correspondence, validate_correspondence)
 from gpdcorr.diagram import (action_from_theta, enumerate_actions,
-                             theta_from_action, validate_action)
+                             singleton_thetas, validate_action)
 from gpdcorr.errors import ConditionFailed, Mismatch
 from gpdcorr.fincat import (IS_ORE, NOT_ORE, PresentedShape,
                             groupoid_completion, ore_check)
@@ -132,7 +132,7 @@ def test_criterion_2_theta_round_trip():
     for d, a in corpus:
         assert len(a.carrier) <= 6
         assert validate_action(d, a) == []
-        thetas = theta_from_action(d, a)
+        thetas = singleton_thetas(d, a)
         back = action_from_theta(d, dict(a.part), dict(a.anchor), thetas)
         assert back.part == a.part and back.anchor == a.anchor
         assert back.gact == a.gact and back.alph == a.alph

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from corpus import e1, e2
 from gpdcorr import cli
 from gpdcorr.corr import space_correspondence
@@ -178,12 +180,44 @@ def test_selfsim_act_and_germ(tmp_path):
     assert out.strip() == "DISTINCT"
 
 
-def test_selfsim_bad_argument_is_a_usage_error(tmp_path):
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.strip() != "error:"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("germ", "e:a", "e:a:e", "e|0"),
+    ("nf-mul", "q:1:e", "0:1:e"),
+    ("act", "0:1:e", "q|0"),
+    ("germ", "0:zz:0", "0:1:0", "0|0"),
+    ("nf-mul", "0:1:e"),
+    ("nf-mul", "e@zz:1:e", "0:1:e"),
+], ids=["short-nf", "unknown-letter", "unknown-letter-in-point",
+        "unknown-element", "missing-argument", "unknown-vertex"])
+def test_selfsim_bad_argument_is_a_usage_error(tmp_path, argv):
     path = write_doc(tmp_path, "e1.json", "selfsimilar",
                      cli.selfsimilar_payload(e1()))
-    code, _, err = run_cli("selfsim", path, "germ", "e:a", "e:a:e", "e|0")
-    assert code == 2
-    assert "error" in err
+    assert_usage_error(*run_cli("selfsim", path, *argv))
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("mn", "0", "1"), None),
+    (("mn", "1", "1", "--depth", "-1"), None),
+    (("validate",), {"m": "x"}),
+    (("validate",), {"m": "x", "n": 1}),
+    (("validate",), {"m": 0, "n": 1}),
+    (("model",), {"m": 0, "n": 1}),
+    (("model", "--depth", "-1"), {"m": 1, "n": 1}),
+], ids=["mn-m0", "mn-negative-depth", "validate-missing-n",
+        "validate-string-m", "validate-m0", "model-m0",
+        "model-negative-depth"])
+def test_mn_bad_argument_is_a_usage_error(tmp_path, argv, doc):
+    if doc is not None:
+        path = write_doc(tmp_path, "mn.json", "mn", doc)
+        argv = argv[:1] + (path,) + argv[1:]
+    assert_usage_error(*run_cli(*argv))
 
 
 def test_mn_command():

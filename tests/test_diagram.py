@@ -5,7 +5,7 @@ from gpdcorr.corr import space_correspondence
 from gpdcorr.diagram import (
     FAction, action_from_theta, compose_transformations, discrete_diagram,
     enumerate_actions, equivariant_maps, from_complex, from_generators,
-    identity_transformation, invariant_check, theta_from_action,
+    identity_transformation, invariant_check, singleton_thetas,
     validate_action, validate_diagram, validate_modification,
     validate_transformation)
 from gpdcorr.errors import ConditionFailed, HexagonViolation
@@ -162,7 +162,7 @@ def test_e1_has_no_nonempty_finite_action():
 def test_theta_round_trip():
     d = swap_diagram()
     a = swap_action(d)
-    thetas = theta_from_action(d, a)
+    thetas = singleton_thetas(d, a)
     back = action_from_theta(d, dict(a.part), dict(a.anchor), thetas)
     assert back.part == a.part and back.anchor == a.anchor
     assert back.gact == a.gact and back.alph == a.alph
@@ -171,12 +171,12 @@ def test_theta_round_trip():
 def test_theta_multiplicativity_and_braket():
     d = e1_diagram()
     a = FAction(d, (), {}, {}, {}, {t: {} for t in d.gen_arrows()})
-    thetas = theta_from_action(d, a)
+    thetas = singleton_thetas(d, a)
     for pb in thetas.values():
         assert pb == PartialBijection.empty()
     d2 = swap_diagram()
     a2 = swap_action(d2)
-    th = theta_from_action(d2, a2)
+    th = singleton_thetas(d2, a2)
     t = ("*", "*", ("t",))
     tt = ("*", "*", ("t", "t"))
     x0, x1 = (("x", 0),), (("x", 1),)
@@ -217,7 +217,7 @@ def test_action_from_theta_round_trip_on_graph_diagram():
                            (1,): PartialBijection({2: 1})})
     a = action_from_theta(d, part, anchor, thetas)
     assert validate_action(d, a) == []
-    assert theta_from_action(d, a) == thetas
+    assert singleton_thetas(d, a) == thetas
 
 
 def test_action_from_theta_condition4_wrong_image_anchor():
@@ -331,7 +331,7 @@ def test_equivariance_matches_theta_level_criterion():
     # and with every singleton slice action
     d = swap_diagram()
     a = swap_action(d)
-    thetas = theta_from_action(d, a)
+    thetas = singleton_thetas(d, a)
     from itertools import product as iproduct
     maps = [dict(zip((0, 1), values)) for values in iproduct((0, 1), repeat=2)]
     eq_maps = equivariant_maps(a, a)

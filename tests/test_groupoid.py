@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gpdcorr.errors import NotEquivariant
+from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import (
     FinGroupoid, Group, GroupoidAction, PartialBijection, check_basic,
     check_basic_bruteforce, germ_groupoid, isg_action_vs_groupoid_action,
@@ -180,3 +183,48 @@ def test_isg_not_equivariant_witness():
     with pytest.raises(NotEquivariant):
         isg_action_vs_groupoid_action(
             semigroup, theta_x, xs, theta_y=broken, f=f, carrier_y=ys)
+
+
+@st.composite
+def keyed_graphs(draw):
+    """Items 0..n-1, random links between them, and an injective key."""
+    n = draw(st.integers(0, 9))
+    items = list(range(n))
+    node = st.integers(0, n - 1)
+    links = draw(st.lists(st.tuples(node, node), max_size=15)) if n else []
+    rank = draw(st.permutations(items))
+    return items, links, rank.__getitem__
+
+
+def components_by_bfs(items, links, key):
+    """Oracle: each item's BFS component, represented by its key-least member."""
+    nbrs = {x: set() for x in items}
+    for a, b in links:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    out = {}
+    for x in items:
+        if x in out:
+            continue
+        comp, todo = {x}, [x]
+        while todo:
+            for z in nbrs[todo.pop()] - comp:
+                comp.add(z)
+                todo.append(z)
+        rep = min(comp, key=key)
+        out.update((z, rep) for z in comp)
+    return out
+
+
+@given(keyed_graphs(), st.randoms(use_true_random=False))
+def test_canonical_classes_matches_bfs_oracle(graph, rnd):
+    items, links, key = graph
+    want = components_by_bfs(items, links, key)
+    got = canonical_classes(items, links, key)
+    assert got == want
+    assert list(got) == items
+    shuffled = list(links)
+    rnd.shuffle(shuffled)
+    assert canonical_classes(items, shuffled, key) == want
+    flipped = [(b, a) for a, b in reversed(links)]
+    assert canonical_classes(items, flipped, key) == want

@@ -7,9 +7,9 @@ from gpdcorr.errors import Mismatch, NotEquivalence, NotTight
 from gpdcorr.fincat import PresentedShape, groupoid_completion
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.model import (
-    PresentationModel, check_terminal, model_discrete_shape,
-    model_group_shape, ore_universal_action, pair_from_nf,
-    pair_groupoid_model, rho, tight_universal_action, tighten, verify_model)
+    OreUniversal, PresentationModel, check_terminal, model_discrete_shape,
+    model_group_shape, pair_from_nf, pair_groupoid_model, rho,
+    tight_universal_action, tighten, verify_model)
 from gpdcorr.selfsim import act_on_word, germ_equal, iterate, nf, nf_mul
 
 from test_diagram import (e1_diagram, point_diagram, swap_action,
@@ -158,7 +158,7 @@ def test_verify_point_diagram_vs_Z2_fails():
 
 def test_ore_universal_levels_e1():
     d = e1_diagram()
-    om = ore_universal_action(d, depth=3)
+    om = OreUniversal(d, depth=3)
     assert om.status == "rational(3)"
     assert [len(level) for level in om.levels] == [1, 2, 4, 8]
     # thread compatibility: projections restrict along prefixes
@@ -171,8 +171,8 @@ def test_ore_universal_levels_e1():
 
 
 def test_ore_universal_finite_cases():
-    assert ore_universal_action(point_diagram(2)).finite
-    om = ore_universal_action(swap_diagram(2))
+    assert OreUniversal(point_diagram(2)).finite
+    om = OreUniversal(swap_diagram(2))
     assert om.finite
     assert len(om.points()) == 2
 
@@ -190,7 +190,7 @@ def test_rho_compatibility():
 
 def test_tighten_swap_is_tight_graph_on_two_points():
     d = swap_diagram(2)
-    om = ore_universal_action(d)
+    om = OreUniversal(d)
     td = tighten(d, om)
     assert validate_diagram(td) == []
     assert td.is_tight()
@@ -201,21 +201,21 @@ def test_tighten_swap_is_tight_graph_on_two_points():
 
 def test_tighten_point_diagram():
     d = point_diagram(2)
-    td = tighten(d, ore_universal_action(d))
+    td = tighten(d, OreUniversal(d))
     assert td.is_tight()
     assert len(td.X(td.gen_arrows()[0])) == 1
 
 
 def test_tighten_e1_rational_scan():
     d = e1_diagram()
-    scan = tighten(d, ore_universal_action(d))
+    scan = tighten(d, OreUniversal(d))
     assert scan.scan_tight(2, 2)
 
 
 def test_pair_model_point_diagram_is_Z():
     d = point_diagram(2)
     m = pair_groupoid_model(d, depth=4)
-    om = ore_universal_action(d)
+    om = OreUniversal(d)
     arrows = m.arrows_over(om.points(), word_len=2)
     assert len(arrows) == 5
     assert sorted(p.grade() for p in arrows) == [-2, -1, 0, 1, 2]
@@ -229,7 +229,7 @@ def test_pair_model_point_diagram_is_Z():
 def test_pair_model_swap_two_arrows_per_grade():
     d = swap_diagram(2)
     m = pair_groupoid_model(d, depth=4)
-    arrows = m.arrows_over(ore_universal_action(d).points(), word_len=2)
+    arrows = m.arrows_over(OreUniversal(d).points(), word_len=2)
     by_grade = {}
     for p in arrows:
         by_grade.setdefault(p.grade(), []).append(p)
@@ -298,7 +298,7 @@ def test_pair_model_e2_isotropy():
 def test_grading_functor():
     d = point_diagram(2)
     m = pair_groupoid_model(d, depth=4)
-    om = ore_universal_action(d)
+    om = OreUniversal(d)
     comp = groupoid_completion(d.shape, bound=4)
     theta = m.grading_functor(comp)
     arrows = m.arrows_over(om.points(), word_len=2)
@@ -325,5 +325,5 @@ def test_constructed_model_groupoids_satisfy_axioms():
 def test_tightened_base_groupoid_valid():
     from gpdcorr.groupoid import validate_groupoid
     d = swap_diagram(2)
-    td = tighten(d, ore_universal_action(d))
+    td = tighten(d, OreUniversal(d))
     assert validate_groupoid(td.gr["*"]) == []

@@ -307,7 +307,7 @@ def test_graph_case_with_one_vertex_is_group_case():
     eact = {("1", "0"): "0", ("1", "1"): "1", ("a", "0"): "1", ("a", "1"): "0"}
     coc = {("1", "0"): "a", ("1", "1"): "a"}
     coc = {("1", "0"): "1", ("1", "1"): "1", ("a", "0"): "a", ("a", "1"): "a"}
-    as_graph = SelfSimilarData.graph(
+    as_graph = SelfSimilarData(
         z2, ("*",), ("0", "1"), {"0": "*", "1": "*"}, {"0": "*", "1": "*"},
         {(g, "*"): "*" for g in z2}, eact, coc)
     as_group = e1()
