@@ -631,19 +631,75 @@ def action_from_theta(d, part, anchor, thetas):
 
 
 def equivariant_maps(a1, a2):
-    """All equivariant maps between two actions of the same diagram."""
-    d = a1.diagram
-    carrier = list(a1.carrier)
-    candidates = {y: [z for z in a2.carrier
-                      if a2.part[z] == a1.part[y]
-                      and a2.anchor[z] == a1.anchor[y]]
-                  for y in carrier}
-    out = []
-    for values in product(*(candidates[y] for y in carrier)):
-        f = dict(zip(carrier, values))
-        if _is_equivariant(d, a1, a2, f):
-            out.append(f)
-    return out
+    """All equivariant maps between two actions of the same diagram.
+
+    The maps come in lexicographic order of their values along
+    ``a1.carrier``, each value ranked by its position in ``a2.carrier``.
+    """
+    return list(_propagated_maps(a1, a2))
+
+
+def _moves(a):
+    """Each point's moves y -> {label: z}: (None, gamma) for the groupoid
+    actions, (g, xi) for the generator tables."""
+    moves = {y: {} for y in a.carrier}
+    for (gamma, y), z in a.gact.items():
+        moves.setdefault(y, {})[(None, gamma)] = z
+    for g, table in a.alph.items():
+        for (xi, y), z in table.items():
+            moves.setdefault(y, {})[(g, xi)] = z
+    return moves
+
+
+def _propagated_maps(a1, a2, injective=False):
+    """Equivariant maps a1 -> a2, in the order of equivariant_maps.
+
+    The first unassigned point of ``a1.carrier`` is a root: each of its
+    candidates in ``a2.carrier`` fixes the image of everything it moves
+    to, and a conflict, a missing move or a wrong part or anchor cuts
+    the branch.  With ``injective`` a target already used cuts it too.
+    """
+    m1, m2 = _moves(a1), _moves(a2)
+    frame1 = {y: (a1.part[y], a1.anchor[y]) for y in a1.carrier}
+    frame2 = {z: (a2.part[z], a2.anchor[z]) for z in a2.carrier}
+    carrier = a1.carrier
+    f, used = {}, set()
+
+    def assign(y, z, trail):
+        stack = [(y, z)]
+        while stack:
+            y, z = stack.pop()
+            if y in f:
+                if f[y] != z:
+                    return False
+                continue
+            if frame1[y] != frame2.get(z) or (injective and z in used):
+                return False
+            f[y] = z
+            if injective:
+                used.add(z)
+            trail.append(y)
+            for label, y2 in m1[y].items():
+                z2 = m2[z].get(label)
+                if z2 is None:
+                    return False
+                stack.append((y2, z2))
+        return True
+
+    def search(i):
+        while i < len(carrier) and carrier[i] in f:
+            i += 1
+        if i == len(carrier):
+            yield {y: f[y] for y in carrier}
+            return
+        for z in a2.carrier:
+            trail = []
+            if assign(carrier[i], z, trail):
+                yield from search(i + 1)
+            for y in trail:
+                used.discard(f.pop(y))
+
+    yield from search(0)
 
 
 def _is_equivariant(d, a1, a2, f):
@@ -672,10 +728,7 @@ def invariant_check(a, f):
 def actions_isomorphic(a1, a2):
     if len(a1.carrier) != len(a2.carrier):
         return False
-    for f in equivariant_maps(a1, a2):
-        if len(set(f.values())) == len(a2.carrier):
-            return True
-    return False
+    return next(_propagated_maps(a1, a2, injective=True), None) is not None
 
 
 def _left_actions(gpd, ys, anchor):
@@ -734,6 +787,8 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
     for p in pairs:
         classes.setdefault(canon[p], []).append(p)
     reps = sorted(classes, key=repr)
+    if len(reps) != len(ys_dst):
+        return
 
     def act_left(gamma, rep):
         xi, y = rep
@@ -753,24 +808,27 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
     orbit = canonical_classes(reps, left_moves(), repr)
     orbit_reps = sorted(set(orbit.values()), key=repr)
 
-    def place(i, assign):
+    arrows = gpd.arrow_ids()
+
+    # every class gets its own target, so a target already taken cuts
+    # the branch, and a complete assignment is a bijection
+    def place(i, assign, used):
         if i == len(orbit_reps):
-            vals = {assign[rep] for rep in reps}
-            if len(vals) == len(reps) == len(ys_dst):
-                table = {}
-                for rep in reps:
-                    for p in classes[rep]:
-                        table[p] = assign[rep]
-                yield table
+            table = {}
+            for rep in reps:
+                for p in classes[rep]:
+                    table[p] = assign[rep]
+            yield table
             return
         base = orbit_reps[i]
         for z in ys_dst:
-            if anchor[z] != c.rmap[base[0]]:
+            if anchor[z] != c.rmap[base[0]] or z in used:
                 continue
             nxt = dict(assign)
             nxt[base] = z
+            taken = used | {z}
             good = True
-            for gamma in gpd.arrow_ids():
+            for gamma in arrows:
                 moved = act_left(gamma, base)
                 if moved is None:
                     continue
@@ -778,11 +836,16 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
                 if want is None or nxt.get(moved, want) != want:
                     good = False
                     break
-                nxt[moved] = want
+                if moved not in nxt:
+                    if want in taken:
+                        good = False
+                        break
+                    nxt[moved] = want
+                    taken.add(want)
             if good:
-                yield from place(i + 1, nxt)
+                yield from place(i + 1, nxt, taken)
 
-    yield from place(0, {})
+    yield from place(0, {}, set())
 
 
 def enumerate_actions(d, n, up_to_iso=True):

@@ -59,6 +59,7 @@ class FinCategory:
         self.compose = dict(compose)
         self.identities = dict(identities)
         self.truncated = truncated
+        self._arrow_ids = tuple(sorted(self.arrows, key=repr))
 
     def src(self, g):
         return self.arrows[g][0]
@@ -79,7 +80,7 @@ class FinCategory:
         return self.compose.get((g, h))
 
     def arrow_ids(self):
-        return sorted(self.arrows, key=repr)
+        return self._arrow_ids
 
     @classmethod
     def terminal(cls):

@@ -142,6 +142,9 @@ def validate_groupoid(gpd):
             report.append(f"{g!r}.inv({g!r}) is not the unit at dst")
         if gpd.mul(gi, g) != gpd.unit(gpd.src(g)):
             report.append(f"inv({g!r}).{g!r} is not the unit at src")
+    for g in gpd.inv:
+        if g not in gpd.category.arrows:
+            report.append(f"inv names {g!r}, which is not an arrow")
     return report
 
 

@@ -16,7 +16,7 @@ so that empty paths at different vertices stay distinct.
 from collections import namedtuple
 
 from .corr import Correspondence
-from .errors import DepthInsufficient, Undefined
+from .errors import DepthInsufficient, ParseError, Undefined
 from .groupoid import FinGroupoid
 
 Path = namedtuple("Path", ["rv", "edges"])
@@ -84,11 +84,13 @@ class SelfSimilarData:
         if edges:
             rv = self.er[edges[0]]
             for a, b in zip(edges, edges[1:]):
-                assert self.es[a] == self.er[b], f"path breaks at {a!r},{b!r}"
+                if self.es[a] != self.er[b]:
+                    raise ParseError(f"path breaks at {a!r},{b!r}")
         else:
             if rv is None and len(self.vertices) == 1:
                 rv = self.vertices[0]
-            assert rv in self.vertices, "empty path needs a vertex"
+            if rv not in self.vertices:
+                raise ParseError("empty path needs a vertex")
         return Path(rv, edges)
 
     def ps(self, p):
@@ -119,9 +121,11 @@ class SelfSimilarData:
     def ev(self, pre, per, rv=None):
         """Canonical eventually periodic point pre . per^infinity."""
         pre, per = tuple(pre), tuple(per)
-        assert per, "period must be nonempty"
+        if not per:
+            raise ParseError("period must be nonempty")
         word = self.path(pre + per + per, rv)   # composability check
-        assert self.es[per[-1]] == self.er[per[0]], "period does not loop"
+        if self.es[per[-1]] != self.er[per[0]]:
+            raise ParseError("period does not loop")
         k = next(k for k in range(1, len(per) + 1)
                  if len(per) % k == 0 and per == per[:k] * (len(per) // k))
         per = per[:k]
@@ -181,8 +185,8 @@ class NormalForm:
             self.w1 = self.g = self.w2 = None
         else:
             self.w1, self.g, self.w2 = w1, g, w2
-            assert data.ps(w1) == data.vact[(g, data.ps(w2))], \
-                "incompatible normal form"
+            if data.ps(w1) != data.vact[(g, data.ps(w2))]:
+                raise ParseError("incompatible normal form")
 
     def key(self):
         return ("0",) if self.zero else (self.w1, self.g, self.w2)

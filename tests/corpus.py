@@ -1,5 +1,9 @@
-"""Shared test data: small self-similar and graph systems."""
+"""Shared test data: small self-similar and graph systems, and the
+two-point space correspondences."""
 
+from itertools import product
+
+from gpdcorr.corr import space_correspondence
 from gpdcorr.groupoid import Group
 from gpdcorr.selfsim import SelfSimilarData
 
@@ -53,3 +57,19 @@ def ep_graph():
     coc = {("1", "x"): "1", ("1", "y"): "1", ("1", "z"): "1",
            ("a", "x"): "1", ("a", "y"): "1", ("a", "z"): "a"}
     return SelfSimilarData(z2, vertices, edges, er, es, vact, eact, coc)
+
+
+def space_correspondences():
+    """Every two-element correspondence between two-point spaces.
+
+    Keyed ``r<r(x0)><r(x1)>-s<s(x0)><s(x1)>``; the elements are
+    ``("x", 0)`` and ``("x", 1)`` and both groupoids are the points 0, 1.
+    """
+    carrier = [("x", 0), ("x", 1)]
+    out = {}
+    for m in product((0, 1), repeat=4):
+        key = f"r{m[0]}{m[1]}-s{m[2]}{m[3]}"
+        out[key] = space_correspondence(
+            (0, 1), (0, 1), dict(zip(carrier, m[:2])),
+            dict(zip(carrier, m[2:])), carrier=carrier)
+    return out

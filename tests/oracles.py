@@ -1,0 +1,126 @@
+"""Brute-force reference versions of the diagram-action searches.
+
+These are the earlier implementations that the propagating searches in
+``gpdcorr.diagram`` replaced.  They walk every candidate and check at
+the leaves, so they are slow but obviously right; the tests compare the
+library against them, answer for answer and in the same order.
+"""
+
+from itertools import product
+
+from gpdcorr.diagram import actions_on
+from gpdcorr.fincat import canonical_classes
+
+
+def equivariant_maps(a1, a2):
+    """All equivariant maps a1 -> a2, by walking the product of fibres."""
+    carrier = list(a1.carrier)
+    candidates = {y: [z for z in a2.carrier
+                      if a2.part[z] == a1.part[y]
+                      and a2.anchor[z] == a1.anchor[y]]
+                  for y in carrier}
+    out = []
+    for values in product(*(candidates[y] for y in carrier)):
+        f = dict(zip(carrier, values))
+        if is_equivariant(a1, a2, f):
+            out.append(f)
+    return out
+
+
+def is_equivariant(a1, a2, f):
+    for (gamma, y), z in a1.gact.items():
+        if a2.gact.get((gamma, f[y])) != f[z]:
+            return False
+    for g, table in a1.alph.items():
+        for (xi, y), z in table.items():
+            if a2.alph[g].get((xi, f[y])) != f[z]:
+                return False
+    return True
+
+
+def actions_isomorphic(a1, a2):
+    if len(a1.carrier) != len(a2.carrier):
+        return False
+    for f in equivariant_maps(a1, a2):
+        if len(set(f.values())) == len(a2.carrier):
+            return True
+    return False
+
+
+def enumerate_actions(d, n):
+    """Representatives up to isomorphism, deduplicated pairwise."""
+    out = []
+    for k in range(n + 1):
+        for a in actions_on(d, list(range(k))):
+            if not any(actions_isomorphic(a, b) for b in out):
+                out.append(a)
+    return out
+
+
+def equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
+    """All candidate alpha tables for one generator arrow, checked for
+    bijectivity only at the leaves of the search."""
+    pairs = [(xi, y) for xi in c.carrier for y in ys_src
+             if c.smap[xi] == anchor[y]]
+
+    def balance_moves():
+        for (xi, y) in pairs:
+            for gamma in c.right.arrow_ids():
+                xig = c.ract.get((xi, gamma))
+                giy = gact.get((c.right.invert(gamma), y))
+                if xig is not None and giy is not None:
+                    yield (xi, y), (xig, giy)
+
+    canon = canonical_classes(pairs, balance_moves(), repr)
+    classes = {}
+    for p in pairs:
+        classes.setdefault(canon[p], []).append(p)
+    reps = sorted(classes, key=repr)
+
+    def act_left(gamma, rep):
+        xi, y = rep
+        moved = c.lact.get((gamma, xi))
+        return None if moved is None else canon[(moved, y)]
+
+    gpd = c.left
+
+    def left_moves():
+        for rep in reps:
+            for gamma in gpd.arrow_ids():
+                moved = act_left(gamma, rep)
+                if moved is not None:
+                    yield rep, moved
+
+    orbit = canonical_classes(reps, left_moves(), repr)
+    orbit_reps = sorted(set(orbit.values()), key=repr)
+
+    def place(i, assign):
+        if i == len(orbit_reps):
+            vals = {assign[rep] for rep in reps}
+            if len(vals) == len(reps) == len(ys_dst):
+                table = {}
+                for rep in reps:
+                    for p in classes[rep]:
+                        table[p] = assign[rep]
+                yield table
+            return
+        base = orbit_reps[i]
+        for z in ys_dst:
+            if anchor[z] != c.rmap[base[0]]:
+                continue
+            nxt = dict(assign)
+            nxt[base] = z
+            good = True
+            for gamma in gpd.arrow_ids():
+                moved = act_left(gamma, base)
+                if moved is None:
+                    continue
+                want = gact.get((gamma, z))
+                if want is None or nxt.get(moved, want) != want:
+                    good = False
+                    break
+                nxt[moved] = want
+            if good:
+                yield from place(i + 1, nxt)
+
+    yield from place(0, {})

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from corpus import e1, e2
+from corpus import e1, e2, ep_graph
 from gpdcorr import cli
 from gpdcorr.corr import space_correspondence
 from gpdcorr.diagram import discrete_diagram, from_generators
@@ -15,9 +15,9 @@ from test_cgx import cx_single_arrow
 from test_diagram import point_diagram, swap_correspondence
 
 
-def run_cli(*argv):
+def run_cli(*argv, flags=()):
     proc = subprocess.run(
-        [sys.executable, "-m", "gpdcorr.cli", *argv],
+        [sys.executable, *flags, "-m", "gpdcorr.cli", *argv],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -200,6 +200,20 @@ def test_selfsim_bad_argument_is_a_usage_error(tmp_path, argv):
     path = write_doc(tmp_path, "e1.json", "selfsimilar",
                      cli.selfsimilar_payload(e1()))
     assert_usage_error(*run_cli("selfsim", path, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf-mul", "z.z:1:e@p", "e:1:e@p"),
+    ("act", "e@p:1:e@p", "e@q|z"),
+    ("act", "e@p:1:e@p", "x|e@p"),
+    ("nf-mul", "e@q:1:x", "e@p:1:e@p"),
+], ids=["broken-path", "period-does-not-loop", "empty-period",
+        "incompatible-nf"])
+def test_selfsim_bad_path_is_a_usage_error_under_O(tmp_path, argv):
+    # input checks must not be asserts, which python -O strips
+    path = write_doc(tmp_path, "graph.json", "selfsimilar",
+                     cli.selfsimilar_payload(ep_graph()))
+    assert_usage_error(*run_cli("selfsim", path, *argv, flags=("-O",)))
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpdcorr import cli
 from gpdcorr.errors import NotEquivariant
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import (
@@ -9,6 +10,8 @@ from gpdcorr.groupoid import (
     check_basic_bruteforce, germ_groupoid, isg_action_vs_groupoid_action,
     orbit_space, pointwise_oracle, pseudogroup_closure,
     transformation_groupoid, validate_groupoid)
+
+from test_cli import run_cli, write_doc
 
 
 def right_mult_action(group):
@@ -26,6 +29,17 @@ def test_groupoid_constructors_valid():
     assert validate_groupoid(FinGroupoid.disjoint_union(
         [FinGroupoid.from_group(Group.cyclic(2)),
          FinGroupoid.from_group(Group.cyclic(3))])) == []
+
+
+def test_validate_reports_inverse_of_unknown_arrow(tmp_path):
+    gpd = FinGroupoid.from_group(Group.cyclic(2))
+    bad = FinGroupoid(gpd.category, {**gpd.inv, "zz": "a"})
+    assert validate_groupoid(bad) == ["inv names 'zz', which is not an arrow"]
+    path = write_doc(tmp_path, "g.json", "groupoid", cli.groupoid_payload(bad))
+    code, out, err = run_cli("validate", path)
+    assert code == 1
+    assert "inv names 'zz', which is not an arrow" in out
+    assert "Traceback" not in err
 
 
 def test_right_multiplication_is_basic():

@@ -1,0 +1,155 @@
+"""The propagating action searches against their brute-force oracles.
+
+Every answer must be identical to the oracle's, in the same order.
+"""
+
+from itertools import product
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from corpus import space_correspondences
+from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
+                             actions_isomorphic, actions_on,
+                             discrete_diagram, enumerate_actions,
+                             equivariant_maps, from_generators)
+from gpdcorr.fincat import PresentedShape
+from gpdcorr.groupoid import FinGroupoid, Group
+from gpdcorr.mn import make_emn
+
+from test_diagram import broken_graph_diagram, swap_diagram
+
+
+def one_generator(c):
+    shape = PresentedShape.free_monoid(("t",), length_bound=2)
+    return from_generators(shape, {"t": c})
+
+
+def cases():
+    """name -> (diagram, largest carrier size)."""
+    out = {
+        "swap": (swap_diagram(), 4),
+        "disc-z2": (discrete_diagram(
+            {"x": FinGroupoid.from_group(Group.cyclic(2))}), 4),
+        # both groups have an arrow "1", so labels alone do not fix parts
+        "disc-z2-z3": (discrete_diagram(
+            {"x": FinGroupoid.from_group(Group.cyclic(2)),
+             "y": FinGroupoid.from_group(Group.cyclic(3))}), 3),
+        "broken-graph": (broken_graph_diagram()[0], 4),
+        "emn-1-3": (make_emn(1, 3), 4),
+    }
+    for key, c in space_correspondences().items():
+        out["space-" + key] = (one_generator(c), 3)
+    return out
+
+
+CASES = cases()
+
+
+def frames(d, n):
+    """Every carrier of size <= n with its parts and anchors."""
+    for k in range(n + 1):
+        carrier = list(range(k))
+        for parts in product(d.shape.objects, repeat=k):
+            part = dict(zip(carrier, parts))
+            for anchors in product(*(d.gr[part[y]].objects
+                                     for y in carrier)):
+                yield carrier, part, dict(zip(carrier, anchors))
+
+
+def groupoid_actions(d, pieces, anchor):
+    """Every groupoid action on a frame, over all objects at once."""
+    per_object = [list(_left_actions(d.gr[x], pieces[x], anchor))
+                  for x in d.shape.objects]
+    for acts in product(*per_object):
+        gact = {}
+        for act in acts:
+            gact.update(act)
+        yield gact
+
+
+def labelled_actions(d, n):
+    return [a for k in range(n + 1) for a in actions_on(d, list(range(k)))]
+
+
+def items(maps):
+    """Dicts as item lists, so that key order is compared too."""
+    return [list(f.items()) for f in maps]
+
+
+def as_data(a):
+    return a.carrier, a.part, a.anchor, a.gact, a.alph
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_alpha_tables_match_oracle(name):
+    d, n = CASES[name]
+    for carrier, part, anchor in frames(d, n):
+        pieces = {x: [y for y in carrier if part[y] == x]
+                  for x in d.shape.objects}
+        for gact in groupoid_actions(d, pieces, anchor):
+            for g in d.gen_arrows():
+                args = (d, g, d.X(g), gact, pieces[d.shape.s(g)],
+                        pieces[d.shape.r(g)], anchor)
+                assert items(_equivariant_bijections(*args)) == \
+                    items(oracles.equivariant_bijections(*args))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_equivariant_maps_match_oracle(name):
+    d, n = CASES[name]
+    acts = labelled_actions(d, n)
+    for a1, a2 in product(acts, repeat=2):
+        assert items(equivariant_maps(a1, a2)) == \
+            items(oracles.equivariant_maps(a1, a2))
+        assert actions_isomorphic(a1, a2) == \
+            oracles.actions_isomorphic(a1, a2)
+
+
+def test_enumerate_actions_matches_oracle_dedupe():
+    d = swap_diagram()
+    got = enumerate_actions(d, 5)
+    want = oracles.enumerate_actions(d, 5)
+    assert [as_data(a) for a in got] == [as_data(a) for a in want]
+
+
+def relabel(a, names, order):
+    """A copy of a with point y renamed names[y], listed in the given order."""
+    def move(table):
+        return {(label, names[y]): names[z] for (label, y), z in table.items()}
+    return FAction(a.diagram, [names[a.carrier[i]] for i in order],
+                   {names[y]: x for y, x in a.part.items()},
+                   {names[y]: u for y, u in a.anchor.items()},
+                   move(a.gact), {g: move(t) for g, t in a.alph.items()})
+
+
+def pools():
+    """Labelled actions grouped by diagram and carrier size, keeping only
+    the groups that hold two non-isomorphic actions."""
+    out = {}
+    for name in ("swap", "disc-z2", "broken-graph", "space-r01-s01"):
+        d, n = CASES[name]
+        for a in labelled_actions(d, n):
+            out.setdefault((name, len(a.carrier)), []).append(a)
+    return {key: acts for key, acts in sorted(out.items())
+            if not all(oracles.actions_isomorphic(acts[0], b) for b in acts)}
+
+
+POOLS = pools()
+
+
+@given(st.data())
+def test_relabelled_action_is_isomorphic(data):
+    acts = POOLS[data.draw(st.sampled_from(sorted(POOLS)))]
+    a = data.draw(st.sampled_from(acts))
+    k = len(a.carrier)
+    names = dict(zip(a.carrier, (f"p{i}" for i in
+                                 data.draw(st.permutations(range(k))))))
+    r = relabel(a, names, data.draw(st.permutations(range(k))))
+    assert actions_isomorphic(a, r) and actions_isomorphic(r, a)
+    others = [b for b in acts if not oracles.actions_isomorphic(a, b)]
+    b = data.draw(st.sampled_from(others))
+    assert actions_isomorphic(r, b) == oracles.actions_isomorphic(r, b)
+    assert not actions_isomorphic(r, b)
