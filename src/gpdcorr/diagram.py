@@ -234,10 +234,8 @@ def _check_one_hexagon(gens, sigma, a, b, c):
                 if cb.smap[xb] != cc.rmap[xc]:
                     continue
                 # route 1: swap (b,c), then (a,c), then (a,b)
-                yb, yc = xb, xc
-                yc1, yb1 = _swap(gens, sigma, b, c, yb, yc)
-                ya1, dummy_c = xa, yc1
-                zc, za = _swap(gens, sigma, a, c, ya1, yc1)
+                yc1, yb1 = _swap(gens, sigma, b, c, xb, xc)
+                zc, za = _swap(gens, sigma, a, c, xa, yc1)
                 zb, za2 = _swap(gens, sigma, a, b, za, yb1)
                 route1 = (zc, zb, za2)
                 # route 2: swap (a,b), then (a,c) in the middle, then (b,c)
@@ -424,6 +422,23 @@ class FAction:
                         mapping[y] = self.apply(g, xi, y)
         return PartialBijection(mapping)
 
+    def table(self):
+        """The action as the table of its singleton thetas.
+
+        The table is ``(frame, moves)``: ``frame`` maps each point, in
+        carrier order, to its (part, anchor), and ``moves`` maps it to
+        {label: z}, with labels (None, gamma) for the groupoid actions
+        and (g, xi) for the generator tables.
+        """
+        frame = {y: (self.part[y], self.anchor[y]) for y in self.carrier}
+        moves = {y: {} for y in frame}
+        for (gamma, y), z in self.gact.items():
+            moves.setdefault(y, {})[(None, gamma)] = z
+        for g, t in self.alph.items():
+            for (xi, y), z in t.items():
+                moves.setdefault(y, {})[(g, xi)] = z
+        return frame, moves
+
 
 def validate_action(d, a):
     """Check the definition of a diagram action, within the bound."""
@@ -458,7 +473,6 @@ def validate_action(d, a):
                     if a.gact.get((g, a.gact[(h, y)])) != a.gact.get((gh, y)):
                         report.append(
                             f"groupoid associativity fails at ({g!r},{h!r},{y!r})")
-        u = {y: y for y in ys}
         for y in ys:
             uy = a.gact.get((gpd.unit(a.anchor[y]), y))
             if uy != y:
@@ -515,7 +529,14 @@ def validate_action(d, a):
                 if a.gact.get((eta, y2)) != y:
                     report.append(
                         f"(5.2) fails at ({xi!r},{y!r}) vs ({xi2!r},{y2!r})")
-    # mixed associativity for composable generator pairs with materialised gh
+    for g, h, xi, eta, y in _incoherences(d, a):
+        report.append(f"(5.1) fails at ({g!r},{h!r},{xi!r},{eta!r},{y!r})")
+    return report
+
+
+def _incoherences(d, a):
+    """Mixed associativity: each (g, h, xi, eta, y) with xi.(eta.y) !=
+    (xi.eta).y, over composable generator pairs with materialised gh."""
     for g in d.gen_arrows():
         for h in d.gen_arrows():
             gh = d.shape.compose(g, h)
@@ -531,12 +552,8 @@ def validate_action(d, a):
                         inner = a.apply(h, eta, y)
                         if inner is None:
                             continue
-                        lhs = a.apply(g, xi, inner)
-                        rhs = a.apply(gh, prod, y)
-                        if lhs != rhs:
-                            report.append(
-                                f"(5.1) fails at ({g!r},{h!r},{xi!r},{eta!r},{y!r})")
-    return report
+                        if a.apply(g, xi, inner) != a.apply(gh, prod, y):
+                            yield g, h, xi, eta, y
 
 
 def singleton_thetas(d, a):
@@ -636,33 +653,20 @@ def equivariant_maps(a1, a2):
     The maps come in lexicographic order of their values along
     ``a1.carrier``, each value ranked by its position in ``a2.carrier``.
     """
-    return list(_propagated_maps(a1, a2))
+    return list(_propagated_maps(a1.table(), a2.table()))
 
 
-def _moves(a):
-    """Each point's moves y -> {label: z}: (None, gamma) for the groupoid
-    actions, (g, xi) for the generator tables."""
-    moves = {y: {} for y in a.carrier}
-    for (gamma, y), z in a.gact.items():
-        moves.setdefault(y, {})[(None, gamma)] = z
-    for g, table in a.alph.items():
-        for (xi, y), z in table.items():
-            moves.setdefault(y, {})[(g, xi)] = z
-    return moves
+def _propagated_maps(t1, t2, injective=False):
+    """Equivariant maps between two action tables (see FAction.table), in
+    the order of equivariant_maps.
 
-
-def _propagated_maps(a1, a2, injective=False):
-    """Equivariant maps a1 -> a2, in the order of equivariant_maps.
-
-    The first unassigned point of ``a1.carrier`` is a root: each of its
-    candidates in ``a2.carrier`` fixes the image of everything it moves
-    to, and a conflict, a missing move or a wrong part or anchor cuts
+    The first unassigned point of the first carrier is a root: each of
+    its candidates in the second carrier fixes the image of everything
+    it moves to, and a conflict, a missing move or a wrong frame cuts
     the branch.  With ``injective`` a target already used cuts it too.
     """
-    m1, m2 = _moves(a1), _moves(a2)
-    frame1 = {y: (a1.part[y], a1.anchor[y]) for y in a1.carrier}
-    frame2 = {z: (a2.part[z], a2.anchor[z]) for z in a2.carrier}
-    carrier = a1.carrier
+    (frame1, m1), (frame2, m2) = t1, t2
+    carrier = tuple(frame1)
     f, used = {}, set()
 
     def assign(y, z, trail):
@@ -692,7 +696,7 @@ def _propagated_maps(a1, a2, injective=False):
         if i == len(carrier):
             yield {y: f[y] for y in carrier}
             return
-        for z in a2.carrier:
+        for z in frame2:
             trail = []
             if assign(carrier[i], z, trail):
                 yield from search(i + 1)
@@ -700,17 +704,6 @@ def _propagated_maps(a1, a2, injective=False):
                 used.discard(f.pop(y))
 
     yield from search(0)
-
-
-def _is_equivariant(d, a1, a2, f):
-    for (gamma, y), z in a1.gact.items():
-        if a2.gact.get((gamma, f[y])) != f[z]:
-            return False
-    for g, table in a1.alph.items():
-        for (xi, y), z in table.items():
-            if a2.alph[g].get((xi, f[y])) != f[z]:
-                return False
-    return True
 
 
 def invariant_check(a, f):
@@ -728,7 +721,8 @@ def invariant_check(a, f):
 def actions_isomorphic(a1, a2):
     if len(a1.carrier) != len(a2.carrier):
         return False
-    return next(_propagated_maps(a1, a2, injective=True), None) is not None
+    return next(_propagated_maps(a1.table(), a2.table(), injective=True),
+                None) is not None
 
 
 def _left_actions(gpd, ys, anchor):
@@ -907,24 +901,7 @@ def _actions_with_frame(d, carrier, part, anchor):
 
 def _coherent(d, a):
     """Relation constraints: generator pairs act compatibly with mu."""
-    for g in d.gen_arrows():
-        for h in d.gen_arrows():
-            gh = d.shape.compose(g, h)
-            if gh is None or d.shape.length(gh) > d.bound:
-                continue
-            cg, ch = d.X(g), d.X(h)
-            for xi in cg.carrier:
-                for eta in ch.carrier:
-                    if cg.smap[xi] != ch.rmap[eta]:
-                        continue
-                    prod = d.mu_apply(g, h, xi, eta)
-                    for y in a.piece(d.shape.s(h)):
-                        inner = a.apply(h, eta, y)
-                        if inner is None:
-                            continue
-                        if a.apply(g, xi, inner) != a.apply(gh, prod, y):
-                            return False
-    return True
+    return next(_incoherences(d, a), None) is None
 
 
 class Transformation:

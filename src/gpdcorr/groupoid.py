@@ -8,7 +8,7 @@ of values; germ equality for abstract element calculi is delegated to
 an oracle supplied by the caller.
 """
 
-from .errors import NotEquivariant, OracleIncomplete
+from .errors import NotEquivariant, OracleIncomplete, ParseError
 from .fincat import FinCategory, canonical_classes, validate_category
 
 
@@ -24,7 +24,8 @@ class Group:
             for b in self.elements:
                 if self.mul[(a, b)] == identity:
                     self.inv[a] = b
-        assert len(self.inv) == len(self.elements), "not a group: missing inverses"
+        if len(self.inv) != len(self.elements):
+            raise ParseError("not a group: missing inverses")
 
     def __iter__(self):
         return iter(self.elements)

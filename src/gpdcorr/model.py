@@ -10,21 +10,27 @@ handled through eventually periodic points; on those the pair
 construction gives a groupoid with decidable arrow equality, graded by
 the groupoid completion of the shape.
 
-Every model object carries a translator between its own actions and
-diagram actions on the same carrier; verify_model exercises the
-defining bijection on all labelled carriers up to a size bound and
-checks naturality on every map, equivariant or not.
+A model is two methods: ``enumerate_on(carrier)`` lists its actions on
+a labelled carrier, each as ``(anchor, act)`` with ``act[(label, y)] ==
+z``, and ``to_faction`` translates one into a diagram action on the same
+carrier.  verify_model checks the defining bijection on all labelled
+carriers up to a size bound, and its naturality by comparing the two
+sides' sets of equivariant maps between every two actions (found by the
+propagating search of gpdcorr.diagram) and their orbit partitions on
+every action, which fix the invariant maps.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 
 from .corr import Correspondence, classify, morita_check
-from .diagram import (FAction, _bijections, _is_equivariant, _left_actions,
+from .diagram import (FAction, _bijections, _left_actions, _propagated_maps,
                       actions_on, enumerate_actions, equivariant_maps,
-                      from_generators, invariant_check, validate_action)
+                      from_generators, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight)
-from .fincat import FREE, GROUP, IS_ORE, FinCategory, PresentedShape, ore_check
+from .fincat import (FREE, GROUP, IS_ORE, FinCategory, PresentedShape,
+                     canonical_classes, ore_check)
 from .groupoid import FinGroupoid, Group
 from .selfsim import SelfSimilarData, act_on_word, nf
 
@@ -52,23 +58,6 @@ def groupoid_semidirect(gpd, carrier, anchor, act):
 
 # -- models with translators -------------------------------------------------
 
-def _ua_equivariant(ua1, ua2, f):
-    anchor1, act1 = ua1
-    anchor2, act2 = ua2
-    for y in anchor1:
-        if anchor2[f[y]] != anchor1[y]:
-            return False
-    for (g, y), z in act1.items():
-        if act2.get((g, f[y])) != f[z]:
-            return False
-    return True
-
-
-def _ua_invariant(ua, f):
-    _, act = ua
-    return all(f[y] == f[z] for (g, y), z in act.items())
-
-
 class DisjointUnionModel:
     """Model of a discrete-shape diagram: the disjoint union groupoid."""
 
@@ -89,9 +78,6 @@ class DisjointUnionModel:
         alph = {g: {} for g in self.d.gen_arrows()}
         return FAction(self.d, sorted(anchor, key=repr), part, fanchor,
                        gact, alph)
-
-    is_equivariant = staticmethod(_ua_equivariant)
-    is_invariant = staticmethod(_ua_invariant)
 
 
 class GradedGroupoidModel:
@@ -149,9 +135,6 @@ class GradedGroupoidModel:
         return FAction(d, sorted(anchor, key=repr), part, dict(anchor),
                        gact, alph)
 
-    is_equivariant = staticmethod(_ua_equivariant)
-    is_invariant = staticmethod(_ua_invariant)
-
 
 def _groupoid_actions_on(gpd, carrier):
     out = []
@@ -196,44 +179,41 @@ class PresentationModel:
             self._extend(names, 0, {}, fibers, anchor, out)
         return out
 
-    def _extend(self, names, i, imgs, fibers, anchor, out):
+    def _extend(self, names, i, act, fibers, anchor, out):
         if i == len(names):
-            if all(self._relator_trivial(imgs, r) for r in self.relators):
-                out.append((dict(anchor), {n: dict(t) for n, t in imgs.items()}))
+            if all(self._relator_trivial(act, r) for r in self.relators):
+                out.append((dict(anchor), dict(act)))
             return
         name = names[i]
         dst, src = self.gens[name]
         for bij in _bijections(fibers[src], fibers[dst]):
-            imgs[name] = bij
-            self._extend(names, i + 1, imgs, fibers, anchor, out)
-            del imgs[name]
+            act.update({(name, y): z for y, z in bij.items()})
+            self._extend(names, i + 1, act, fibers, anchor, out)
+            for y in bij:
+                del act[(name, y)]
 
-    def _relator_trivial(self, imgs, relator):
-        tables = {}
-        for name, table in imgs.items():
-            tables[(name, 1)] = table
-            tables[(name, -1)] = {v: k for k, v in table.items()}
-        points = set()
-        for t in tables.values():
-            points.update(t)
-        for y in points:
-            z, defined = y, True
+    @staticmethod
+    def _relator_trivial(act, relator):
+        step = {}
+        for (name, y), z in act.items():
+            step[(name, 1, y)] = z
+            step[(name, -1, z)] = y
+        for y in {y for (_, _, y) in step}:
+            z = y
             for name, power in reversed(relator):
-                t = tables.get((name, 1 if power > 0 else -1))
-                step = abs(power)
-                for _ in range(step):
-                    if z not in t:
-                        defined = False
+                sign = 1 if power > 0 else -1
+                for _ in range(abs(power)):
+                    z = step.get((name, sign, z))
+                    if z is None:
                         break
-                    z = t[z]
-                if not defined:
+                if z is None:
                     break
-            if defined and z != y:
+            if z is not None and z != y:
                 return False
         return True
 
     def to_faction(self, ua):
-        anchor, imgs = ua
+        anchor, act = ua
         d = self.d
         part, fanchor, gact = {}, {}, {}
         for y in anchor:
@@ -241,16 +221,14 @@ class PresentationModel:
             part[y], fanchor[y] = x, u
             gact[(d.gr[x].unit(u), y)] = y
         alph = {g: {} for g in d.gen_arrows()}
-        for name, table in imgs.items():
+        for (name, y), z in act.items():
             kind = self.binding[name]
             if kind[0] == "alph":
                 _, g, xi = kind
-                for y, z in table.items():
-                    alph[g][(xi, y)] = z
+                alph[g][(xi, y)] = z
             else:
                 _, x, gamma = kind
-                for y, z in table.items():
-                    gact[(gamma, y)] = z
+                gact[(gamma, y)] = z
         # the bound slices only seed the tables; the rest of each
         # correspondence is reached through the two groupoid actions
         for g, table in alph.items():
@@ -275,24 +253,6 @@ class PresentationModel:
                                 table[key] = gact[(gamma, z)]
                                 changed = True
         return FAction(d, sorted(anchor, key=repr), part, fanchor, gact, alph)
-
-    def is_equivariant(self, ua1, ua2, f):
-        anchor1, imgs1 = ua1
-        anchor2, imgs2 = ua2
-        for y in anchor1:
-            if anchor2[f[y]] != anchor1[y]:
-                return False
-        for name, table in imgs1.items():
-            for y, z in table.items():
-                if imgs2[name].get(f[y]) != f[z]:
-                    return False
-        return True
-
-    def is_invariant(self, ua, f):
-        _, imgs = ua
-        return all(f[y] == f[z] for table in imgs.values()
-                   for y, z in table.items())
-
 
 def model_discrete_shape(d):
     if d.gen_arrows():
@@ -355,9 +315,14 @@ def verify_model(d, model, n):
     """Check the defining property of a groupoid model up to size n.
 
     Builds the translation from model actions to diagram actions on
-    every labelled carrier of size <= n, checks that it is a bijection,
-    and that it preserves and reflects equivariant and invariant maps.
-    Raises Mismatch with a witness on failure.
+    every labelled carrier of size <= n and checks that it is a
+    bijection.  Then it checks naturality on the action tables: between
+    every two actions the propagated equivariant maps on the model side
+    are those on the diagram side, and on every action the orbit
+    partitions of the two sides agree, so the same maps are invariant.
+    Raises Mismatch with a witness on failure; for naturality the
+    witness is the first map, in lexicographic order of its values, on
+    which the two sides disagree.
     """
     per_size = {}
     for k in range(n + 1):
@@ -365,14 +330,14 @@ def verify_model(d, model, n):
         fas = list(actions_on(d, carrier))
         fsigs = {_signature(a) for a in fas}
         uas = model.enumerate_on(carrier)
-        translated, tsigs = [], set()
+        tables, tsigs = [], set()
         for ua in uas:
             fa = model.to_faction(ua)
             report = validate_action(d, fa)
             if report:
                 raise Mismatch(
                     f"translated action invalid at size {k}: {report[0]}")
-            translated.append((ua, fa))
+            tables.append((_table(ua), fa.table()))
             tsigs.add(_signature(fa))
         if len(tsigs) != len(uas):
             raise Mismatch(f"translation not injective at size {k}")
@@ -380,33 +345,67 @@ def verify_model(d, model, n):
             raise Mismatch(
                 f"action sets differ at size {k}: {len(uas)} model actions "
                 f"vs {len(fas)} diagram actions")
-        per_size[k] = translated
+        per_size[k] = tables
     for k1 in range(n + 1):
         for k2 in range(n + 1):
-            for ua1, fa1 in per_size[k1]:
-                for ua2, fa2 in per_size[k2]:
-                    for values in product(range(k2), repeat=k1):
-                        f = dict(zip(range(k1), values))
-                        if model.is_equivariant(ua1, ua2, f) != \
-                                _fa_equivariant(fa1, fa2, f):
-                            raise Mismatch(
-                                f"naturality fails for {f!r} between sizes "
-                                f"{k1} and {k2}")
-        for ua1, fa1 in per_size[k1]:
-            for values in product(range(max(k1, 2)), repeat=k1):
-                f = dict(zip(range(k1), values))
-                if model.is_invariant(ua1, f) != invariant_check(fa1, f):
-                    raise Mismatch(
-                        f"invariant maps differ for {f!r} at size {k1}")
+            for u1, f1 in per_size[k1]:
+                for u2, f2 in per_size[k2]:
+                    differ = _map_values(u1, u2, k1) ^ _map_values(f1, f2, k1)
+                    if differ:
+                        f = dict(zip(range(k1), min(differ)))
+                        raise Mismatch(
+                            f"naturality fails for {f!r} between sizes "
+                            f"{k1} and {k2}")
+        for u1, f1 in per_size[k1]:
+            c1, c2 = _orbits(u1), _orbits(f1)
+            if c1 != c2:
+                f = _invariance_witness(k1, c1, c2)
+                raise Mismatch(f"invariant maps differ for {f!r} at size {k1}")
     return True
 
 
-def _fa_equivariant(a1, a2, f):
-    for y in a1.carrier:
-        if a2.part.get(f[y]) != a1.part[y] or \
-                a2.anchor.get(f[y]) != a1.anchor[y]:
-            return False
-    return _is_equivariant(a1.diagram, a1, a2, f)
+def _table(ua):
+    """A model action (anchor, act) as an action table (see
+    FAction.table), with its anchors as frames."""
+    anchor, act = ua
+    moves = {y: {} for y in anchor}
+    for (label, y), z in act.items():
+        moves[y][label] = z
+    return anchor, moves
+
+
+def _map_values(t1, t2, k):
+    """Every equivariant map between two action tables, as its tuple of
+    values along range(k)."""
+    return {tuple(f[y] for y in range(k)) for f in _propagated_maps(t1, t2)}
+
+
+def _orbits(table):
+    """Each point's class in the orbit partition: f is invariant exactly
+    when it is constant on these classes."""
+    frame, moves = table
+    return canonical_classes(
+        frame, ((y, z) for y in moves for z in moves[y].values()), repr)
+
+
+def _invariance_witness(k, c1, c2):
+    """The first map range(k) -> range(max(k, 2)) in lexicographic order
+    that is constant on the classes of one of two differing partitions
+    but not on those of the other.
+
+    Such a map is constant on the classes of one partition but not on a
+    class of their join, and the least one is the indicator of a single
+    class that does not fill its class in the join.
+    """
+    join = canonical_classes(range(k), chain(c1.items(), c2.items()), repr)
+    size = Counter(join.values())
+    indicators = []
+    for canon in (c1, c2):
+        for rep in set(canon.values()):
+            cls = {y for y in range(k) if canon[y] == rep}
+            if len(cls) < size[join[rep]]:
+                indicators.append(tuple(int(y in cls) for y in range(k)))
+    return dict(zip(range(k), min(indicators)))
 
 
 # -- free-monoid shapes: the letter system and the universal space -----------

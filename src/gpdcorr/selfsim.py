@@ -123,9 +123,9 @@ class SelfSimilarData:
         pre, per = tuple(pre), tuple(per)
         if not per:
             raise ParseError("period must be nonempty")
-        word = self.path(pre + per + per, rv)   # composability check
         if self.es[per[-1]] != self.er[per[0]]:
             raise ParseError("period does not loop")
+        self.path(pre + per, rv)   # composability check
         k = next(k for k in range(1, len(per) + 1)
                  if len(per) % k == 0 and per == per[:k] * (len(per) // k))
         per = per[:k]
@@ -302,8 +302,8 @@ def germ_equal(t1, t2, z):
     data = t1.data
     if t1.zero or t2.zero:
         return t1.zero == t2.zero
-    assert data.ev_starts_with(z, t1.w2) and data.ev_starts_with(z, t2.w2), \
-        "z outside a domain"
+    if not (data.ev_starts_with(z, t1.w2) and data.ev_starts_with(z, t2.w2)):
+        raise ParseError("z outside a domain")
     if len(t1.w1.edges) - len(t1.w2.edges) != \
             len(t2.w1.edges) - len(t2.w2.edges):
         return False

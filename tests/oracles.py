@@ -1,15 +1,18 @@
 """Brute-force reference versions of the diagram-action searches.
 
 These are the earlier implementations that the propagating searches in
-``gpdcorr.diagram`` replaced.  They walk every candidate and check at
-the leaves, so they are slow but obviously right; the tests compare the
-library against them, answer for answer and in the same order.
+``gpdcorr.diagram`` and the table comparisons of ``verify_model``
+replaced.  They walk every candidate and check at the leaves, so they
+are slow but obviously right; the tests compare the library against
+them, answer for answer and in the same order.
 """
 
 from itertools import product
 
-from gpdcorr.diagram import actions_on
+from gpdcorr.diagram import actions_on, invariant_check, validate_action
+from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import canonical_classes
+from gpdcorr.model import _signature
 
 
 def equivariant_maps(a1, a2):
@@ -124,3 +127,86 @@ def equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
                 yield from place(i + 1, nxt)
 
     yield from place(0, {})
+
+
+def verify_model(d, model, n):
+    """The model-defining bijection, with naturality checked by scanning
+    every map between every two actions, equivariant or not, and every
+    map into max(k, 2) values for invariance."""
+    per_size = {}
+    for k in range(n + 1):
+        carrier = list(range(k))
+        fas = list(actions_on(d, carrier))
+        fsigs = {_signature(a) for a in fas}
+        uas = model.enumerate_on(carrier)
+        translated, tsigs = [], set()
+        for ua in uas:
+            fa = model.to_faction(ua)
+            report = validate_action(d, fa)
+            if report:
+                raise Mismatch(
+                    f"translated action invalid at size {k}: {report[0]}")
+            translated.append((ua, fa))
+            tsigs.add(_signature(fa))
+        if len(tsigs) != len(uas):
+            raise Mismatch(f"translation not injective at size {k}")
+        if tsigs != fsigs:
+            raise Mismatch(
+                f"action sets differ at size {k}: {len(uas)} model actions "
+                f"vs {len(fas)} diagram actions")
+        per_size[k] = translated
+    for k1 in range(n + 1):
+        for k2 in range(n + 1):
+            for ua1, fa1 in per_size[k1]:
+                for ua2, fa2 in per_size[k2]:
+                    for values in product(range(k2), repeat=k1):
+                        f = dict(zip(range(k1), values))
+                        if _ua_equivariant(ua1, ua2, f) != \
+                                _fa_equivariant(fa1, fa2, f):
+                            raise Mismatch(
+                                f"naturality fails for {f!r} between sizes "
+                                f"{k1} and {k2}")
+        for ua1, fa1 in per_size[k1]:
+            for values in product(range(max(k1, 2)), repeat=k1):
+                f = dict(zip(range(k1), values))
+                if _ua_invariant(ua1, f) != invariant_check(fa1, f):
+                    raise Mismatch(
+                        f"invariant maps differ for {f!r} at size {k1}")
+    return True
+
+
+def _ua_equivariant(ua1, ua2, f):
+    anchor1, act1 = ua1
+    anchor2, act2 = ua2
+    for y in anchor1:
+        if anchor2[f[y]] != anchor1[y]:
+            return False
+    for (g, y), z in act1.items():
+        if act2.get((g, f[y])) != f[z]:
+            return False
+    return True
+
+
+def _ua_invariant(ua, f):
+    _, act = ua
+    return all(f[y] == f[z] for (g, y), z in act.items())
+
+
+def _fa_equivariant(a1, a2, f):
+    for y in a1.carrier:
+        if a2.part.get(f[y]) != a1.part[y] or \
+                a2.anchor.get(f[y]) != a1.anchor[y]:
+            return False
+    return is_equivariant(a1, a2, f)
+
+
+def invariance_witness(k, c1, c2):
+    """The invariance scan on two partitions of range(k) (item -> class
+    representative): the first map into max(k, 2) values that is
+    constant on the classes of exactly one of them, or None."""
+    for values in product(range(max(k, 2)), repeat=k):
+        f = dict(zip(range(k), values))
+        if all(f[y] == f[c1[y]] for y in f) != \
+                all(f[y] == f[c2[y]] for y in f):
+            return f
+    return None

@@ -202,18 +202,42 @@ def test_selfsim_bad_argument_is_a_usage_error(tmp_path, argv):
     assert_usage_error(*run_cli("selfsim", path, *argv))
 
 
-@pytest.mark.parametrize("argv", [
-    ("nf-mul", "z.z:1:e@p", "e:1:e@p"),
-    ("act", "e@p:1:e@p", "e@q|z"),
-    ("act", "e@p:1:e@p", "x|e@p"),
-    ("nf-mul", "e@q:1:x", "e@p:1:e@p"),
+@pytest.mark.parametrize("argv, message", [
+    (("nf-mul", "z.z:1:e@p", "e:1:e@p"), "path breaks at 'z','z'"),
+    (("act", "e@p:1:e@p", "e@q|z"), "period does not loop"),
+    (("act", "e@p:1:e@p", "x|e@p"), "period must be nonempty"),
+    (("nf-mul", "e@q:1:x", "e@p:1:e@p"), "incompatible normal form"),
 ], ids=["broken-path", "period-does-not-loop", "empty-period",
         "incompatible-nf"])
-def test_selfsim_bad_path_is_a_usage_error_under_O(tmp_path, argv):
+def test_selfsim_bad_path_is_a_usage_error_under_O(tmp_path, argv, message):
     # input checks must not be asserts, which python -O strips
     path = write_doc(tmp_path, "graph.json", "selfsimilar",
                      cli.selfsimilar_payload(ep_graph()))
-    assert_usage_error(*run_cli("selfsim", path, *argv, flags=("-O",)))
+    code, out, err = run_cli("selfsim", path, *argv, flags=("-O",))
+    assert_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+def not_a_group_payload():
+    """e1 with a.a == a, so that a has no inverse."""
+    payload = cli.selfsimilar_payload(e1())
+    mul = dict(cli._unpairs(payload["group"]["mul"]))
+    mul[("a", "a")] = "a"
+    payload["group"]["mul"] = cli._pairs(mul)
+    return payload
+
+
+@pytest.mark.parametrize("payload, argv, message", [
+    (not_a_group_payload, ("validate",), "not a group: missing inverses"),
+    (lambda: cli.selfsimilar_payload(e1()),
+     ("selfsim", "germ", "e:1:0", "e:a:e", "1|1"), "z outside a domain"),
+], ids=["not-a-group", "germ-outside-domain"])
+def test_bad_input_is_a_usage_error_under_O(tmp_path, payload, argv, message):
+    path = write_doc(tmp_path, "doc.json", "selfsimilar", payload())
+    for flags in ((), ("-O",)):
+        code, out, err = run_cli(argv[0], path, *argv[1:], flags=flags)
+        assert_usage_error(code, out, err)
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -11,15 +11,21 @@ from hypothesis import strategies as st
 
 import oracles
 from corpus import space_correspondences
+from gpdcorr.cgx import presentation_model
 from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
                              actions_isomorphic, actions_on,
                              discrete_diagram, enumerate_actions,
                              equivariant_maps, from_generators)
+from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.mn import make_emn
+from gpdcorr.model import (_invariance_witness, model_discrete_shape,
+                           model_group_shape, verify_model)
 
-from test_diagram import broken_graph_diagram, swap_diagram
+from test_cgx import CORPUS as COMPLEXES
+from test_diagram import broken_graph_diagram, point_diagram, swap_diagram
+from test_model import graded_diagram, zpres
 
 
 def one_generator(c):
@@ -153,3 +159,80 @@ def test_relabelled_action_is_isomorphic(data):
     b = data.draw(st.sampled_from(others))
     assert actions_isomorphic(r, b) == oracles.actions_isomorphic(r, b)
     assert not actions_isomorphic(r, b)
+
+
+class Swapped:
+    """A model whose translation swaps the points 0 and 1 at sizes >= 2:
+    still a bijection on actions, but not natural."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def enumerate_on(self, carrier):
+        return self.model.enumerate_on(carrier)
+
+    def to_faction(self, ua):
+        a = self.model.to_faction(ua)
+        if len(a.carrier) < 2:
+            return a
+        names = {y: y for y in a.carrier}
+        names[0], names[1] = 1, 0
+        return relabel(a, names, (1, 0, *range(2, len(a.carrier))))
+
+
+def models():
+    """name -> (diagram, model); every model is checked up to size 3."""
+    disc = CASES["disc-z2-z3"][0]
+    point = point_diagram(2)
+    graded = graded_diagram("a")
+    out = {"disc-z2-z3": (disc, model_discrete_shape(disc)),
+           "graded-a": (graded, model_group_shape(graded)),
+           "zpres": (point, zpres(point)),
+           "zpres-T2": (point, zpres(point, [(("T", 1), ("T", 1))])),
+           "swapped-disc-z2-z3": (disc, Swapped(model_discrete_shape(disc))),
+           "swapped-zpres": (point, Swapped(zpres(point)))}
+    for make in COMPLEXES:
+        out["cgx-" + make.__name__] = presentation_model(make())
+    return out
+
+
+MODELS = models()
+
+
+def verdict(verify, d, model):
+    try:
+        return verify(d, model, 3)
+    except Mismatch as e:
+        return e.witness
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_verify_model_matches_oracle_scan(name):
+    d, model = MODELS[name]
+    assert verdict(verify_model, d, model) == \
+        verdict(oracles.verify_model, d, model)
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("swapped-disc-z2-z3", "1 and 2"), ("swapped-zpres", "1 and 3")])
+def test_non_natural_model_is_refused(name, sizes):
+    assert verdict(verify_model, *MODELS[name]) == \
+        f"naturality fails for {{0: 0}} between sizes {sizes}"
+
+
+def partitions(k):
+    """A partition of range(k), as item -> least member of its class."""
+    return st.lists(st.integers(0, max(k - 1, 0)), min_size=k,
+                    max_size=k).map(
+        lambda labels: {y: labels.index(labels[y]) for y in range(k)})
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda k: st.tuples(st.just(k), partitions(k), partitions(k))))
+def test_invariance_witness_matches_scan(case):
+    k, c1, c2 = case
+    want = oracles.invariance_witness(k, c1, c2)
+    if c1 == c2:
+        assert want is None
+    else:
+        assert _invariance_witness(k, c1, c2) == want
