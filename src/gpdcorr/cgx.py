@@ -14,8 +14,9 @@ generators are eliminated eagerly.
 """
 
 from itertools import permutations
+from math import factorial
 
-from .fincat import FinCategory
+from .fincat import FinCategory, canonical_classes
 from .groupoid import Group
 
 
@@ -325,17 +326,78 @@ def isotropy_at_infinity(c):
 def count_homs(p, n):
     """The number of homomorphisms into the symmetric group on n letters.
 
-    Backtracking over generator images with relator pruning; a relator
-    that uses the generator being placed exactly once forces its image,
-    so such generators are solved rather than scanned.
+    The presentation is shrunk first without changing its group: while
+    some relator uses a generator exactly once, Tietze elimination
+    solves that relator for the generator, substitutes the solution
+    into the other relators and drops both.  The remaining generators
+    fall into components that share no relator, and the count is the
+    product of the components' counts; a generator in no relator
+    contributes n!.  Each other component is counted by backtracking
+    over generator images, checking each relator as soon as all of its
+    generators are placed.
     """
+    gens, rels = _tietze_reduce(p.generators, p.relators)
+    comp = canonical_classes(
+        gens, ((r[0][0], s) for r in rels for (s, _) in r), repr)
+    members, relators = {}, {}
+    for g in gens:
+        members.setdefault(comp[g], []).append(g)
+    for r in rels:
+        relators.setdefault(comp[r[0][0]], []).append(r)
     perms = list(permutations(range(n)))
-    gens = _placement_order(p)
+    total = 1
+    for rep, component in members.items():
+        if rep in relators:
+            total *= _count_component(component, relators[rep], perms, n)
+        else:
+            total *= factorial(n)
+        if total == 0:
+            return 0
+    return total
+
+
+def _tietze_reduce(generators, relators):
+    """Eliminate every generator that some relator uses exactly once.
+
+    A relator P.s^e.Q is conjugate to s^e.Q.P, so s = (Q.P)^-e; the
+    shortest such relator is solved first.  Relators that reduce to the
+    empty word are dropped.
+    """
+    gens = list(generators)
+    rels = [w for w in map(cyclic_reduce, relators) if w]
+    while True:
+        found = next(((r, j) for r in sorted(rels, key=len)
+                      for j, (s, _) in enumerate(r)
+                      if sum(t == s for (t, _) in r) == 1), None)
+        if found is None:
+            return gens, rels
+        r, j = found
+        s, power = r[j]
+        rest = r[j + 1:] + r[:j]
+        solution = _invert(rest) if power > 0 else rest
+        rels.remove(r)
+        gens.remove(s)
+        rels = [w for w in (cyclic_reduce(_substitute(w, s, solution))
+                            for w in rels) if w]
+
+
+def _substitute(word, s, solution):
+    out = []
+    for (sym, power) in word:
+        if sym != s:
+            out.append((sym, power))
+        else:
+            out.extend(solution if power > 0 else _invert(solution))
+    return tuple(out)
+
+
+def _count_component(gens, rels, perms, n):
+    """Backtracking over generator images with relator pruning."""
+    gens = _placement_order(gens, rels)
     index = {g: i for i, g in enumerate(gens)}
-    by_stage = [[] for _ in range(len(gens) + 1)]
-    for r in p.relators:
-        stage = max((index[s] for (s, _) in r), default=-1) + 1
-        by_stage[stage].append(r)
+    by_stage = [[] for _ in gens]
+    for r in rels:
+        by_stage[max(index[s] for (s, _) in r)].append(r)
     identity = tuple(range(n))
 
     def pinv(perm):
@@ -355,66 +417,31 @@ def count_homs(p, n):
             out = tuple(perm[i] for i in out)
         return out
 
-    def forced(i, images):
-        """Solve P.g^e.Q == 1 for g when some relator uses g once."""
-        g = gens[i]
-        for r in by_stage[i + 1]:
-            spots = [j for j, (sym, _) in enumerate(r) if sym == g]
-            if len(spots) != 1 or abs(r[spots[0]][1]) != 1:
-                continue
-            j = spots[0]
-            pre = inverses[ev(r[:j], images)]
-            post = inverses[ev(r[j + 1:], images)]
-            img = tuple(pre[post[k]] for k in range(n))
-            return (img if r[j][1] == 1 else inverses[img]), r
-        return None, None
-
     def backtrack(i, images):
         if i == len(gens):
             return 1
         g = gens[i]
-        solved, via = forced(i, images)
-        if solved is not None and solved not in inverses:
-            return 0
-        candidates = [solved] if solved is not None else perms
-        checks = [r for r in by_stage[i + 1] if r is not via]
         total = 0
-        for perm in candidates:
+        for perm in perms:
             images[g] = perm
-            if all(ev(r, images) == identity for r in checks):
+            if all(ev(r, images) == identity for r in by_stage[i]):
                 total += backtrack(i + 1, images)
             del images[g]
         return total
 
-    if any(ev(r, {}) != identity for r in by_stage[0]):
-        return 0
     return backtrack(0, {})
 
 
-def _placement_order(p):
-    """Order generators so forcing relators resolve as early as possible."""
-    remaining = sorted(p.generators, key=repr)
+def _placement_order(gens, rels):
+    """Order generators so relators complete as early as possible."""
+    remaining = sorted(gens, key=repr)
+    supports = [{s for (s, _) in r} for r in rels]
     order = []
     placed = set()
     while remaining:
-        pick = None
-        for g in remaining:
-            for r in p.relators:
-                support = {s for (s, _) in r}
-                uses = sum(1 for (s, _) in r if s == g)
-                if support <= placed | {g} and uses == 1:
-                    pick = g
-                    break
-            if pick:
-                break
-        if pick is None:
-            for g in remaining:
-                if any({s for (s, _) in r} <= placed | {g}
-                       for r in p.relators):
-                    pick = g
-                    break
-        if pick is None:
-            pick = remaining[0]
+        pick = next((g for g in remaining
+                     if any(sup <= placed | {g} for sup in supports)),
+                    remaining[0])
         order.append(pick)
         placed.add(pick)
         remaining.remove(pick)

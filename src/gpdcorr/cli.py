@@ -204,11 +204,17 @@ def action_from(payload):
                       {_dec(g): _unpairs(t) for g, t in payload["alph"]})
 
 
+def at_least(name, v, low):
+    """v if it is an integer >= low; else exit 2."""
+    if type(v) is not int or v < low:
+        raise SchemaError(f"{name} must be an integer >= {low}, got {v!r}")
+    return v
+
+
 def mn_params(m, n, depth=0):
     """The (m, n) of an mn request, checked with its depth; else exit 2."""
     for name, v, low in (("m", m, 1), ("n", n, 1), ("depth", depth, 0)):
-        if type(v) is not int or v < low:
-            raise SchemaError(f"{name} must be an integer >= {low}, got {v!r}")
+        at_least(name, v, low)
     return m, n
 
 
@@ -523,8 +529,8 @@ def cmd_cgx(args):
     elif args.sub == "isotropy":
         p = cgxmod.isotropy_at_infinity(c)
     elif args.sub == "homs":
-        p = cgxmod.fundamental_group(c)
-        count = cgxmod.count_homs(p, args.n)
+        n = at_least("n", args.n, 0)
+        count = cgxmod.count_homs(cgxmod.fundamental_group(c), n)
         emit(args, [str(count)], {"count": count})
         return 0
     else:

@@ -8,7 +8,7 @@ provenance map so that iterated composites stay comparable and
 serialisable.
 """
 
-from .errors import NotCoOrbital
+from .errors import NotCoOrbital, ParseError
 from .fincat import canonical_classes
 from .groupoid import FinGroupoid, GroupoidAction, check_basic
 
@@ -144,9 +144,9 @@ def inner_product(c, x1, x2):
 
 def compose(c1, c2):
     """The composite correspondence (X x_s,r Y) / G, canonically relabelled."""
-    assert c1.right is c2.left or \
-        c1.right.category.arrows == c2.left.category.arrows, \
-        "middle groupoids differ"
+    if c1.right is not c2.left and \
+            c1.right.category.arrows != c2.left.category.arrows:
+        raise ParseError("middle groupoids differ")
     mid = c1.right
     fibre = [(x, y) for x in c1.carrier for y in c2.carrier
              if c1.smap[x] == c2.rmap[y]]

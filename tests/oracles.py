@@ -1,13 +1,15 @@
-"""Brute-force reference versions of the diagram-action searches.
+"""Brute-force reference versions of the library's searches.
 
 These are the earlier implementations that the propagating searches in
-``gpdcorr.diagram`` and the table comparisons of ``verify_model``
-replaced.  They walk every candidate and check at the leaves, so they
-are slow but obviously right; the tests compare the library against
-them, answer for answer and in the same order.
+``gpdcorr.diagram``, the table comparisons of ``verify_model`` and the
+Tietze-reduced homomorphism count of ``gpdcorr.cgx`` replaced.  They
+walk every candidate and check at the leaves (the homomorphism count
+visits one leaf per homomorphism), so they are slow but obviously
+right; the tests compare the library against them, answer for answer
+and in the same order.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from gpdcorr.diagram import actions_on, invariant_check, validate_action
 from gpdcorr.errors import Mismatch
@@ -210,3 +212,102 @@ def invariance_witness(k, c1, c2):
                 all(f[y] == f[c2[y]] for y in f):
             return f
     return None
+
+
+def count_homs(p, n):
+    """The number of homomorphisms into the symmetric group on n letters.
+
+    Backtracking over generator images with relator pruning; a relator
+    that uses the generator being placed exactly once forces its image,
+    so such generators are solved rather than scanned.
+    """
+    perms = list(permutations(range(n)))
+    gens = _placement_order(p)
+    index = {g: i for i, g in enumerate(gens)}
+    by_stage = [[] for _ in range(len(gens) + 1)]
+    for r in p.relators:
+        stage = max((index[s] for (s, _) in r), default=-1) + 1
+        by_stage[stage].append(r)
+    identity = tuple(range(n))
+
+    def pinv(perm):
+        out = [0] * n
+        for i in range(n):
+            out[perm[i]] = i
+        return tuple(out)
+
+    inverses = {perm: pinv(perm) for perm in perms}
+
+    def ev(word, images):
+        out = identity
+        for sym, power in reversed(word):
+            perm = images[sym]
+            if power < 0:
+                perm = inverses[perm]
+            out = tuple(perm[i] for i in out)
+        return out
+
+    def forced(i, images):
+        """Solve P.g^e.Q == 1 for g when some relator uses g once."""
+        g = gens[i]
+        for r in by_stage[i + 1]:
+            spots = [j for j, (sym, _) in enumerate(r) if sym == g]
+            if len(spots) != 1 or abs(r[spots[0]][1]) != 1:
+                continue
+            j = spots[0]
+            pre = inverses[ev(r[:j], images)]
+            post = inverses[ev(r[j + 1:], images)]
+            img = tuple(pre[post[k]] for k in range(n))
+            return (img if r[j][1] == 1 else inverses[img]), r
+        return None, None
+
+    def backtrack(i, images):
+        if i == len(gens):
+            return 1
+        g = gens[i]
+        solved, via = forced(i, images)
+        if solved is not None and solved not in inverses:
+            return 0
+        candidates = [solved] if solved is not None else perms
+        checks = [r for r in by_stage[i + 1] if r is not via]
+        total = 0
+        for perm in candidates:
+            images[g] = perm
+            if all(ev(r, images) == identity for r in checks):
+                total += backtrack(i + 1, images)
+            del images[g]
+        return total
+
+    if any(ev(r, {}) != identity for r in by_stage[0]):
+        return 0
+    return backtrack(0, {})
+
+
+def _placement_order(p):
+    """Order generators so forcing relators resolve as early as possible."""
+    remaining = sorted(p.generators, key=repr)
+    order = []
+    placed = set()
+    while remaining:
+        pick = None
+        for g in remaining:
+            for r in p.relators:
+                support = {s for (s, _) in r}
+                uses = sum(1 for (s, _) in r if s == g)
+                if support <= placed | {g} and uses == 1:
+                    pick = g
+                    break
+            if pick:
+                break
+        if pick is None:
+            for g in remaining:
+                if any({s for (s, _) in r} <= placed | {g}
+                       for r in p.relators):
+                    pick = g
+                    break
+        if pick is None:
+            pick = remaining[0]
+        order.append(pick)
+        placed.add(pick)
+        remaining.remove(pick)
+    return order

@@ -1,3 +1,4 @@
+from gpdcorr import cli
 from gpdcorr.cgx import (
     ComplexOfGroups, compose_morphisms, cone_extend, count_homs,
     fundamental_group, homotopy_check, isotropy_at_infinity,
@@ -160,6 +161,25 @@ def test_count_homs_examples():
     assert count_homs(involution, 3) == 4
     trivial = GroupPresentation((), ())
     assert count_homs(trivial, 3) == 1
+
+
+# A free group of rank 2 times <a | a^2>: (7!)^2 times the 232 involutions
+# of S_7, counting the identity.  One leaf per homomorphism would be about
+# 5.9e9 leaves.
+TWIST_HOMS_7 = 5040 ** 2 * 232
+
+
+def test_count_homs_factorises_instead_of_enumerating():
+    assert count_homs(fundamental_group(cx_twist()), 7) == TWIST_HOMS_7
+
+
+def test_count_homs_factorises_through_cli(tmp_path, capsys):
+    path = tmp_path / "twist.json"
+    path.write_text(cli.dumps(cli.envelope(
+        "complex_of_groups", cli.complex_payload(cx_twist()))),
+        encoding="utf-8")
+    assert cli.main(["cgx", str(path), "homs", "-n", "7"]) == 0
+    assert capsys.readouterr().out == f"{TWIST_HOMS_7}\n"
 
 
 def test_loop_fundamental_group_is_z2():

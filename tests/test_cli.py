@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from corpus import e1, e2, ep_graph
+from corpus import e1, e2, ep_graph, space_correspondences
 from gpdcorr import cli
 from gpdcorr.corr import space_correspondence
 from gpdcorr.diagram import discrete_diagram, from_generators
@@ -227,15 +227,32 @@ def not_a_group_payload():
     return payload
 
 
-@pytest.mark.parametrize("payload, argv, message", [
-    (not_a_group_payload, ("validate",), "not a group: missing inverses"),
-    (lambda: cli.selfsimilar_payload(e1()),
-     ("selfsim", "germ", "e:1:0", "e:a:e", "1|1"), "z outside a domain"),
-], ids=["not-a-group", "germ-outside-domain"])
-def test_bad_input_is_a_usage_error_under_O(tmp_path, payload, argv, message):
-    path = write_doc(tmp_path, "doc.json", "selfsimilar", payload())
+def on_docs(command, docs, *rest):
+    """argv for command on documents written at test time; docs are
+    (kind, payload maker) pairs, passed in order before the rest."""
+    def argv(tmp_path):
+        paths = [write_doc(tmp_path, f"doc{i}.json", kind, payload())
+                 for i, (kind, payload) in enumerate(docs)]
+        return (command, *paths, *rest)
+    return argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (on_docs("validate", [("selfsimilar", not_a_group_payload)]),
+     "not a group: missing inverses"),
+    (on_docs("selfsim",
+             [("selfsimilar", lambda: cli.selfsimilar_payload(e1()))],
+             "germ", "e:1:0", "e:a:e", "1|1"), "z outside a domain"),
+    (on_docs("compose", [
+        ("correspondence", lambda: cli.correspondence_payload(
+            space_correspondences()["r00-s00"])),
+        ("correspondence", lambda: cli.correspondence_payload(
+            iterate(e1(), 1)))]), "middle groupoids differ"),
+], ids=["not-a-group", "germ-outside-domain", "middle-groupoids-differ"])
+def test_bad_input_is_a_usage_error_under_O(tmp_path, argv, message):
+    argv = argv(tmp_path)
     for flags in ((), ("-O",)):
-        code, out, err = run_cli(argv[0], path, *argv[1:], flags=flags)
+        code, out, err = run_cli(*argv, flags=flags)
         assert_usage_error(code, out, err)
         assert err == f"error: {message}\n"
 
@@ -262,6 +279,21 @@ def test_mn_command():
     code, out, _ = run_cli("mn", "1", "1", "--depth", "2")
     assert code == 0
     assert "configurations: 2" in out
+
+
+@pytest.mark.parametrize("n", ["-1", "-5"])
+def test_cgx_negative_n_is_a_usage_error(tmp_path, n):
+    path = write_doc(tmp_path, "cx.json", "complex_of_groups",
+                     cli.complex_payload(cx_single_arrow()))
+    code, out, err = run_cli("cgx", path, "homs", f"-n={n}")
+    assert_usage_error(code, out, err)
+    assert err == f"error: n must be an integer >= 0, got {int(n)}\n"
+
+
+def test_cgx_homs_into_s0_is_one(tmp_path):
+    path = write_doc(tmp_path, "cx.json", "complex_of_groups",
+                     cli.complex_payload(cx_single_arrow()))
+    assert run_cli("cgx", path, "homs", "-n", "0") == (0, "1\n", "")
 
 
 def test_cgx_commands(tmp_path):

@@ -6,12 +6,13 @@ Every answer must be identical to the oracle's, in the same order.
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
 from corpus import space_correspondences
-from gpdcorr.cgx import presentation_model
+from gpdcorr.cgx import (GroupPresentation, count_homs, fundamental_group,
+                         isotropy_at_infinity, presentation_model)
 from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
                              actions_isomorphic, actions_on,
                              discrete_diagram, enumerate_actions,
@@ -236,3 +237,42 @@ def test_invariance_witness_matches_scan(case):
         assert want is None
     else:
         assert _invariance_witness(k, c1, c2) == want
+
+
+@pytest.mark.parametrize("make", COMPLEXES, ids=lambda m: m.__name__)
+def test_count_homs_matches_oracle_on_complexes(make):
+    c = make()
+    for p in (fundamental_group(c), isotropy_at_infinity(c)):
+        for n in range(5):
+            assert count_homs(p, n) == oracles.count_homs(p, n)
+
+
+GENS = ("s", "t", "u", "v")
+
+
+@st.composite
+def presentations(draw):
+    """At most 4 generators and 3 relators of length <= 5, with n <= 4
+    (n <= 3 on 4 generators, so the oracle walks at most 24**3 leaves
+    when nothing prunes)."""
+    gens = GENS[:draw(st.integers(0, 4))]
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    rels = draw(st.lists(st.lists(letter, max_size=5), max_size=3)) \
+        if gens else []
+    n = draw(st.integers(0, 4 if len(gens) <= 3 else 3))
+    return GroupPresentation(gens, rels), n
+
+
+def pres(gens, *rels):
+    return GroupPresentation(gens, [[(s, e) for s, e in zip(r[::2], r[1::2])]
+                                    for r in rels])
+
+
+@given(presentations())
+@example((pres("stu", ("t", 1, "t", -1), ("u", -1),
+               ("s", 1, "s", 1, "u", 1, "s", 1)), 4))
+@example((pres("stuv", ("s", 1, "s", 1), ("u", 1, "t", -1, "u", 1)), 3))
+@example((pres("st", ("s", 1, "t", 1, "s", -1, "t", -1)), 4))
+def test_count_homs_matches_oracle_on_random_presentations(case):
+    p, n = case
+    assert count_homs(p, n) == oracles.count_homs(p, n)
