@@ -545,8 +545,7 @@ def cmd_cgx(args):
 def mn_report(args, m, n, at="", head=None):
     """Configurations and groupoid arrows of E_{m,n} at --depth."""
     m, n = mn_params(m, n, args.depth)
-    configs = len(mnmod.omega_depth(m, n, args.depth))
-    arrows = len(mnmod.mn_groupoid_depth(m, n, args.depth).arrows())
+    configs, arrows = mnmod.omega_counts(m, n, args.depth)
     emit(args, [f"configurations{at}: {configs}", f"arrows{at}: {arrows}"],
          {**(head or {}), "configs": configs, "arrows": arrows})
     return 0

@@ -212,10 +212,6 @@ def is_slice(c, u):
     return len(set(svals)) == len(u) and len(set(pvals)) == len(u)
 
 
-def groupoid_slice_star(gpd, u):
-    return frozenset(gpd.invert(g) for g in u)
-
-
 def slice_mult(c1, u, c2, v):
     """The slice U.V inside the composed correspondence.
 
@@ -231,12 +227,6 @@ def slice_mult_right(c, u, v):
     """U.V inside X when V is a slice of the right groupoid."""
     return frozenset(c.ract[(x, g)] for x in u for g in v
                      if (x, g) in c.ract)
-
-
-def slice_mult_left(c, v, u):
-    """V.U inside X when V is a slice of the left groupoid."""
-    return frozenset(c.lact[(h, x)] for h in v for x in u
-                     if (h, x) in c.lact)
 
 
 def braket(c, u1, u2):

@@ -234,17 +234,6 @@ def check_basic(action):
     return True, None
 
 
-def check_basic_bruteforce(action):
-    """Independent oracle: literal injectivity of (y, g) -> (y.g, y)."""
-    seen = {}
-    for (g, y), z in sorted(action.act.items(), key=repr):
-        key = (z, y)
-        if key in seen and seen[key] != g:
-            return False
-        seen[key] = g
-    return True
-
-
 def orbit_space(action):
     """The partition of the carrier into orbits, with the class map."""
     proj = canonical_classes(

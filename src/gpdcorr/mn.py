@@ -14,16 +14,20 @@ Words are tuples of signed integers: letter +i is the i-th generator
 the rightmost letter first.
 """
 
+from functools import reduce
+from itertools import product, starmap
+
 from .corr import space_correspondence
 from .diagram import FAction, from_generators
-from .errors import DepthInsufficient
+from .errors import DepthInsufficient, ParseError
 from .fincat import PresentedShape
 from .groupoid import PartialBijection
 
 
 def make_emn(m, n, bound=2):
     """The equaliser diagram with |X_h| = n and |X_v| = m."""
-    assert m >= 1 and n >= 1
+    if m < 1 or n < 1:
+        raise ParseError(f"m and n must be at least 1, got {m!r}, {n!r}")
     shape = PresentedShape.path_category(
         ("1", "2"), {"h": ("2", "1"), "v": ("2", "1")}, length_bound=bound)
     xh = space_correspondence(
@@ -185,11 +189,25 @@ def mn_to_faction(d, a):
 
 # -- depth-truncated universal space -----------------------------------------
 
-def _node_type(word):
-    """'1' for points forced into Y1, '2' for Y2, None at the root."""
-    if not word:
-        return None
-    return "2" if word[0] > 0 else "1"
+def _fold(m, n, d, combine):
+    """combine(first, branches) folded up the depth-d configuration tree,
+    once per (first letter, levels left): a node's choices depend only on
+    those (None at the root), and its children choose independently."""
+    if d < 0:
+        raise ParseError(f"depth must be at least 0, got {d!r}")
+    hs, vs = list(range(1, n + 1)), list(range(n + 1, n + m + 1))
+    # root: Y1 (all generators) or Y2 (one h- and one v-inverse); inverse
+    # first: Y1 bar the cancelling letter; generator first: Y2, one free
+    # inverse from the other block; a boundary node has one empty branch
+    rule = {None: [hs + vs] + [[-hi, -vj] for hi in hs for vj in vs]}
+    for ell in hs + vs:
+        rule[-ell] = [[g for g in hs + vs if g != ell]]
+        rule[ell] = [[-x] for x in (vs if ell in hs else hs)]
+    below = {c: combine(c, [[]]) for c in rule if (c is None) == (d == 0)}
+    for levels in range(1, d + 1):
+        below = {c: combine(c, [[below[x] for x in new] for new in rule[c]])
+                 for c in rule if (c is None) == (levels == d)}
+    return below[None]
 
 
 def omega_depth(m, n, d):
@@ -198,42 +216,43 @@ def omega_depth(m, n, d):
     A configuration is the set of reduced words defined at a point; it
     is suffix-closed and every interior node carries the local shadow
     of the five conditions.  Boundary nodes are unconstrained.
+
+    The order is that of ``sorted(config)``: branches are disjoint, so no
+    configuration contains another, and A comes first exactly when the
+    least word of A ^ B is in A, i.e. when A has the larger mask with bit
+    1 << (N-1-i) for the i-th least of the N words in use.  Masks of
+    disjoint parts add, so only the root's children's options are weighed.
     """
-    rank = n + m
-    hs = list(range(1, n + 1))
-    vs = list(range(n + 1, rank + 1))
-    out = []
+    def options(first, branches):
+        if first is not None:   # words relative to the node's parent
+            node = (first,)
+            lifted = [[[frozenset(w + node for w in o) for o in opts]
+                       for opts in children] for children in branches]
+            return [frozenset([node]).union(*parts)
+                    for children in lifted for parts in product(*children)]
+        bit = {w: 1 << i for i, w in enumerate(sorted(
+            {w for ch in branches for opts in ch for o in opts for w in o},
+            reverse=True))}
+        ranked = {}
+        for children in branches:
+            masks = [[sum(map(bit.get, o)) for o in opts] for opts in children]
+            ranked.update(zip(map(sum, product(*masks)), starmap(
+                frozenset([()]).union, product(*children))))
+        return [ranked[mask] for mask in sorted(ranked, reverse=True)]
 
-    def expand(frontier, config):
-        if not frontier:
-            out.append(frozenset(config))
-            return
-        word, rest = frontier[0], frontier[1:]
-        if len(word) >= d:
-            expand(rest, config)
-            return
-        t = _node_type(word)
-        cancel = -word[0] if word else None
-        if t is None:
-            # root in Y1: all generators defined, no inverses;
-            # root in Y2: one h-inverse and one v-inverse defined
-            branches = [list(hs + vs)]
-            branches.extend([-hi, -vj] for hi in hs for vj in vs)
-        elif t == "1":
-            branches = [[ell for ell in hs + vs if ell != cancel]]
-        else:
-            # the cancelling inverse is defined implicitly; the other
-            # block contributes exactly one inverse, freely chosen
-            if word[0] in hs:
-                branches = [[-vj] for vj in vs]
-            else:
-                branches = [[-hi] for hi in hs]
-        for new_letters in branches:
-            children = [(ell,) + word for ell in new_letters]
-            expand(rest + children, config | set(children))
+    return _fold(m, n, d, options)
 
-    expand([()], {()})
-    return sorted(out, key=lambda s: sorted(s))
+
+def omega_counts(m, n, d):
+    """(configurations, arrows) at depth d: omega_depth's fold, counted."""
+    def join(a, b):   # (count, words) of independent parts
+        return a[0] * b[0], a[1] * b[0] + a[0] * b[1]
+
+    def tally(first, branches):   # each configuration also holds the node
+        parts = [reduce(join, children, (1, 1)) for children in branches]
+        return sum(c for c, _ in parts), sum(w for _, w in parts)
+
+    return _fold(m, n, d, tally)
 
 
 def restrict_config(config, d):

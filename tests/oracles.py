@@ -1,12 +1,13 @@
 """Brute-force reference versions of the library's searches.
 
 These are the earlier implementations that the propagating searches in
-``gpdcorr.diagram``, the table comparisons of ``verify_model`` and the
-Tietze-reduced homomorphism count of ``gpdcorr.cgx`` replaced.  They
-walk every candidate and check at the leaves (the homomorphism count
-visits one leaf per homomorphism), so they are slow but obviously
-right; the tests compare the library against them, answer for answer
-and in the same order.
+``gpdcorr.diagram``, the table comparisons of ``verify_model``, the
+Tietze-reduced homomorphism count of ``gpdcorr.cgx`` and the factorised
+configuration space of ``gpdcorr.mn`` replaced.  They walk every
+candidate and check at the leaves (the homomorphism count visits one
+leaf per homomorphism, the configuration enumerator one call per tree
+node), so they are slow but obviously right; the tests compare the
+library against them, answer for answer and in the same order.
 """
 
 from itertools import permutations, product
@@ -311,3 +312,66 @@ def _placement_order(p):
         placed.add(pick)
         remaining.remove(pick)
     return order
+
+
+def check_basic_bruteforce(action):
+    """Independent oracle: literal injectivity of (y, g) -> (y.g, y)."""
+    seen = {}
+    for (g, y), z in sorted(action.act.items(), key=repr):
+        key = (z, y)
+        if key in seen and seen[key] != g:
+            return False
+        seen[key] = g
+    return True
+
+
+def _node_type(word):
+    """'1' for points forced into Y1, '2' for Y2, None at the root."""
+    if not word:
+        return None
+    return "2" if word[0] > 0 else "1"
+
+
+def omega_depth(m, n, d):
+    """All consistent configurations at depth d.
+
+    A configuration is the set of reduced words defined at a point; it
+    is suffix-closed and every interior node carries the local shadow
+    of the five conditions.  Boundary nodes are unconstrained.
+    """
+    rank = n + m
+    hs = list(range(1, n + 1))
+    vs = list(range(n + 1, rank + 1))
+    out = []
+
+    def expand(frontier, config):
+        if not frontier:
+            out.append(frozenset(config))
+            return
+        word, rest = frontier[0], frontier[1:]
+        if len(word) >= d:
+            expand(rest, config)
+            return
+        t = _node_type(word)
+        cancel = -word[0] if word else None
+        if t is None:
+            # root in Y1: all generators defined, no inverses;
+            # root in Y2: one h-inverse and one v-inverse defined
+            branches = [list(hs + vs)]
+            branches.extend([-hi, -vj] for hi in hs for vj in vs)
+        elif t == "1":
+            branches = [[ell for ell in hs + vs if ell != cancel]]
+        else:
+            # the cancelling inverse is defined implicitly; the other
+            # block contributes exactly one inverse, freely chosen
+            if word[0] in hs:
+                branches = [[-vj] for vj in vs]
+            else:
+                branches = [[-hi] for hi in hs]
+        for new_letters in branches:
+            children = [(ell,) + word for ell in new_letters]
+            expand(rest + children, config | set(children))
+
+    expand([()], {()})
+    return sorted(out, key=lambda s: sorted(s))
+

@@ -281,6 +281,45 @@ def test_mn_command():
     assert "configurations: 2" in out
 
 
+# Captured from the enumerating implementation, before the counts came
+# from a fold over the configuration tree.
+MN_GOLDEN = {
+    (1, 1, 2): (2, 10), (1, 1, 3): (2, 14), (1, 2, 2): (4, 28),
+    (1, 2, 3): (6, 70), (2, 1, 2): (4, 28), (2, 2, 2): (20, 180),
+    (2, 2, 3): (272, 4176)}
+
+
+@pytest.mark.parametrize("m, n, depth", sorted(MN_GOLDEN))
+@pytest.mark.parametrize("flag", [(), ("--json",)], ids=["text", "json"])
+def test_mn_output_bytes_unchanged(capsys, m, n, depth, flag):
+    configs, arrows = MN_GOLDEN[m, n, depth]
+    expected = (f'{{\n "configs": {configs},\n "arrows": {arrows}\n}}\n'
+                if flag else
+                f"configurations: {configs}\narrows: {arrows}\n")
+    assert cli.main(["mn", str(m), str(n), "--depth", str(depth), *flag]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--depth", "2"), "configurations at depth 2: 4\narrows at depth 2: 28\n"),
+    (("--depth", "2", "--json"),
+     '{\n "ok": true,\n "configs": 4,\n "arrows": 28\n}\n'),
+    (("--depth", "3"), "configurations at depth 3: 6\narrows at depth 3: 70\n"),
+], ids=["depth2", "depth2-json", "depth3"])
+def test_model_mn_output_bytes_unchanged(tmp_path, capsys, argv, expected):
+    path = write_doc(tmp_path, "mn.json", "mn", {"m": 1, "n": 2})
+    assert cli.main(["model", path, *argv]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("flag, expected", [
+    ((), "configurations: 67174400\narrows: 3427074048\n"),
+    (("--json",), '{\n "configs": 67174400,\n "arrows": 3427074048\n}\n'),
+], ids=["text", "json"])
+def test_mn_counts_without_listing(flag, expected):
+    assert run_cli("mn", "2", "2", "--depth", "5", *flag) == (0, expected, "")
+
+
 @pytest.mark.parametrize("n", ["-1", "-5"])
 def test_cgx_negative_n_is_a_usage_error(tmp_path, n):
     path = write_doc(tmp_path, "cx.json", "complex_of_groups",

@@ -7,10 +7,11 @@ from gpdcorr.errors import NotEquivariant
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import (
     FinGroupoid, Group, GroupoidAction, PartialBijection, check_basic,
-    check_basic_bruteforce, germ_groupoid, isg_action_vs_groupoid_action,
-    orbit_space, pointwise_oracle, pseudogroup_closure,
-    transformation_groupoid, validate_groupoid)
+    germ_groupoid, isg_action_vs_groupoid_action, orbit_space,
+    pointwise_oracle, pseudogroup_closure, transformation_groupoid,
+    validate_groupoid)
 
+from oracles import check_basic_bruteforce
 from test_cli import run_cli, write_doc
 
 

@@ -1,13 +1,18 @@
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import oracles
 from gpdcorr.diagram import enumerate_actions, validate_action, validate_diagram
-from gpdcorr.errors import DepthInsufficient
+from gpdcorr.errors import DepthInsufficient, ParseError
 from gpdcorr.mn import (
     MNAction, check_conditions, make_emn, mn_groupoid_depth, mn_to_faction,
-    omega_depth, point_config, reduce_word, reduced_words, restrict_config,
-    to_partial_action, translate_config, validate_mn_action)
+    omega_counts, omega_depth, point_config, reduce_word, reduced_words,
+    restrict_config, to_partial_action, translate_config, validate_mn_action)
 
 
 def test_make_emn_sizes_and_validity():
@@ -18,6 +23,26 @@ def test_make_emn_sizes_and_validity():
     assert len(d23.X(arrows["h"])) == 3
     assert len(d23.X(arrows["v"])) == 2
     assert validate_diagram(d23) == []
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (-2, 3), (2, -1)])
+def test_make_emn_rejects_sizes_below_one(m, n):
+    with pytest.raises(ParseError) as exc:
+        make_emn(m, n)
+    assert str(exc.value) == f"m and n must be at least 1, got {m}, {n}"
+
+
+def test_make_emn_rejects_sizes_below_one_under_O():
+    code = ("from gpdcorr.errors import ParseError\n"
+            "from gpdcorr.mn import make_emn\n"
+            "try:\n"
+            "    make_emn(0, 1)\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "m and n must be at least 1, got 0, 1\n", "")
 
 
 def test_simple_valid_system():
@@ -95,6 +120,34 @@ def test_omega_depth_12_counts_and_restriction_surjective():
     assert len(shallow) == 3 and len(deep) == 4
     restricted = {restrict_config(c, 1) for c in deep}
     assert restricted == set(shallow)
+
+
+ORACLE_CASES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3)
+                for d in range(8) if omega_counts(m, n, d)[0] <= 6000]
+
+
+@pytest.mark.parametrize("m, n, d", ORACLE_CASES + [(2, 2, 4)])
+def test_omega_depth_matches_oracle_in_order(m, n, d):
+    assert omega_depth(m, n, d) == oracles.omega_depth(m, n, d)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
+def test_omega_counts_match_the_listing(m, n, d):
+    assume(m * n < 9 or d < 3)
+    gd = mn_groupoid_depth(m, n, d)
+    assert omega_counts(m, n, d) == (len(gd.configs), len(gd.arrows()))
+
+
+def test_omega_counts_beyond_listing():
+    assert omega_counts(2, 2, 5) == (67174400, 3427074048)
+    assert omega_counts(1, 1, 1000) == (2, 2 * 2001)
+
+
+@pytest.mark.parametrize("fold", [omega_depth, omega_counts])
+def test_negative_depth_is_rejected(fold):
+    with pytest.raises(ParseError) as exc:
+        fold(1, 1, -1)
+    assert str(exc.value) == "depth must be at least 0, got -1"
 
 
 def test_point_config_lands_in_omega_and_is_equivariant():
