@@ -327,6 +327,13 @@ def emit(args, text_lines, json_obj):
             sys.stdout.write(line + "\n")
 
 
+def refused(args, report):
+    """Print a non-empty validation report; whether there was one."""
+    if report:
+        emit(args, report, {"ok": False, "report": report})
+    return bool(report)
+
+
 def cmd_validate(args):
     kind, payload = load(args.path)
     value = value_of(kind, payload)
@@ -339,6 +346,8 @@ def cmd_validate(args):
         report = validate_correspondence(value)
     elif kind == "diagram":
         report = validate_diagram(value)
+        if value.selfsim is not None:
+            report += value.selfsim.validate()
     elif kind == "complex_of_groups":
         report, flags = cgxmod.validate_cgx(value)
     elif kind == "selfsimilar":
@@ -373,9 +382,7 @@ def cmd_model(args):
     kind, payload = load(args.path)
     if kind == "complex_of_groups":
         c = value_of(kind, payload)
-        report, _ = cgxmod.validate_cgx(c)
-        if report:
-            emit(args, report, {"ok": False, "report": report})
+        if refused(args, cgxmod.validate_cgx(c)[0]):
             return 1
         pres = cgxmod.model_presentation(c)
         pi1 = cgxmod.fundamental_group(c)
@@ -399,6 +406,8 @@ def cmd_model(args):
     if kind != "diagram":
         raise SchemaError(f"model does not handle kind {kind!r}")
     d = value_of(kind, payload)
+    if d.selfsim is not None and refused(args, d.selfsim.validate()):
+        return 1
     shape = d.shape
     if not shape.gens:
         model = model_discrete_shape(d)
@@ -480,6 +489,8 @@ def cmd_selfsim(args):
     if arity is not None and len(args.args) != arity:
         raise ParseError(f"selfsim {args.sub} takes {arity} arguments, "
                          f"got {len(args.args)}")
+    if refused(args, data.validate()):
+        return 1
     if args.sub == "effective":
         res = effective_check(data)
         if res.effective:

@@ -65,7 +65,15 @@ class NotSupported(GpdError):
 
 
 class Undefined(GpdError):
-    """A partial operation was applied outside its domain."""
+    """A partial operation was applied outside its domain.
+
+    Arguments after the first fill its ``{!r}`` fields only when the
+    text is read, so a caller that just catches the error formats nothing.
+    """
+
+    def __str__(self):
+        text, *operands = self.args or ("",)
+        return text.format(*operands) if operands else str(text)
 
 
 class ParseError(GpdError):

@@ -28,11 +28,11 @@ from .diagram import (FAction, _bijections, _left_actions, _propagated_maps,
                       actions_on, enumerate_actions, equivariant_maps,
                       from_generators, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
-                     NotSupported, NotTight)
+                     NotSupported, NotTight, Undefined)
 from .fincat import (FREE, GROUP, IS_ORE, FinCategory, PresentedShape,
                      canonical_classes, ore_check)
 from .groupoid import FinGroupoid, Group
-from .selfsim import SelfSimilarData, act_on_word, nf
+from .selfsim import Path, SelfSimilarData, act_on_word, nf
 
 
 def groupoid_semidirect(gpd, carrier, anchor, act):
@@ -455,9 +455,7 @@ class OreUniversal:
         self.depth = depth = min(depth, d.bound)
         self.data = as_selfsim(d)
         self.levels, self.projections = self._chain_levels(depth)
-        degrees = {v: sum(1 for e in self.data.edges if self.data.er[e] == v)
-                   for v in self.data.vertices}
-        self.finite = all(deg <= 1 for deg in degrees.values())
+        self.finite = all(len(es) <= 1 for es in self.data.edges_at.values())
         if d.is_tight():
             self.status = "tight"
         elif self.finite:
@@ -499,9 +497,7 @@ class OreUniversal:
         data = self.data
         out = []
         if self.finite:
-            nxt = {}
-            for e in data.edges:
-                nxt[data.er[e]] = e
+            nxt = {v: es[0] for v, es in data.edges_at.items() if es}
             for v in sorted(data.vertices, key=repr):
                 edges, seen, w = [], {}, v
                 while w in nxt and w not in seen:
@@ -510,7 +506,7 @@ class OreUniversal:
                     w = data.es[nxt[w]]
                 if w in nxt or (edges and w in seen):
                     j = seen[w]
-                    z = data.ev(tuple(edges[:j]), tuple(edges[j:]), v)
+                    z = data.ev_canon(tuple(edges[:j]), tuple(edges[j:]))
                     if z not in out:
                         out.append(z)
             return out
@@ -521,7 +517,7 @@ class OreUniversal:
                         if data.ps(pre) != data.pr(per) or \
                                 data.ps(per) != data.pr(per):
                             continue
-                        z = data.ev(pre.edges, per.edges, pre.rv)
+                        z = data.ev_canon(pre.edges, per.edges)
                         if z not in out:
                             out.append(z)
         return out
@@ -576,7 +572,7 @@ def tighten(d, omega):
     for (e, g, z) in carrier:
         smap[(e, g, z)] = z
         moved = data.group_act_ev(g, z)
-        rmap[(e, g, z)] = data.ev((e,) + moved.pre, moved.per, data.er[e])
+        rmap[(e, g, z)] = data.ev_canon((e,) + moved.pre, moved.per)
     lact, ract = {}, {}
     for ((h, v), z0) in bo.arrow_ids():
         for (e, g, z) in carrier:
@@ -617,7 +613,7 @@ class RationalTightScan:
                     if data.vact[(data.group.inv[g], data.es[e])] != back.rv:
                         continue
                     moved = data.group_act_ev(g, back)
-                    cand = data.ev((e,) + moved.pre, moved.per, data.er[e])
+                    cand = data.ev_canon((e,) + moved.pre, moved.per)
                     if cand == z:
                         # right-orbit normal form: twist g away
                         decompositions.add(e)
@@ -657,11 +653,12 @@ class PairArrow:
         for _ in range(k):
             e = data.ev_letter(out.z, 0)
             tail = data.ev_drop(out.z, 1)
-            w1, r1 = data.act_path(out.g1, data.path((e,)))
-            w2, r2 = data.act_path(out.g2, data.path((e,)))
+            x = Path(data.er[e], (e,))
+            w1, r1 = data.act_path(out.g1, x)
+            w2, r2 = data.act_path(out.g2, x)
             out = PairArrow(
-                data, data.path(out.w1.edges + w1.edges, out.w1.rv),
-                r1, data.path(out.w2.edges + w2.edges, out.w2.rv), r2, tail)
+                data, Path(out.w1.rv, out.w1.edges + w1.edges),
+                r1, Path(out.w2.rv, out.w2.edges + w2.edges), r2, tail)
         return out
 
     def grade(self):
@@ -670,12 +667,12 @@ class PairArrow:
     def source(self):
         data = self.data
         moved = data.group_act_ev(self.g2, self.z)
-        return data.ev(self.w2.edges + moved.pre, moved.per, self.w2.rv)
+        return data.ev_canon(self.w2.edges + moved.pre, moved.per)
 
     def target(self):
         data = self.data
         moved = data.group_act_ev(self.g1, self.z)
-        return data.ev(self.w1.edges + moved.pre, moved.per, self.w1.rv)
+        return data.ev_canon(self.w1.edges + moved.pre, moved.per)
 
     def inverse(self):
         return PairArrow(self.data, self.w2, self.g2, self.w1, self.g1,
@@ -688,7 +685,8 @@ class PairArrow:
 
 def pair_from_nf(data, t, z):
     """The pair arrow of a normal form at a point of its domain."""
-    assert data.ev_starts_with(z, t.w2), "point outside the domain"
+    if not data.ev_starts_with(z, t.w2):
+        raise Undefined("point outside the domain")
     tail = data.ev_drop(z, len(t.w2.edges))
     return PairArrow(data, t.w1, t.g, t.w2, data.group.identity, tail)
 

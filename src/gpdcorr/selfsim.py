@@ -11,9 +11,16 @@ elements.
 
 Paths are pairs Path(rv, edges); the range vertex is stored explicitly
 so that empty paths at different vertices stay distinct.
+
+Input is checked at the boundary: ``SelfSimilarData`` refuses tables
+that are not total, and ``path``, ``ev`` and ``nf`` are the checked
+constructors.  Everything else trusts data with ``validate() == []``
+and builds its joins unchecked, as r(g.e) = g.r(e) and
+s(g.e) = g|_e.s(e) make them compose.
 """
 
 from collections import namedtuple
+from itertools import product
 
 from .corr import Correspondence
 from .errors import DepthInsufficient, ParseError, Undefined
@@ -35,6 +42,19 @@ class SelfSimilarData:
         self.vact = dict(vact)
         self.eact = dict(eact)
         self.cocycle = dict(cocycle)
+        V, ge = self.vertices, list(product(group, self.edges))
+        for name, keys, values in (
+                ("er", self.edges, V), ("es", self.edges, V),
+                ("vact", product(group, V), V), ("eact", ge, self.edges),
+                ("cocycle", ge, group.elements)):
+            table = getattr(self, name)
+            for k in keys:
+                if k not in table or table[k] not in values:
+                    raise ParseError(f"{name} has no valid entry for {k!r}")
+        self.edges_at = {v: [e for e in sorted(self.edges, key=repr)
+                             if self.er[e] == v] for v in V}
+        self._zero = NormalForm(self, zero=True)
+        self._loops = {}
 
     @classmethod
     def group_alphabet(cls, group, letters, eact, cocycle):
@@ -101,11 +121,10 @@ class SelfSimilarData:
 
     def paths(self, n):
         """All paths of length exactly n, deterministically ordered."""
-        out = [self.path((), v) for v in sorted(self.vertices, key=repr)]
+        out = [Path(v, ()) for v in sorted(self.vertices, key=repr)]
         for _ in range(n):
-            out = [self.path(p.edges + (e,), p.rv)
-                   for p in out for e in sorted(self.edges, key=repr)
-                   if self.ps(p) == self.er[e]]
+            out = [Path(p.rv, p.edges + (e,))
+                   for p in out for e in self.edges_at[self.ps(p)]]
         return out
 
     def act_path(self, g, p):
@@ -114,7 +133,7 @@ class SelfSimilarData:
         for e in p.edges:
             out.append(self.eact[(h, e)])
             h = self.cocycle[(h, e)]
-        return self.path(tuple(out), self.vact[(g, p.rv)]), h
+        return Path(self.vact[(g, p.rv)], tuple(out)), h
 
     # -- eventually periodic points ------------------------------------------
 
@@ -126,13 +145,16 @@ class SelfSimilarData:
         if self.es[per[-1]] != self.er[per[0]]:
             raise ParseError("period does not loop")
         self.path(pre + per, rv)   # composability check
+        return self.ev_canon(pre, per)
+
+    def ev_canon(self, pre, per):
+        """pre . per^infinity in canonical form, for a join that composes."""
         k = next(k for k in range(1, len(per) + 1)
                  if len(per) % k == 0 and per == per[:k] * (len(per) // k))
         per = per[:k]
         while pre and pre[-1] == per[-1]:
             pre, per = pre[:-1], (per[-1],) + per[:-1]
-        rv = self.er[pre[0]] if pre else self.er[per[0]]
-        return EvPeriodicWord(rv, pre, per)
+        return EvPeriodicWord(self.er[(pre or per)[0]], pre, per)
 
     def ev_letter(self, z, i):
         if i < len(z.pre):
@@ -146,28 +168,31 @@ class SelfSimilarData:
         return len(z.pre) + (i - len(z.pre)) % len(z.per)
 
     def ev_drop(self, z, k):
-        if k <= len(z.pre):
-            return self.ev(z.pre[k:], z.per)
-        j = (k - len(z.pre)) % len(z.per)
-        return self.ev((), z.per[j:] + z.per[:j])
+        """z without its first k letters; a canonical z stays canonical."""
+        j = max(k - len(z.pre), 0) % len(z.per)
+        pre, per = z.pre[k:], z.per[j:] + z.per[:j]
+        return EvPeriodicWord(self.er[(pre or per)[0]], pre, per)
 
     def ev_starts_with(self, z, p):
-        if self.pr(p) != z.rv:
-            return False
-        return all(self.ev_letter(z, i) == e for i, e in enumerate(p.edges))
+        n = len(p.edges)
+        return p.rv == z.rv and \
+            (z.pre + z.per * (n // len(z.per) + 1))[:n] == p.edges
 
     def group_act_ev(self, g, z):
-        """g . z for an eventually periodic z; again eventually periodic."""
+        """g . z, again eventually periodic; memoises the walk along z.per."""
         out_pre, h = self.act_path(g, Path(z.rv, z.pre))
-        blocks, seen = [], {}
-        while h not in seen:
-            seen[h] = len(blocks)
-            block, h = self.act_path(h, self.path(z.per))
-            blocks.append(block.edges)
-        j = seen[h]
-        pre = out_pre.edges + sum(blocks[:j], ())
-        per = sum(blocks[j:], ())
-        return self.ev(pre, per, self.vact[(g, z.rv)])
+        walk = self._loops.get((h, z.per))
+        if walk is None:
+            blocks, seen, r = [], {}, h
+            per = Path(self.er[z.per[0]], z.per)
+            while r not in seen:
+                seen[r] = len(blocks)
+                block, r = self.act_path(r, per)
+                blocks.append(block.edges)
+            j = seen[r]
+            walk = self._loops[(h, z.per)] = (sum(blocks[:j], ()),
+                                              sum(blocks[j:], ()))
+        return self.ev_canon(out_pre.edges + walk[0], walk[1])
 
 
 class NormalForm:
@@ -175,18 +200,14 @@ class NormalForm:
 
     It acts on paths by cutting away the leading path w2, acting by g,
     and pasting w1 in front; the compatibility g.s(w2) == s(w1) makes
-    the pasting composable.  There is a single zero element.
+    the pasting composable.  There is a single zero element per data.
+    The constructor trusts that compatibility; ``nf`` checks it.
     """
 
     def __init__(self, data, w1=None, g=None, w2=None, zero=False):
         self.data = data
         self.zero = zero
-        if zero:
-            self.w1 = self.g = self.w2 = None
-        else:
-            self.w1, self.g, self.w2 = w1, g, w2
-            if data.ps(w1) != data.vact[(g, data.ps(w2))]:
-                raise ParseError("incompatible normal form")
+        self.w1, self.g, self.w2 = w1, g, w2
 
     def key(self):
         return ("0",) if self.zero else (self.w1, self.g, self.w2)
@@ -212,12 +233,15 @@ class NormalForm:
 
 
 def nf(data, w1_edges, g, w2_edges, rv1=None, rv2=None):
-    return NormalForm(data, data.path(w1_edges, rv1), g,
-                      data.path(w2_edges, rv2))
+    """The checked constructor: g.s(w2) must be s(w1)."""
+    w1, w2 = data.path(w1_edges, rv1), data.path(w2_edges, rv2)
+    if data.ps(w1) != data.vact[(g, data.ps(w2))]:
+        raise ParseError("incompatible normal form")
+    return NormalForm(data, w1, g, w2)
 
 
 def nf_zero(data):
-    return NormalForm(data, zero=True)
+    return data._zero
 
 
 def nf_unit(data, v=None):
@@ -228,30 +252,29 @@ def nf_unit(data, v=None):
 
 def _split(data, long, short):
     """The path x with long == short . x, or None."""
-    if long.edges[:len(short.edges)] != short.edges or \
-            data.pr(long) != data.pr(short):
+    if long.rv != short.rv or long.edges[:len(short.edges)] != short.edges:
         return None
-    rest = long.edges[len(short.edges):]
-    return data.path(rest, data.ps(short))
+    return Path(data.ps(short), long.edges[len(short.edges):])
 
 
 def nf_mul(t1, t2):
     """The three-case product of normal forms."""
     data = t1.data
-    assert data is t2.data, "operands over different data"
+    if data is not t2.data:
+        raise ParseError("operands over different data")
     if t1.zero or t2.zero:
         return nf_zero(data)
     G = data.group
     x = _split(data, t2.w1, t1.w2)
     if x is not None:
         gx, res = data.act_path(t1.g, x)
-        w1 = data.path(t1.w1.edges + gx.edges, data.pr(t1.w1))
+        w1 = Path(t1.w1.rv, t1.w1.edges + gx.edges)
         return NormalForm(data, w1, G.op(res, t2.g), t2.w2)
     x = _split(data, t1.w2, t2.w1)
     if x is not None:
         g2inv = G.inv[t2.g]
         g2x, res = data.act_path(g2inv, x)
-        w2 = data.path(t2.w2.edges + g2x.edges, data.pr(t2.w2))
+        w2 = Path(t2.w2.rv, t2.w2.edges + g2x.edges)
         return NormalForm(data, t1.w1, G.op(t1.g, G.inv[res]), w2)
     return nf_zero(data)
 
@@ -265,10 +288,11 @@ def nf_star(t):
 def nf_restrict(t, x):
     """Restrict the slice of t along a path x in its source domain."""
     data = t.data
-    assert data.ps(t.w2) == data.pr(x)
+    if data.ps(t.w2) != data.pr(x):
+        raise Undefined("{!r} does not start at the source of {!r}", x, t)
     gx, res = data.act_path(t.g, x)
-    w1 = data.path(t.w1.edges + gx.edges, data.pr(t.w1))
-    w2 = data.path(t.w2.edges + x.edges, data.pr(t.w2))
+    w1 = Path(t.w1.rv, t.w1.edges + gx.edges)
+    w2 = Path(t.w2.rv, t.w2.edges + x.edges)
     return NormalForm(data, w1, res, w2)
 
 
@@ -280,14 +304,14 @@ def act_on_word(t, z):
     if isinstance(z, Path):
         x = _split(data, z, t.w2)
         if x is None:
-            raise Undefined(f"{z!r} does not start with {t.w2!r}")
+            raise Undefined("{!r} does not start with {!r}", z, t.w2)
         gx, _ = data.act_path(t.g, x)
-        return data.path(t.w1.edges + gx.edges, data.pr(t.w1))
+        return Path(t.w1.rv, t.w1.edges + gx.edges)
     if not data.ev_starts_with(z, t.w2):
-        raise Undefined(f"{z!r} does not start with {t.w2!r}")
+        raise Undefined("{!r} does not start with {!r}", z, t.w2)
     tail = data.ev_drop(z, len(t.w2.edges))
     moved = data.group_act_ev(t.g, tail)
-    return data.ev(t.w1.edges + moved.pre, moved.per, data.pr(t.w1))
+    return data.ev_canon(t.w1.edges + moved.pre, moved.per)
 
 
 def germ_equal(t1, t2, z):
@@ -310,9 +334,8 @@ def germ_equal(t1, t2, z):
     p0 = max(len(t1.w2.edges), len(t2.w2.edges))
 
     def aligned(t):
-        x = data.path(tuple(data.ev_letter(z, i)
-                            for i in range(len(t.w2.edges), p0)),
-                      data.ps(t.w2))
+        x = Path(data.ps(t.w2), tuple(data.ev_letter(z, i)
+                                      for i in range(len(t.w2.edges), p0)))
         return nf_restrict(t, x)
 
     a, b = aligned(t1), aligned(t2)
@@ -404,11 +427,9 @@ def slice_intersections(t1, t2, depth=None):
         if depth is not None and d >= depth:
             raise DepthInsufficient(
                 f"intersection of {t1!r} and {t2!r} needs depth > {depth}")
-        for e in sorted(data.edges, key=repr):
-            if data.er[e] != data.ps(a.w2):
-                continue
-            descend(nf_restrict(a, data.path((e,))),
-                    nf_restrict(b, data.path((e,))),
+        for e in data.edges_at[data.ps(a.w2)]:
+            x = Path(data.er[e], (e,))
+            descend(nf_restrict(a, x), nf_restrict(b, x),
                     visited | {state}, d + 1)
 
     descend(t1, t2, frozenset(), 0)

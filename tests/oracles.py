@@ -2,20 +2,23 @@
 
 These are the earlier implementations that the propagating searches in
 ``gpdcorr.diagram``, the table comparisons of ``verify_model``, the
-Tietze-reduced homomorphism count of ``gpdcorr.cgx`` and the factorised
-configuration space of ``gpdcorr.mn`` replaced.  They walk every
-candidate and check at the leaves (the homomorphism count visits one
-leaf per homomorphism, the configuration enumerator one call per tree
-node), so they are slow but obviously right; the tests compare the
-library against them, answer for answer and in the same order.
+Tietze-reduced homomorphism count of ``gpdcorr.cgx``, the factorised
+configuration space of ``gpdcorr.mn`` and the unchecked joins of
+``gpdcorr.selfsim`` replaced.  They walk every candidate and check at
+the leaves (the homomorphism count visits one leaf per homomorphism,
+the configuration enumerator one call per tree node, the self-similar
+walk re-checks every path it joins), so they are slow but obviously
+right; the tests compare the library against them, answer for answer
+and in the same order.
 """
 
 from itertools import permutations, product
 
 from gpdcorr.diagram import actions_on, invariant_check, validate_action
-from gpdcorr.errors import Mismatch
+from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.model import _signature
+from gpdcorr.selfsim import EvPeriodicWord, Path
 
 
 def equivariant_maps(a1, a2):
@@ -375,3 +378,320 @@ def omega_depth(m, n, d):
     expand([()], {()})
     return sorted(out, key=lambda s: sorted(s))
 
+
+
+# -- the checked self-similar walk ---------------------------------------------
+
+class CheckedWalk:
+    """Self-similar arithmetic in which every join is a checked path.
+
+    It reads the tables of a ``gpdcorr.selfsim.SelfSimilarData``; every
+    path it builds re-checks composability and every point it builds
+    goes through the checking, canonicalising ``ev``.
+    """
+
+    def __init__(self, data):
+        self.group = data.group
+        self.vertices, self.edges = data.vertices, data.edges
+        self.er, self.es = data.er, data.es
+        self.vact, self.eact = data.vact, data.eact
+        self.cocycle = data.cocycle
+
+    def path(self, edges, rv=None):
+        edges = tuple(edges)
+        if edges:
+            rv = self.er[edges[0]]
+            for a, b in zip(edges, edges[1:]):
+                if self.es[a] != self.er[b]:
+                    raise ParseError(f"path breaks at {a!r},{b!r}")
+        else:
+            if rv is None and len(self.vertices) == 1:
+                rv = self.vertices[0]
+            if rv not in self.vertices:
+                raise ParseError("empty path needs a vertex")
+        return Path(rv, edges)
+
+    def ps(self, p):
+        return self.es[p.edges[-1]] if p.edges else p.rv
+
+    def pr(self, p):
+        return p.rv
+
+    def paths(self, n):
+        """All paths of length exactly n, deterministically ordered."""
+        out = [self.path((), v) for v in sorted(self.vertices, key=repr)]
+        for _ in range(n):
+            out = [self.path(p.edges + (e,), p.rv)
+                   for p in out for e in sorted(self.edges, key=repr)
+                   if self.ps(p) == self.er[e]]
+        return out
+
+    def act_path(self, g, p):
+        """g . (e1...en) and the residual restriction g|_(e1...en)."""
+        h, out = g, []
+        for e in p.edges:
+            out.append(self.eact[(h, e)])
+            h = self.cocycle[(h, e)]
+        return self.path(tuple(out), self.vact[(g, p.rv)]), h
+
+    def ev(self, pre, per, rv=None):
+        """Canonical eventually periodic point pre . per^infinity."""
+        pre, per = tuple(pre), tuple(per)
+        if not per:
+            raise ParseError("period must be nonempty")
+        if self.es[per[-1]] != self.er[per[0]]:
+            raise ParseError("period does not loop")
+        self.path(pre + per, rv)   # composability check
+        k = next(k for k in range(1, len(per) + 1)
+                 if len(per) % k == 0 and per == per[:k] * (len(per) // k))
+        per = per[:k]
+        while pre and pre[-1] == per[-1]:
+            pre, per = pre[:-1], (per[-1],) + per[:-1]
+        rv = self.er[pre[0]] if pre else self.er[per[0]]
+        return EvPeriodicWord(rv, pre, per)
+
+    def ev_letter(self, z, i):
+        if i < len(z.pre):
+            return z.pre[i]
+        return z.per[(i - len(z.pre)) % len(z.per)]
+
+    def ev_phase(self, z, i):
+        """Canonical index used for pigeonhole walks along z."""
+        if i < len(z.pre):
+            return i
+        return len(z.pre) + (i - len(z.pre)) % len(z.per)
+
+    def ev_drop(self, z, k):
+        if k <= len(z.pre):
+            return self.ev(z.pre[k:], z.per)
+        j = (k - len(z.pre)) % len(z.per)
+        return self.ev((), z.per[j:] + z.per[:j])
+
+    def ev_starts_with(self, z, p):
+        if self.pr(p) != z.rv:
+            return False
+        return all(self.ev_letter(z, i) == e for i, e in enumerate(p.edges))
+
+    def group_act_ev(self, g, z):
+        """g . z for an eventually periodic z; again eventually periodic."""
+        out_pre, h = self.act_path(g, Path(z.rv, z.pre))
+        blocks, seen = [], {}
+        while h not in seen:
+            seen[h] = len(blocks)
+            block, h = self.act_path(h, self.path(z.per))
+            blocks.append(block.edges)
+        j = seen[h]
+        pre = out_pre.edges + sum(blocks[:j], ())
+        per = sum(blocks[j:], ())
+        return self.ev(pre, per, self.vact[(g, z.rv)])
+
+
+class CheckedNF:
+    """A normal form (w1, g, w2) whose constructor checks g.s(w2) == s(w1)."""
+
+    def __init__(self, data, w1=None, g=None, w2=None, zero=False):
+        self.data = data
+        self.zero = zero
+        if zero:
+            self.w1 = self.g = self.w2 = None
+        else:
+            self.w1, self.g, self.w2 = w1, g, w2
+            if data.ps(w1) != data.vact[(g, data.ps(w2))]:
+                raise ParseError("incompatible normal form")
+
+    def key(self):
+        return ("0",) if self.zero else (self.w1, self.g, self.w2)
+
+    def __eq__(self, other):
+        return isinstance(other, CheckedNF) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        if self.zero:
+            return "nf<0>"
+        w1 = "".join(map(str, self.w1.edges)) or "e"
+        w2 = "".join(map(str, self.w2.edges)) or "e"
+        return f"nf<{w1},{self.g},{w2}>"
+
+
+def checked_nf(walk, t):
+    """The checked copy over a CheckedWalk of a library normal form."""
+    if t.zero:
+        return CheckedNF(walk, zero=True)
+    return CheckedNF(walk, t.w1, t.g, t.w2)
+
+
+def _split(data, long, short):
+    """The path x with long == short . x, or None."""
+    if long.edges[:len(short.edges)] != short.edges or \
+            data.pr(long) != data.pr(short):
+        return None
+    rest = long.edges[len(short.edges):]
+    return data.path(rest, data.ps(short))
+
+
+def nf_mul(t1, t2):
+    """The three-case product of normal forms."""
+    data = t1.data
+    assert data is t2.data, "operands over different data"
+    if t1.zero or t2.zero:
+        return CheckedNF(data, zero=True)
+    G = data.group
+    x = _split(data, t2.w1, t1.w2)
+    if x is not None:
+        gx, res = data.act_path(t1.g, x)
+        w1 = data.path(t1.w1.edges + gx.edges, data.pr(t1.w1))
+        return CheckedNF(data, w1, G.op(res, t2.g), t2.w2)
+    x = _split(data, t1.w2, t2.w1)
+    if x is not None:
+        g2inv = G.inv[t2.g]
+        g2x, res = data.act_path(g2inv, x)
+        w2 = data.path(t2.w2.edges + g2x.edges, data.pr(t2.w2))
+        return CheckedNF(data, t1.w1, G.op(t1.g, G.inv[res]), w2)
+    return CheckedNF(data, zero=True)
+
+
+def nf_restrict(t, x):
+    """Restrict the slice of t along a path x in its source domain."""
+    data = t.data
+    assert data.ps(t.w2) == data.pr(x)
+    gx, res = data.act_path(t.g, x)
+    w1 = data.path(t.w1.edges + gx.edges, data.pr(t.w1))
+    w2 = data.path(t.w2.edges + x.edges, data.pr(t.w2))
+    return CheckedNF(data, w1, res, w2)
+
+
+def act_on_word(t, z):
+    """Apply a normal form to a finite path or eventually periodic point."""
+    data = t.data
+    if t.zero:
+        raise Undefined("the zero element has empty domain")
+    if isinstance(z, Path):
+        x = _split(data, z, t.w2)
+        if x is None:
+            raise Undefined(f"{z!r} does not start with {t.w2!r}")
+        gx, _ = data.act_path(t.g, x)
+        return data.path(t.w1.edges + gx.edges, data.pr(t.w1))
+    if not data.ev_starts_with(z, t.w2):
+        raise Undefined(f"{z!r} does not start with {t.w2!r}")
+    tail = data.ev_drop(z, len(t.w2.edges))
+    moved = data.group_act_ev(t.g, tail)
+    return data.ev(t.w1.edges + moved.pre, moved.per, data.pr(t.w1))
+
+
+def germ_equal(t1, t2, z):
+    """Whether t1 and t2 have the same germ at the point z."""
+    data = t1.data
+    if t1.zero or t2.zero:
+        return t1.zero == t2.zero
+    if not (data.ev_starts_with(z, t1.w2) and data.ev_starts_with(z, t2.w2)):
+        raise ParseError("z outside a domain")
+    if len(t1.w1.edges) - len(t1.w2.edges) != \
+            len(t2.w1.edges) - len(t2.w2.edges):
+        return False
+    p0 = max(len(t1.w2.edges), len(t2.w2.edges))
+
+    def aligned(t):
+        x = data.path(tuple(data.ev_letter(z, i)
+                            for i in range(len(t.w2.edges), p0)),
+                      data.ps(t.w2))
+        return nf_restrict(t, x)
+
+    a, b = aligned(t1), aligned(t2)
+    if data.pr(a.w1) != data.pr(b.w1):
+        return False
+    out_a, out_b = list(a.w1.edges), list(b.w1.edges)
+    if out_a != out_b:
+        return False
+    ra, rb = a.g, b.g
+    p, seen = p0, set()
+    while True:
+        if ra == rb:
+            return True
+        state = (ra, rb, data.ev_phase(z, p))
+        if state in seen:
+            return False
+        seen.add(state)
+        e = data.ev_letter(z, p)
+        if data.eact[(ra, e)] != data.eact[(rb, e)]:
+            return False
+        ra, rb = data.cocycle[(ra, e)], data.cocycle[(rb, e)]
+        p += 1
+
+
+def slice_intersections(t1, t2, depth=None):
+    """Decompose the intersection of two normal-form slices."""
+    data = t1.data
+    if t1.zero or t2.zero:
+        return []
+    x = _split(data, t2.w2, t1.w2)
+    if x is not None:
+        t1 = nf_restrict(t1, x)
+    else:
+        x = _split(data, t1.w2, t2.w2)
+        if x is None:
+            return []
+        t2 = nf_restrict(t2, x)
+    if len(t1.w1.edges) != len(t2.w1.edges):
+        return []
+
+    out = []
+
+    def descend(a, b, visited, d):
+        if a.w1 != b.w1:
+            return
+        if a.g == b.g:
+            out.append(a)
+            return
+        state = (a.g, b.g, data.ps(a.w2))
+        if state in visited:
+            return
+        if depth is not None and d >= depth:
+            raise DepthInsufficient(
+                f"intersection of {t1!r} and {t2!r} needs depth > {depth}")
+        for e in sorted(data.edges, key=repr):
+            if data.er[e] != data.ps(a.w2):
+                continue
+            descend(nf_restrict(a, data.path((e,))),
+                    nf_restrict(b, data.path((e,))),
+                    visited | {state}, d + 1)
+
+    descend(t1, t2, frozenset(), 0)
+    return out
+
+
+class CheckedPairArrow:
+    """A pair-construction arrow whose extensions and ends are checked."""
+
+    def __init__(self, data, w1, g1, w2, g2, z):
+        self.data = data
+        self.w1, self.g1, self.w2, self.g2, self.z = w1, g1, w2, g2, z
+
+    def extend(self, k):
+        """Append the first k letters of the tail to both legs."""
+        data = self.data
+        out = self
+        for _ in range(k):
+            e = data.ev_letter(out.z, 0)
+            tail = data.ev_drop(out.z, 1)
+            w1, r1 = data.act_path(out.g1, data.path((e,)))
+            w2, r2 = data.act_path(out.g2, data.path((e,)))
+            out = CheckedPairArrow(
+                data, data.path(out.w1.edges + w1.edges, out.w1.rv),
+                r1, data.path(out.w2.edges + w2.edges, out.w2.rv), r2, tail)
+        return out
+
+    def source(self):
+        data = self.data
+        moved = data.group_act_ev(self.g2, self.z)
+        return data.ev(self.w2.edges + moved.pre, moved.per, self.w2.rv)
+
+    def target(self):
+        data = self.data
+        moved = data.group_act_ev(self.g1, self.z)
+        return data.ev(self.w1.edges + moved.pre, moved.per, self.w1.rv)
+
+    def fields(self):
+        return (self.w1, self.g1, self.w2, self.g2, self.z)

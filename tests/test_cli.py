@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -216,6 +217,59 @@ def test_selfsim_bad_path_is_a_usage_error_under_O(tmp_path, argv, message):
     code, out, err = run_cli("selfsim", path, *argv, flags=("-O",))
     assert_usage_error(code, out, err)
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("table, key", [
+    ("er", "0"), ("es", "1"), ("vact", ("a", "*")), ("eact", ("a", "0")),
+    ("cocycle", ("a", "1"))], ids=["er", "es", "vact", "eact", "cocycle"])
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_incomplete_selfsimilar_table_is_a_usage_error(tmp_path, table, key,
+                                                       flags):
+    # the tables are checked for totality when the data is built, so
+    # neither validate nor the arithmetic meets a missing entry
+    payload = cli.selfsimilar_payload(e1())
+    entries = cli._unpairs(payload[table])
+    del entries[key]
+    payload[table] = cli._pairs(entries)
+    path = write_doc(tmp_path, "e1.json", "selfsimilar", payload)
+    for argv in (("validate", path),
+                 ("selfsim", path, "act", "1:a:1", "e|1")):
+        code, out, err = run_cli(*argv, flags=flags)
+        assert_usage_error(code, out, err)
+        assert err == f"error: {table} has no valid entry for {key!r}\n"
+
+
+def broken_graph():
+    """ep_graph with a swapping p and q, so that r(g.e) != g.r(e)."""
+    payload = cli.selfsimilar_payload(ep_graph())
+    vact = cli._unpairs(payload["vact"])
+    vact[("a", "p")], vact[("a", "q")] = "q", "p"
+    payload["vact"] = cli._pairs(vact)
+    return payload
+
+
+def test_invalid_selfsimilar_data_is_refused(tmp_path):
+    # selfsim and model validate the data once and print validate's
+    # report, which validate also gives for a diagram that carries it
+    path = write_doc(tmp_path, "graph.json", "selfsimilar", broken_graph())
+    shape = PresentedShape.free_monoid(("t",), length_bound=2)
+    d = from_generators(shape, {"t": iterate(ep_graph(), 1)})
+    d.selfsim = ep_graph()
+    payload = cli.diagram_payload(d)
+    payload["selfsimilar"] = broken_graph()
+    diagram = write_doc(tmp_path, "d.json", "diagram", payload)
+    code, report, err = run_cli("validate", path)
+    assert code == 1 and err == ""
+    assert "r(g.e) != g.r(e) at ('a','x')" in report
+    for argv in (("selfsim", path, "act", "e@p:1:e@p", "x|x"),
+                 ("selfsim", path, "effective"),
+                 ("model", diagram, "--depth", "2"),
+                 ("validate", diagram)):
+        assert run_cli(*argv) == (1, report, "")
+    code, out, _ = run_cli("selfsim", path, "effective", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False,
+                               "report": report.splitlines()}
 
 
 def not_a_group_payload():

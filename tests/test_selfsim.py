@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from corpus import e1, e2, ep_graph, trivial_alphabet
+import gpdcorr
 from gpdcorr.corr import compose, validate_correspondence
-from gpdcorr.errors import DepthInsufficient, Undefined
+from gpdcorr.errors import DepthInsufficient, ParseError, Undefined
 from gpdcorr.groupoid import Group
 from gpdcorr.selfsim import (
     SelfSimilarData, act_on_word, effective_check, germ_equal, iterate, nf,
@@ -317,3 +322,67 @@ def test_graph_case_with_one_vertex_is_group_case():
     for ta, tb in zip(nfs_a, nfs_b):
         for ua, ub in zip(nfs_a, nfs_b):
             assert nf_mul(ta, ua).key() == nf_mul(tb, ub).key()
+
+
+def test_incomplete_table_is_refused_when_built():
+    eact = {("1", "0"): "0", ("1", "1"): "1", ("a", "0"): "1"}
+    coc = {(g, x): g for g in ("1", "a") for x in ("0", "1")}
+    with pytest.raises(ParseError) as exc:
+        SelfSimilarData.group_alphabet(Group.cyclic(2), ("0", "1"), eact, coc)
+    assert str(exc.value) == "eact has no valid entry for ('a', '1')"
+    eact[("a", "1")] = "2"
+    with pytest.raises(ParseError) as exc:
+        SelfSimilarData.group_alphabet(Group.cyclic(2), ("0", "1"), eact, coc)
+    assert str(exc.value) == "eact has no valid entry for ('a', '1')"
+
+
+def test_undefined_text_is_built_when_read():
+    data = e1()
+    t = nf(data, (), "1", ("0",))
+    z = data.ev((), ("1",))
+    with pytest.raises(Undefined) as exc:
+        act_on_word(t, z)
+    assert exc.value.args == ("{!r} does not start with {!r}", z, t.w2)
+    assert str(exc.value) == f"{z!r} does not start with {t.w2!r}"
+    assert str(Undefined("plain {text}")) == "plain {text}"
+
+
+def test_nf_zero_is_shared():
+    data = e1()
+    assert nf_zero(data) is nf_zero(data)
+    assert nf_mul(nf_zero(data), nf_unit(data)) is nf_zero(data)
+
+
+# Each snippet breaks one operation's domain check and prints the error;
+# under python -O an assert would have let the operation run on.
+OUTSIDE_DOMAIN = {
+    "nf_mul": ("nf_mul(nf_unit(e1()), nf_unit(e1()))",
+               "ParseError: operands over different data"),
+    "nf_restrict": ("nf_restrict(nf(g, (), '1', (), rv1='q', rv2='q'), "
+                    "g.path(('x',)))",
+                    "Undefined: Path(rv='p', edges=('x',)) does not start "
+                    "at the source of nf<e,1,e>"),
+    "pair_from_nf": ("pair_from_nf(d, nf(d, (), '1', ('0',)), "
+                     "d.ev((), ('1',)))",
+                     "Undefined: point outside the domain"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OUTSIDE_DOMAIN))
+def test_domain_checks_raise_typed_errors_under_O(op):
+    call, want = OUTSIDE_DOMAIN[op]
+    code = ("from corpus import e1, ep_graph\n"
+            "from gpdcorr.errors import GpdError\n"
+            "from gpdcorr.model import pair_from_nf\n"
+            "from gpdcorr.selfsim import nf, nf_mul, nf_restrict, nf_unit\n"
+            "d, g = e1(), ep_graph()\n"
+            "try:\n"
+            f"    {call}\n"
+            "except GpdError as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')\n")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(gpdcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, src]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
