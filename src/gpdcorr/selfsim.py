@@ -16,7 +16,9 @@ Input is checked at the boundary: ``SelfSimilarData`` refuses tables
 that are not total, and ``path``, ``ev`` and ``nf`` are the checked
 constructors.  Everything else trusts data with ``validate() == []``
 and builds its joins unchecked, as r(g.e) = g.r(e) and
-s(g.e) = g|_e.s(e) make them compose.
+s(g.e) = g|_e.s(e) make them compose.  It trusts its points as well:
+an eventually periodic point must come from ``ev`` or ``ev_canon``,
+which return it in canonical form.
 """
 
 from collections import namedtuple
@@ -42,19 +44,20 @@ class SelfSimilarData:
         self.vact = dict(vact)
         self.eact = dict(eact)
         self.cocycle = dict(cocycle)
-        V, ge = self.vertices, list(product(group, self.edges))
+        V, ge = set(self.vertices), list(product(group, self.edges))
         for name, keys, values in (
                 ("er", self.edges, V), ("es", self.edges, V),
-                ("vact", product(group, V), V), ("eact", ge, self.edges),
-                ("cocycle", ge, group.elements)):
+                ("vact", product(group, self.vertices), V),
+                ("eact", ge, set(self.edges)),
+                ("cocycle", ge, set(group.elements))):
             table = getattr(self, name)
             for k in keys:
                 if k not in table or table[k] not in values:
                     raise ParseError(f"{name} has no valid entry for {k!r}")
-        self.edges_at = {v: [e for e in sorted(self.edges, key=repr)
-                             if self.er[e] == v] for v in V}
+        self.edges_at = {v: [] for v in self.vertices}
+        for e in sorted(self.edges, key=repr):
+            self.edges_at[self.er[e]].append(e)
         self._zero = NormalForm(self, zero=True)
-        self._loops = {}
 
     @classmethod
     def group_alphabet(cls, group, letters, eact, cocycle):
@@ -179,20 +182,16 @@ class SelfSimilarData:
             (z.pre + z.per * (n // len(z.per) + 1))[:n] == p.edges
 
     def group_act_ev(self, g, z):
-        """g . z, again eventually periodic; memoises the walk along z.per."""
+        """g . z for an eventually periodic z; again eventually periodic."""
         out_pre, h = self.act_path(g, Path(z.rv, z.pre))
-        walk = self._loops.get((h, z.per))
-        if walk is None:
-            blocks, seen, r = [], {}, h
-            per = Path(self.er[z.per[0]], z.per)
-            while r not in seen:
-                seen[r] = len(blocks)
-                block, r = self.act_path(r, per)
-                blocks.append(block.edges)
-            j = seen[r]
-            walk = self._loops[(h, z.per)] = (sum(blocks[:j], ()),
-                                              sum(blocks[j:], ()))
-        return self.ev_canon(out_pre.edges + walk[0], walk[1])
+        per, blocks, seen = Path(self.er[z.per[0]], z.per), [], {}
+        while h not in seen:
+            seen[h] = len(blocks)
+            block, h = self.act_path(h, per)
+            blocks.append(block.edges)
+        j = seen[h]
+        return self.ev_canon(out_pre.edges + sum(blocks[:j], ()),
+                             sum(blocks[j:], ()))
 
 
 class NormalForm:

@@ -239,6 +239,18 @@ def test_incomplete_selfsimilar_table_is_a_usage_error(tmp_path, table, key,
         assert err == f"error: {table} has no valid entry for {key!r}\n"
 
 
+@pytest.mark.parametrize("table", ["er", "vact", "eact", "cocycle"])
+def test_unhashable_selfsimilar_entry_is_a_usage_error(tmp_path, table):
+    # a JSON array decodes to a list, which is no vertex, edge or element
+    payload = cli.selfsimilar_payload(e1())
+    payload[table][0][1] = ["l", []]
+    path = write_doc(tmp_path, "e1.json", "selfsimilar", payload)
+    code, out, err = run_cli("validate", path)
+    assert_usage_error(code, out, err)
+    assert err == ("error: malformed selfsimilar payload: "
+                   "unhashable type: 'list'\n")
+
+
 def broken_graph():
     """ep_graph with a swapping p and q, so that r(g.e) != g.r(e)."""
     payload = cli.selfsimilar_payload(ep_graph())
