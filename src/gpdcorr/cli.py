@@ -372,7 +372,11 @@ def cmd_compose(args):
     kind2, p2 = load(args.path2)
     if kind1 != "correspondence" or kind2 != "correspondence":
         raise SchemaError("compose expects two correspondence documents")
-    c = compose(value_of(kind1, p1), value_of(kind2, p2))
+    c1, c2 = value_of(kind1, p1), value_of(kind2, p2)
+    if refused(args, validate_correspondence(c1)) or \
+            refused(args, validate_correspondence(c2)):
+        return 1
+    c = compose(c1, c2)
     sys.stdout.write(dumps(envelope("correspondence",
                                     correspondence_payload(c))))
     return 0

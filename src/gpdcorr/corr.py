@@ -2,10 +2,13 @@
 
 A correspondence X: H <- G is a finite set with commuting left H- and
 right G-actions whose right action is basic (here: free).  Composition
-quotients the fibre product by the diagonal middle action; composed
-carriers are canonically relabelled as integer ranges with a stored
-provenance map so that iterated composites stay comparable and
-serialisable.
+quotients the fibre product by the diagonal middle action.  Freeness
+makes that quotient a lookup: each point of the first factor is its
+orbit representative times exactly one middle arrow, and that
+transversal carries every fibre pair to the one member of its class
+whose first factor is a representative.  Composed carriers are
+canonically relabelled as integer ranges with a stored provenance map
+so that iterated composites stay comparable and serialisable.
 """
 
 from .errors import NotCoOrbital, ParseError
@@ -143,48 +146,81 @@ def inner_product(c, x1, x2):
 
 
 def compose(c1, c2):
-    """The composite correspondence (X x_s,r Y) / G, canonically relabelled."""
+    """The composite correspondence (X x_s,r Y) / G, canonically relabelled.
+
+    The right G-action on X must be free.  Then each x is p(x).t[x] for
+    exactly one middle arrow t[x], where p(x) is the first point of the
+    orbit of x in carrier order, and the class of a fibre pair (x, y)
+    holds exactly one pair whose first factor is an orbit representative:
+    (p(x), t[x].y), its least pair in carrier order.  These pairs,
+    listed by x and then by y in carrier order, become the points
+    0, 1, ... of the composite; ``pairs`` maps each point to its pair and
+    ``cls`` maps every fibre pair to its point.
+
+    Raises ParseError when the middle groupoids differ, when two arrows
+    take an orbit representative of X to the same point (the action is
+    not free) and when an orbit member is not one arrow away from its
+    representative.
+    """
     if c1.right is not c2.left and \
             c1.right.category.arrows != c2.left.category.arrows:
         raise ParseError("middle groupoids differ")
-    mid = c1.right
-    fibre = [(x, y) for x in c1.carrier for y in c2.carrier
-             if c1.smap[x] == c2.rmap[y]]
-    fset = set(fibre)
-
-    def key(p):
-        return (c1._index[p[0]], c2._index[p[1]])
-
-    def moves():
-        for (x, y) in fibre:
-            for g in mid.arrow_ids():
-                gy = c2.lact.get((g, y))
-                xg = c1.ract.get((x, mid.invert(g)))
-                if gy is not None and xg is not None and (xg, gy) in fset:
-                    yield (x, y), (xg, gy)
-
-    canon = canonical_classes(fibre, moves(), key)
-    reps = sorted(set(canon.values()), key=key)
-    index = {rep: i for i, rep in enumerate(reps)}
-    cls = {p: index[canon[p]] for p in fibre}
-    carrier = list(range(len(reps)))
-    pairs = {i: rep for i, rep in enumerate(reps)}
-    rmap = {i: c1.rmap[pairs[i][0]] for i in carrier}
-    smap = {i: c2.smap[pairs[i][1]] for i in carrier}
+    into = {}                   # object -> middle arrows into it
+    for g, (_, d) in c1.right.category.arrows.items():
+        into.setdefault(d, []).append(g)
+    fibre, pos = {}, {}         # r-fibres of Y, and each y's place in its own
+    for y in c2.carrier:
+        ys = fibre.setdefault(c2.rmap[y], [])
+        pos[y] = len(ys)
+        ys.append(y)
+    t, base = {}, {}            # the transversal; each rep's first point
+    pairs, rmap, smap = {}, {}, {}
+    by_range, by_source = {}, {}
+    for x in c1.carrier:
+        if c1.p(x) != x:
+            continue
+        for g in into.get(c1.smap[x], ()):
+            v = c1.ract.get((x, g))
+            if v is None:
+                continue
+            if v in t:
+                raise ParseError(f"right action is not free: {t[v]!r} and "
+                                 f"{g!r} both take {x!r} to {v!r}")
+            t[v] = g
+        b = base[x] = len(pairs)
+        r = c1.rmap[x]
+        for y in fibre.get(c1.smap[x], ()):
+            i = len(pairs)
+            pairs[i] = (x, y)
+            rmap[i] = r
+            smap[i] = s = c2.smap[y]
+            by_range.setdefault(r, []).append((i, x, y))
+            by_source.setdefault(s, []).append((i, b, y))
+    cls = {}
+    for x in c1.carrier:
+        tx = t.get(x)
+        if tx is None:
+            raise ParseError(f"{x!r} is not one arrow away from its orbit "
+                             f"representative {c1.p(x)!r}")
+        b = base[c1.p(x)]
+        for y in fibre.get(c1.smap[x], ()):
+            cls[(x, y)] = b + pos[c2.lact[(tx, y)]]
     lact = {}
+    src = c1.left.src
     for h in c1.left.arrow_ids():
-        for i in carrier:
-            x, y = pairs[i]
-            if (h, x) in c1.lact:
-                lact[(h, i)] = cls[(c1.lact[(h, x)], y)]
+        for i, x, y in by_range.get(src(h), ()):
+            hx = c1.lact.get((h, x))
+            if hx is not None:
+                lact[(h, i)] = cls[(hx, y)]
     ract = {}
+    dst = c2.right.dst
     for g in c2.right.arrow_ids():
-        for i in carrier:
-            x, y = pairs[i]
-            if (y, g) in c2.ract:
-                ract[(i, g)] = cls[(x, c2.ract[(y, g)])]
-    return Correspondence(c1.left, c2.right, carrier, rmap, smap, lact, ract,
-                          pairs=pairs, cls=cls)
+        for i, b, y in by_source.get(dst(g), ()):
+            yg = c2.ract.get((y, g))
+            if yg is not None:
+                ract[(i, g)] = b + pos[yg]
+    return Correspondence(c1.left, c2.right, range(len(pairs)), rmap, smap,
+                          lact, ract, pairs=pairs, cls=cls)
 
 
 def classify(c):

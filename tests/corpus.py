@@ -1,10 +1,10 @@
-"""Shared test data: small self-similar and graph systems, and the
-two-point space correspondences."""
+"""Shared test data: small self-similar and graph systems, the
+two-point space correspondences and a right action that is not free."""
 
 from itertools import product
 
-from gpdcorr.corr import space_correspondence
-from gpdcorr.groupoid import Group
+from gpdcorr.corr import Correspondence, space_correspondence
+from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.selfsim import SelfSimilarData
 
 
@@ -73,3 +73,13 @@ def space_correspondences():
             (0, 1), (0, 1), dict(zip(carrier, m[:2])),
             dict(zip(carrier, m[2:])), carrier=carrier)
     return out
+
+
+def z2_fixed_point():
+    """One point, with Z/2 acting trivially on both sides, so that the
+    right action is not free."""
+    z2 = Group.cyclic(2)
+    gpd = FinGroupoid.from_group(z2)
+    return Correspondence(gpd, gpd, ("x",), {"x": "*"}, {"x": "*"},
+                          {(g, "x"): "x" for g in z2},
+                          {("x", g): "x" for g in z2})

@@ -3,17 +3,19 @@
 These are the earlier implementations that the propagating searches in
 ``gpdcorr.diagram``, the table comparisons of ``verify_model``, the
 Tietze-reduced homomorphism count of ``gpdcorr.cgx``, the factorised
-configuration space of ``gpdcorr.mn`` and the unchecked joins of
-``gpdcorr.selfsim`` replaced.  They walk every candidate and check at
-the leaves (the homomorphism count visits one leaf per homomorphism,
-the configuration enumerator one call per tree node, the self-similar
-walk re-checks every path it joins), so they are slow but obviously
-right; the tests compare the library against them, answer for answer
-and in the same order.
+configuration space of ``gpdcorr.mn``, the unchecked joins of
+``gpdcorr.selfsim`` and the transversal composition of ``gpdcorr.corr``
+replaced.  They walk every candidate and check at the leaves (the
+homomorphism count visits one leaf per homomorphism, the configuration
+enumerator one call per tree node, the self-similar walk re-checks every
+path it joins, the composition joins fibre pairs along every middle
+arrow), so they are slow but obviously right; the tests compare the
+library against them, answer for answer and in the same order.
 """
 
 from itertools import permutations, product
 
+from gpdcorr.corr import Correspondence
 from gpdcorr.diagram import actions_on, invariant_check, validate_action
 from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
@@ -326,6 +328,52 @@ def check_basic_bruteforce(action):
             return False
         seen[key] = g
     return True
+
+
+def compose(c1, c2):
+    """(X x_s,r Y) / G by union-find over every (fibre pair, middle arrow)
+    move, each class named by its key-least pair."""
+    if c1.right is not c2.left and \
+            c1.right.category.arrows != c2.left.category.arrows:
+        raise ParseError("middle groupoids differ")
+    mid = c1.right
+    fibre = [(x, y) for x in c1.carrier for y in c2.carrier
+             if c1.smap[x] == c2.rmap[y]]
+    fset = set(fibre)
+
+    def key(p):
+        return (c1._index[p[0]], c2._index[p[1]])
+
+    def moves():
+        for (x, y) in fibre:
+            for g in mid.arrow_ids():
+                gy = c2.lact.get((g, y))
+                xg = c1.ract.get((x, mid.invert(g)))
+                if gy is not None and xg is not None and (xg, gy) in fset:
+                    yield (x, y), (xg, gy)
+
+    canon = canonical_classes(fibre, moves(), key)
+    reps = sorted(set(canon.values()), key=key)
+    index = {rep: i for i, rep in enumerate(reps)}
+    cls = {p: index[canon[p]] for p in fibre}
+    carrier = list(range(len(reps)))
+    pairs = {i: rep for i, rep in enumerate(reps)}
+    rmap = {i: c1.rmap[pairs[i][0]] for i in carrier}
+    smap = {i: c2.smap[pairs[i][1]] for i in carrier}
+    lact = {}
+    for h in c1.left.arrow_ids():
+        for i in carrier:
+            x, y = pairs[i]
+            if (h, x) in c1.lact:
+                lact[(h, i)] = cls[(c1.lact[(h, x)], y)]
+    ract = {}
+    for g in c2.right.arrow_ids():
+        for i in carrier:
+            x, y = pairs[i]
+            if (y, g) in c2.ract:
+                ract[(i, g)] = cls[(x, c2.ract[(y, g)])]
+    return Correspondence(c1.left, c2.right, carrier, rmap, smap, lact, ract,
+                          pairs=pairs, cls=cls)
 
 
 def _node_type(word):

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from corpus import e1, e2, ep_graph, space_correspondences
+from corpus import e1, e2, ep_graph, space_correspondences, z2_fixed_point
 from gpdcorr import cli
-from gpdcorr.corr import space_correspondence
+from gpdcorr.corr import (identity_correspondence, space_correspondence,
+                          validate_correspondence)
 from gpdcorr.diagram import discrete_diagram, from_generators
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
@@ -450,7 +451,6 @@ def test_model_json_embeds_groupoid(tmp_path):
 def test_compose_mismatched_groupoids_is_usage_error(tmp_path):
     c1 = iterate(e1(), 1)
     gpd = FinGroupoid.from_group(Group.cyclic(3))
-    from gpdcorr.corr import identity_correspondence
     c2 = identity_correspondence(gpd)
     p1 = write_doc(tmp_path, "c1.json", "correspondence",
                    cli.correspondence_payload(c1))
@@ -458,6 +458,30 @@ def test_compose_mismatched_groupoids_is_usage_error(tmp_path):
                    cli.correspondence_payload(c2))
     code, _, err = run_cli("compose", p1, p2)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("flags, extra, bad_first", [
+    ((), (), True), ((), ("--json",), False), (("-O",), (), True)],
+    ids=["plain", "json", "O"])
+def test_compose_refuses_an_invalid_correspondence(tmp_path, flags, extra,
+                                                   bad_first):
+    # a point fixed by Z/2 on the right: compose validates both documents
+    # and exits 1 with validate's report instead of printing a quotient
+    fixed = z2_fixed_point()
+    report = validate_correspondence(fixed)
+    assert report == ["right action not basic, witness ('x', 'a')"]
+    bad = write_doc(tmp_path, "fixed.json", "correspondence",
+                    cli.correspondence_payload(fixed))
+    good = write_doc(tmp_path, "id.json", "correspondence",
+                     cli.correspondence_payload(
+                         identity_correspondence(fixed.right)))
+    paths = (bad, good) if bad_first else (good, bad)
+    code, out, err = run_cli("compose", *paths, *extra, flags=flags)
+    assert (code, err) == (1, "")
+    if extra:
+        assert json.loads(out) == {"ok": False, "report": report}
+    else:
+        assert out == "".join(line + "\n" for line in report)
 
 
 def test_germ_outside_domain_is_usage_error(tmp_path):
