@@ -159,35 +159,31 @@ def compose(c1, c2):
 
     Raises ParseError when the middle groupoids differ, when two arrows
     take an orbit representative of X to the same point (the action is
-    not free) and when an orbit member is not one arrow away from its
-    representative.
+    not free), when an orbit member is not one arrow away from its
+    representative and when an action leads out of the fibre product
+    (an entry is missing or moves the anchor it must keep).
     """
     if c1.right is not c2.left and \
             c1.right.category.arrows != c2.left.category.arrows:
         raise ParseError("middle groupoids differ")
-    into = {}                   # object -> middle arrows into it
-    for g, (_, d) in c1.right.category.arrows.items():
-        into.setdefault(d, []).append(g)
-    fibre, pos = {}, {}         # r-fibres of Y, and each y's place in its own
+    t = {}                      # x -> the middle arrow with x == p(x).t[x]
+    for (x, g), v in c1.ract.items():
+        if c1.p(x) == x:
+            if v in t:
+                raise ParseError(f"right action is not free: {t[v]!r} and "
+                                 f"{g!r} both take {x!r} to {v!r}")
+            t[v] = g
+    fibre = {}                  # r-fibres of Y: y -> its place in its own
     for y in c2.carrier:
-        ys = fibre.setdefault(c2.rmap[y], [])
-        pos[y] = len(ys)
-        ys.append(y)
-    t, base = {}, {}            # the transversal; each rep's first point
+        ys = fibre.setdefault(c2.rmap[y], {})
+        ys[y] = len(ys)
+    base = {}                   # each rep's first point
     pairs, rmap, smap = {}, {}, {}
     by_range, by_source = {}, {}
     for x in c1.carrier:
         if c1.p(x) != x:
             continue
-        for g in into.get(c1.smap[x], ()):
-            v = c1.ract.get((x, g))
-            if v is None:
-                continue
-            if v in t:
-                raise ParseError(f"right action is not free: {t[v]!r} and "
-                                 f"{g!r} both take {x!r} to {v!r}")
-            t[v] = g
-        b = base[x] = len(pairs)
+        base[x] = len(pairs)
         r = c1.rmap[x]
         for y in fibre.get(c1.smap[x], ()):
             i = len(pairs)
@@ -195,30 +191,41 @@ def compose(c1, c2):
             rmap[i] = r
             smap[i] = s = c2.smap[y]
             by_range.setdefault(r, []).append((i, x, y))
-            by_source.setdefault(s, []).append((i, b, y))
+            by_source.setdefault(s, []).append((i, x, y))
     cls = {}
     for x in c1.carrier:
+        px = c1.p(x)
         tx = t.get(x)
         if tx is None:
             raise ParseError(f"{x!r} is not one arrow away from its orbit "
-                             f"representative {c1.p(x)!r}")
-        b = base[c1.p(x)]
-        for y in fibre.get(c1.smap[x], ()):
-            cls[(x, y)] = b + pos[c2.lact[(tx, y)]]
+                             f"representative {px!r}")
+        b, place = base[px], fibre.get(c1.smap[px], {})
+        try:
+            for y in fibre.get(c1.smap[x], ()):
+                cls[(x, y)] = b + place[c2.lact.get((tx, y))]
+        except KeyError:
+            raise ParseError(f"{tx!r}.{y!r} is not a point of the second "
+                             f"factor over {c1.smap[px]!r}") from None
     lact = {}
     src = c1.left.src
-    for h in c1.left.arrow_ids():
-        for i, x, y in by_range.get(src(h), ()):
-            hx = c1.lact.get((h, x))
-            if hx is not None:
-                lact[(h, i)] = cls[(hx, y)]
+    try:
+        for h in c1.left.arrow_ids():
+            for i, x, y in by_range.get(src(h), ()):
+                hx = c1.lact.get((h, x))
+                if hx is not None:
+                    lact[(h, i)] = cls[(hx, y)]
+    except KeyError:
+        raise ParseError(f"s({h!r}.{x!r}) != s({x!r})") from None
     ract = {}
     dst = c2.right.dst
-    for g in c2.right.arrow_ids():
-        for i, b, y in by_source.get(dst(g), ()):
-            yg = c2.ract.get((y, g))
-            if yg is not None:
-                ract[(i, g)] = b + pos[yg]
+    try:
+        for g in c2.right.arrow_ids():
+            for i, x, y in by_source.get(dst(g), ()):
+                yg = c2.ract.get((y, g))
+                if yg is not None:
+                    ract[(i, g)] = cls[(x, yg)]
+    except KeyError:
+        raise ParseError(f"r({y!r}.{g!r}) != r({y!r})") from None
     return Correspondence(c1.left, c2.right, range(len(pairs)), rmap, smap,
                           lact, ract, pairs=pairs, cls=cls)
 

@@ -299,9 +299,11 @@ def validate_diagram(d, bound=None):
     report = []
     bound = bound if bound is not None else d.bound
     arrows = [g for g in d.arrows(bound)]
+    invalid = set()             # arrows whose X(g) compose cannot take
     for g in arrows:
         for line in validate_correspondence(d.X(g)):
             report.append(f"X({g!r}): {line}")
+            invalid.add(g)
     pairs = [(g, h) for g in arrows for h in arrows
              if not d.shape.is_identity_arrow(g)
              and not d.shape.is_identity_arrow(h)
@@ -337,6 +339,8 @@ def validate_diagram(d, bound=None):
         image = set(table.values())
         if image != set(cgh.carrier):
             report.append(f"mu({g!r},{h!r}) not surjective onto X({gh!r})")
+        if g in invalid or h in invalid:
+            continue
         comp = compose(cg, ch)
         if len(image) < len(comp.carrier):
             report.append(f"mu({g!r},{h!r}) not injective on classes")
@@ -961,15 +965,24 @@ def compose_transformations(t21, t10):
 
 
 def validate_transformation(t, bound=None):
-    """Element-wise check of the naturality squares of a transformation."""
+    """Element-wise check of the naturality squares of a transformation.
+
+    The squares at an arrow are checked only where its Y(x) are valid
+    correspondences; the diagrams themselves are assumed to pass
+    ``validate_diagram``.
+    """
     from .corr import validate_correspondence
     d0, d1 = t.d0, t.d1
     report = []
+    invalid = set()             # objects whose Y(x) compose cannot take
     for x, c in t.Y.items():
         for line in validate_correspondence(c):
             report.append(f"Y({x!r}): {line}")
+            invalid.add(x)
     bound = bound if bound is not None else min(d0.bound, d1.bound)
     for g, table in t.V.items():
+        if d0.shape.s(g) in invalid or d0.shape.r(g) in invalid:
+            continue
         c1, c0 = d1.X(g), d0.X(g)
         ys, yr = t.Y[d0.shape.s(g)], t.Y[d0.shape.r(g)]
         target = compose(yr, c0)
@@ -997,7 +1010,7 @@ def validate_transformation(t, bound=None):
         for h in gens:
             gh = d0.shape.compose(g, h)
             if gh is None or gh not in t.V or \
-                    d0.shape.length(gh) > bound:
+                    d0.shape.length(gh) > bound or d0.shape.r(g) in invalid:
                 continue
             c1g, c1h = d1.X(g), d1.X(h)
             yz = t.Y[d0.shape.s(h)]

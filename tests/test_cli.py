@@ -484,6 +484,27 @@ def test_compose_refuses_an_invalid_correspondence(tmp_path, flags, extra,
         assert out == "".join(line + "\n" for line in report)
 
 
+@pytest.mark.parametrize("flags, extra", [
+    ((), ()), ((), ("--json",)), (("-O",), ())], ids=["plain", "json", "O"])
+def test_validate_diagram_with_a_non_free_generator(tmp_path, flags, extra):
+    # the coherence checks do not compose X(g) that failed validation
+    shape = PresentedShape.free_monoid(("t",), length_bound=2)
+    d = from_generators(shape, {"t": z2_fixed_point()})
+    path = write_doc(tmp_path, "fixed.json", "diagram",
+                     cli.diagram_payload(d))
+    code, out, err = run_cli("validate", path, *extra, flags=flags)
+    report = [f"X(('*', '*', ('t',))): right action not basic, "
+              f"witness (('x',), 'a')",
+              f"X(('*', '*', ('t', 't'))): right action not basic, "
+              f"witness (('x', 'x'), 'a')"]
+    assert (code, err) == (1, "")
+    if extra:
+        assert json.loads(out) == {"ok": False, "report": report,
+                                   "flags": []}
+    else:
+        assert out == "".join(line + "\n" for line in report)
+
+
 def test_germ_outside_domain_is_usage_error(tmp_path):
     path = write_doc(tmp_path, "e1.json", "selfsimilar",
                      cli.selfsimilar_payload(e1()))

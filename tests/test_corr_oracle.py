@@ -138,6 +138,40 @@ def test_orbit_member_two_arrows_away_is_refused():
         compose(c, identity_correspondence(gpd))
 
 
+def _anchor_breakers():
+    # each case composes to a pair that is not in the fibre product
+    two = FinGroupoid.space((0, 1))
+    one = FinGroupoid.space((0,))
+    ident = identity_correspondence(two)
+    no_lact = Correspondence(two, two, ident.carrier, ident.rmap, ident.smap,
+                             {}, ident.ract)
+    # y0.u0 == y1, though r(y0) == 0 and r(y1) == 1
+    bad_ract = Correspondence(
+        two, one, ("y0", "y1"), {"y0": 0, "y1": 1}, {"y0": 0, "y1": 0},
+        {(("u", 0), "y0"): "y0", (("u", 1), "y1"): "y1"},
+        {("y0", ("u", 0)): "y1", ("y1", ("u", 0)): "y1"})
+    # u0.x0 == x1, though s(x0) == 0 and s(x1) == 1
+    bad_lact = Correspondence(
+        one, two, ("x0", "x1"), {"x0": 0, "x1": 0}, {"x0": 0, "x1": 1},
+        {(("u", 0), "x0"): "x1", (("u", 0), "x1"): "x1"},
+        {("x0", ("u", 0)): "x0", ("x1", ("u", 1)): "x1"})
+    return {
+        "left action of Y missing": (
+            ident, no_lact, "is not a point of the second factor"),
+        "right action of Y moves r": (
+            ident, bad_ract, r"r\('y0'.\('u', 0\)\) != r\('y0'\)"),
+        "left action of X moves s": (
+            bad_lact, ident, r"s\(\('u', 0\).'x0'\) != s\('x0'\)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_anchor_breakers()))
+def test_action_leaving_the_fibre_product_is_refused(case):
+    c1, c2, match = _anchor_breakers()[case]
+    with pytest.raises(ParseError, match=match):
+        compose(c1, c2)
+
+
 def test_non_free_right_action_is_refused_under_O():
     code = ("from gpdcorr.corr import (Correspondence, compose,\n"
             "                          identity_correspondence)\n"

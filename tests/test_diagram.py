@@ -1,7 +1,8 @@
 import pytest
 
 from corpus import e1
-from gpdcorr.corr import space_correspondence
+from gpdcorr.corr import (Correspondence, identity_correspondence,
+                          space_correspondence)
 from gpdcorr.diagram import (
     FAction, action_from_theta, compose_transformations, discrete_diagram,
     enumerate_actions, equivariant_maps, from_complex, from_generators,
@@ -312,6 +313,21 @@ def test_identity_transformation_valid_and_composes():
     assert validate_transformation(t) == []
     tt = compose_transformations(t, t)
     assert validate_transformation(tt) == []
+
+
+def test_transformation_with_a_non_free_component_is_reported():
+    # Z/2 fixing both points of Y(*) on the right: the squares that would
+    # compose Y(*) are skipped and the report names the component
+    gpd = FinGroupoid.from_group(Group.cyclic(2))
+    shape = PresentedShape.free_monoid(("t",), length_bound=2)
+    t = identity_transformation(
+        from_generators(shape, {"t": identity_correspondence(gpd)}))
+    y = t.Y["*"]
+    t.Y["*"] = Correspondence(gpd, gpd, y.carrier, y.rmap, y.smap, y.lact,
+                              {(x, g): x for (x, g) in y.ract})
+    report = validate_transformation(t)
+    assert report and all(line.startswith("Y('*'): ") for line in report)
+    assert "Y('*'): right action not basic, witness ('1', 'a')" in report
 
 
 def test_modification_identity_and_defect():
