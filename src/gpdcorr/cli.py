@@ -16,14 +16,15 @@ import sys
 from . import cgx as cgxmod
 from . import mn as mnmod
 from .corr import Correspondence, compose, validate_correspondence
-from .diagram import (discrete_diagram, from_generators, singleton_thetas,
-                      validate_diagram)
+from .diagram import (FAction, discrete_diagram, from_generators,
+                      singleton_thetas, validate_action, validate_diagram)
 from .errors import (BoundExceeded, DepthInsufficient, Mismatch,
                      NotSupported, ParseError, SchemaError, Undefined)
 from .fincat import FinCategory, PresentedShape, validate_category
 from .groupoid import FinGroupoid, Group, germ_groupoid, validate_groupoid
-from .model import (OreUniversal, model_discrete_shape, model_group_shape,
-                    pair_groupoid_model, tight_universal_action, verify_model)
+from .model import (OreUniversal, PresentationModel, model_discrete_shape,
+                    model_group_shape, pair_groupoid_model,
+                    tight_universal_action, verify_model)
 from .selfsim import (SelfSimilarData, act_on_word, effective_check,
                       germ_equal, nf, nf_mul, slice_intersections)
 
@@ -196,7 +197,6 @@ def action_payload(d, a):
 
 
 def action_from(payload):
-    from .diagram import FAction
     d = diagram_from(payload["diagram"])
     return d, FAction(d, [_dec(y) for y in payload["carrier"]],
                       _unpairs(payload["part"]), _unpairs(payload["anchor"]),
@@ -355,7 +355,6 @@ def cmd_validate(args):
     elif kind == "mn":
         report = validate_diagram(mnmod.make_emn(*value))
     elif kind == "action":
-        from .diagram import validate_action
         d, a = value
         report = validate_action(d, a)
     else:
@@ -380,6 +379,14 @@ def cmd_compose(args):
     sys.stdout.write(dumps(envelope("correspondence",
                                     correspondence_payload(c))))
     return 0
+
+
+# shape -> (model construction, first line of its report)
+GROUPOID_MODELS = {
+    "discrete": (model_discrete_shape,
+                 "disjoint union groupoid: {} arrows, {} objects"),
+    "group": (model_group_shape, "graded groupoid: {} arrows over {} objects"),
+}
 
 
 def cmd_model(args):
@@ -413,20 +420,13 @@ def cmd_model(args):
     if d.selfsim is not None and refused(args, d.selfsim.validate()):
         return 1
     shape = d.shape
-    if not shape.gens:
-        model = model_discrete_shape(d)
-        lines = [f"disjoint union groupoid: {len(model.groupoid)} arrows, "
-                 f"{len(model.groupoid.objects)} objects"]
-        if args.verify:
-            verify_model(d, model, args.verify)
-            lines.append(f"verify({args.verify}): OK")
-        emit(args, lines, {"ok": True, "lines": lines,
-                           "groupoid": groupoid_payload(model.groupoid)})
-        return 0
-    if shape.kind == "group":
-        model = model_group_shape(d)
-        lines = [f"graded groupoid: {len(model.groupoid)} arrows over "
-                 f"{len(model.groupoid.objects)} objects"]
+    groupoid_model = GROUPOID_MODELS.get(shape.kind if shape.gens
+                                         else "discrete")
+    if groupoid_model is not None:
+        make, head = groupoid_model
+        model = make(d)
+        lines = [head.format(len(model.groupoid),
+                             len(model.groupoid.objects))]
         if args.verify:
             verify_model(d, model, args.verify)
             lines.append(f"verify({args.verify}): OK")
@@ -447,7 +447,6 @@ def cmd_model(args):
                      f"{k}: {grades[k]}" for k in sorted(grades))]
         if args.verify:
             if len(points) == 1 and len(d.X(d.gen_arrows()[0])) == 1:
-                from .model import PresentationModel
                 t = d.gen_arrows()[0]
                 xi = d.X(t).carrier[0]
                 zp = PresentationModel(

@@ -173,7 +173,7 @@ def compose(c1, c2):
                 raise ParseError(f"right action is not free: {t[v]!r} and "
                                  f"{g!r} both take {x!r} to {v!r}")
             t[v] = g
-    fibre = {}                  # r-fibres of Y: y -> its place in its own
+    fibre = {}                  # r-fibres of Y: y -> its index in the fibre
     for y in c2.carrier:
         ys = fibre.setdefault(c2.rmap[y], {})
         ys[y] = len(ys)
@@ -199,10 +199,10 @@ def compose(c1, c2):
         if tx is None:
             raise ParseError(f"{x!r} is not one arrow away from its orbit "
                              f"representative {px!r}")
-        b, place = base[px], fibre.get(c1.smap[px], {})
+        b, index = base[px], fibre.get(c1.smap[px], {})
         try:
             for y in fibre.get(c1.smap[x], ()):
-                cls[(x, y)] = b + place[c2.lact.get((tx, y))]
+                cls[(x, y)] = b + index[c2.lact.get((tx, y))]
         except KeyError:
             raise ParseError(f"{tx!r}.{y!r} is not a point of the second "
                              f"factor over {c1.smap[px]!r}") from None

@@ -14,12 +14,22 @@ composed correspondences.
 An action on a finite set is a partitioned carrier with anchors and one
 surjection per arrow.  All machinery works with the generator arrows
 and the groupoid pieces; longer arrows act by folding.
+
+The action searches run on two engines.  ``_propagated_maps`` finds the
+equivariant maps between two action tables, for ``equivariant_maps``,
+``actions_isomorphic``, ``verify_model`` and the alpha tables of
+``_equivariant_bijections`` (injective maps from the balance classes of
+``canonical_classes`` onto a piece).  Independent choices are products:
+``_bijection_tables`` for ``_left_actions`` and ``PresentationModel``,
+and ``_actions_with_frame`` over per-object groupoid actions and
+per-generator alpha tables.
 """
 
 from itertools import product
 
-from .corr import (Correspondence, compose, identity_correspondence,
-                   inner_product)
+from .corr import (Correspondence, classify, compose, from_group_hom,
+                   identity_correspondence, inner_product,
+                   validate_correspondence)
 from .errors import ConditionFailed, HexagonViolation
 from .fincat import COMM, PresentedShape, canonical_classes
 from .groupoid import FinGroupoid, PartialBijection
@@ -56,7 +66,6 @@ class Diagram:
         return self.mu[(g, h)][(xi, eta)]
 
     def is_tight(self):
-        from .corr import classify
         return all(classify(self.X(g))["tight"] for g in self.gen_arrows())
 
 
@@ -170,17 +179,10 @@ def _swap(gens, sigma, a, b, xa, xb):
         return xb, xa
     if a < b:
         return sigma[(a, b)][(xa, xb)]
-    # invert the stored direction by searching through the pair class
-    ca, cb = gens[b], gens[a]
-    for (ya, yb), (zb, za) in sigma[(b, a)].items():
-        if (zb, za) == (xa, xb):
+    # invert the stored direction: find an entry landing in the pair class
+    for (ya, yb), z in sigma[(b, a)].items():
+        if _same_pair_class(gens[a], gens[b], z, (xa, xb)):
             return ya, yb
-        # same class: (xa, xb) ~ (zb, za) via an arrow of the middle groupoid
-        mid = gens[a].right
-        for gmid in mid.arrow_ids():
-            if cb.ract.get((zb, gmid)) == xa and \
-                    ca.lact.get((mid.invert(gmid), za)) == xb:
-                return ya, yb
     raise KeyError(f"braiding has no entry covering {(xa, xb)!r}")
 
 
@@ -226,6 +228,7 @@ def _same_pair_class(c1, c2, p, q):
 def _check_one_hexagon(gens, sigma, a, b, c):
     """Both routes X_a X_b X_c -> X_c X_b X_a must agree on all triples."""
     ca, cb, cc = gens[a], gens[b], gens[c]
+    canon = _Tuples([cc, cb, ca]).canon
     for xa in ca.carrier:
         for xb in cb.carrier:
             if ca.smap[xa] != cb.rmap[xb]:
@@ -243,14 +246,8 @@ def _check_one_hexagon(gens, sigma, a, b, c):
                 wc, wa2 = _swap(gens, sigma, a, c, wa, xc)
                 wc2, wb2 = _swap(gens, sigma, b, c, wb, wc)
                 route2 = (wc2, wb2, wa2)
-                if not _same_triple_class(gens, (c, b, a), route1, route2):
+                if canon[route1] != canon[route2]:
                     raise HexagonViolation((a, b, c))
-
-
-def _same_triple_class(gens, letters, t1, t2):
-    comps = [gens[a] for a in letters]
-    tp = _Tuples(comps)
-    return tp.canon[t1] == tp.canon[t2]
 
 
 def from_complex(category, groups, homs, twists):
@@ -259,7 +256,6 @@ def from_complex(category, groups, homs, twists):
     X_g is the source group with the left action through phi_g, and
     mu_{g,h}(gamma, eta) = u_{g,h}.phi_h(gamma).eta.
     """
-    from .corr import from_group_hom
     invertible = all(
         any(category.mul(g, h) == category.identity(category.dst(g)) and
             category.mul(h, g) == category.identity(category.src(g))
@@ -295,7 +291,6 @@ def from_complex(category, groups, homs, twists):
 
 def validate_diagram(d, bound=None):
     """Element-wise check of the unit and associativity coherence."""
-    from .corr import validate_correspondence
     report = []
     bound = bound if bound is not None else d.bound
     arrows = [g for g in d.arrows(bound)]
@@ -420,10 +415,7 @@ class FAction:
         for y in self.piece(d.shape.s(g)):
             for xi in u:
                 if c.smap[xi] == self.anchor[y]:
-                    if d.shape.is_identity_arrow(g):
-                        mapping[y] = self.gact[(xi, y)]
-                    else:
-                        mapping[y] = self.apply(g, xi, y)
+                    mapping[y] = self.apply(g, xi, y)
         return PartialBijection(mapping)
 
     def table(self):
@@ -734,25 +726,26 @@ def _left_actions(gpd, ys, anchor):
     arrows = [g for g in gpd.arrow_ids() if not gpd.is_unit(g)]
     base = {(gpd.unit(anchor[y]), y): y for y in ys}
 
-    def extend(i, act):
-        if i == len(arrows):
-            ok = all(
-                act.get((gpd.mul(g, h), y)) == act.get((g, act[(h, y)]))
-                for g in gpd.arrow_ids() for h in gpd.arrow_ids()
-                if gpd.category.composable(g, h)
-                for y in ys if (h, y) in act)
-            if ok:
-                yield dict(act)
-            return
-        g = arrows[i]
-        dom = [y for y in ys if anchor[y] == gpd.src(g)]
-        cod = [y for y in ys if anchor[y] == gpd.dst(g)]
-        for image in _bijections(dom, cod):
-            nxt = dict(act)
-            nxt.update({(g, y): image[y] for y in dom})
-            yield from extend(i + 1, nxt)
+    def fibre(obj):
+        return [y for y in ys if anchor[y] == obj]
 
-    yield from extend(0, base)
+    for table in _bijection_tables(arrows, lambda g: fibre(gpd.src(g)),
+                                   lambda g: fibre(gpd.dst(g))):
+        act = {**base, **table}
+        if all(act.get((gpd.mul(g, h), y)) == act.get((g, act[(h, y)]))
+               for g in gpd.arrow_ids() for h in gpd.arrow_ids()
+               if gpd.category.composable(g, h)
+               for y in ys if (h, y) in act):
+            yield act
+
+
+def _bijection_tables(labels, dom, cod):
+    """One bijection dom(label) -> cod(label) per label, in every
+    combination, each as the table {(label, y): z}."""
+    for choice in product(*(list(_bijections(dom(label), cod(label)))
+                            for label in labels)):
+        yield {(label, y): z for label, bij in zip(labels, choice)
+               for y, z in bij.items()}
 
 
 def _bijections(dom, cod):
@@ -768,7 +761,9 @@ def _bijections(dom, cod):
 
 
 def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
-    """All candidate alpha tables for one generator arrow."""
+    """All candidate alpha tables for one generator arrow: bijections,
+    equivariant for the left actions, from the pairs (xi, y) modulo
+    (xi.gamma, y) ~ (xi, gamma.y) onto the range piece."""
     pairs = [(xi, y) for xi in c.carrier for y in ys_src
              if c.smap[xi] == anchor[y]]
 
@@ -787,73 +782,27 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
     reps = sorted(classes, key=repr)
     if len(reps) != len(ys_dst):
         return
-
-    def act_left(gamma, rep):
-        xi, y = rep
-        moved = c.lact.get((gamma, xi))
-        return None if moved is None else canon[(moved, y)]
-
-    gpd = c.left
-
-    def left_moves():
-        for rep in reps:
-            for gamma in gpd.arrow_ids():
-                moved = act_left(gamma, rep)
-                if moved is not None:
-                    yield rep, moved
-
-    # orbits of the left groupoid action on classes
-    orbit = canonical_classes(reps, left_moves(), repr)
-    orbit_reps = sorted(set(orbit.values()), key=repr)
-
-    arrows = gpd.arrow_ids()
-
-    # every class gets its own target, so a target already taken cuts
-    # the branch, and a complete assignment is a bijection
-    def place(i, assign, used):
-        if i == len(orbit_reps):
-            table = {}
-            for rep in reps:
-                for p in classes[rep]:
-                    table[p] = assign[rep]
-            yield table
-            return
-        base = orbit_reps[i]
-        for z in ys_dst:
-            if anchor[z] != c.rmap[base[0]] or z in used:
-                continue
-            nxt = dict(assign)
-            nxt[base] = z
-            taken = used | {z}
-            good = True
-            for gamma in arrows:
-                moved = act_left(gamma, base)
-                if moved is None:
-                    continue
-                want = gact.get((gamma, z))
-                if want is None or nxt.get(moved, want) != want:
-                    good = False
-                    break
-                if moved not in nxt:
-                    if want in taken:
-                        good = False
-                        break
-                    nxt[moved] = want
-                    taken.add(want)
-            if good:
-                yield from place(i + 1, nxt, taken)
-
-    yield from place(0, {}, set())
+    arrows = c.left.arrow_ids()
+    frame1 = {(xi, y): c.rmap[xi] for (xi, y) in reps}
+    moves1 = {(xi, y): {gamma: canon[(c.lact[(gamma, xi)], y)]
+                        for gamma in arrows if (gamma, xi) in c.lact}
+              for (xi, y) in reps}
+    frame2 = {z: anchor[z] for z in ys_dst}
+    moves2 = {z: {gamma: gact[(gamma, z)] for gamma in arrows
+                  if (gamma, z) in gact} for z in ys_dst}
+    for f in _propagated_maps((frame1, moves1), (frame2, moves2),
+                              injective=True):
+        yield {p: f[rep] for rep in reps for p in classes[rep]}
 
 
-def enumerate_actions(d, n, up_to_iso=True):
-    """All actions of the diagram on carriers of size <= n."""
+def enumerate_actions(d, n):
+    """All actions of the diagram on carriers of size <= n, one per
+    isomorphism class."""
     out = []
     for k in range(n + 1):
         for a in actions_on(d, list(range(k))):
-            if up_to_iso and any(actions_isomorphic(a, b) for b in out):
-                continue
-            out.append(a)
+            if not any(actions_isomorphic(a, b) for b in out):
+                out.append(a)
     return out
 
 
@@ -872,35 +821,21 @@ def actions_on(d, carrier):
 def _actions_with_frame(d, carrier, part, anchor):
     pieces = {x: [y for y in carrier if part[y] == x]
               for x in d.shape.objects}
-    object_list = sorted(d.shape.objects, key=repr)
-
-    def build_gact(i, gact):
-        if i == len(object_list):
-            yield dict(gact)
-            return
-        x = object_list[i]
-        for act in _left_actions(d.gr[x], pieces[x], anchor):
-            nxt = dict(gact)
-            nxt.update(act)
-            yield from build_gact(i + 1, nxt)
-
     gens = d.gen_arrows()
-    for gact in build_gact(0, {}):
-        def build_alph(j, alph):
-            if j == len(gens):
-                a = FAction(d, carrier, part, anchor, gact, alph)
-                if _coherent(d, a):
-                    yield a
-                return
-            g = gens[j]
-            for table in _equivariant_bijections(
-                    d, g, d.X(g), gact, pieces[d.shape.s(g)],
-                    pieces[d.shape.r(g)], anchor):
-                nxt = dict(alph)
-                nxt[g] = table
-                yield from build_alph(j + 1, nxt)
-
-        yield from build_alph(0, {})
+    for acts in product(*(list(_left_actions(d.gr[x], pieces[x], anchor))
+                          for x in sorted(d.shape.objects, key=repr))):
+        gact = {k: z for act in acts for k, z in act.items()}
+        tables = []
+        for g in gens:
+            tables.append(list(_equivariant_bijections(
+                d, g, d.X(g), gact, pieces[d.shape.s(g)],
+                pieces[d.shape.r(g)], anchor)))
+            if not tables[-1]:      # the product is empty already, so
+                break               # the later generators go unsearched
+        for alph in product(*tables):
+            a = FAction(d, carrier, part, anchor, gact, dict(zip(gens, alph)))
+            if _coherent(d, a):
+                yield a
 
 
 def _coherent(d, a):
@@ -971,7 +906,6 @@ def validate_transformation(t, bound=None):
     correspondences; the diagrams themselves are assumed to pass
     ``validate_diagram``.
     """
-    from .corr import validate_correspondence
     d0, d1 = t.d0, t.d1
     report = []
     invalid = set()             # objects whose Y(x) compose cannot take

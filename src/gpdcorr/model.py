@@ -24,9 +24,9 @@ from collections import Counter
 from itertools import chain, product
 
 from .corr import Correspondence, classify, morita_check
-from .diagram import (FAction, _bijections, _left_actions, _propagated_maps,
-                      actions_on, enumerate_actions, equivariant_maps,
-                      from_generators, validate_action)
+from .diagram import (FAction, _bijection_tables, _left_actions,
+                      _propagated_maps, actions_on, enumerate_actions,
+                      equivariant_maps, from_generators, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight, Undefined)
 from .fincat import (FREE, GROUP, IS_ORE, FinCategory, PresentedShape,
@@ -176,21 +176,12 @@ class PresentationModel:
             anchor = dict(zip(carrier, anchors))
             fibers = {x: [y for y in carrier if anchor[y] == x]
                       for x in self.objects}
-            self._extend(names, 0, {}, fibers, anchor, out)
+            for act in _bijection_tables(
+                    names, lambda name: fibers[self.gens[name][1]],
+                    lambda name: fibers[self.gens[name][0]]):
+                if all(self._relator_trivial(act, r) for r in self.relators):
+                    out.append((dict(anchor), act))
         return out
-
-    def _extend(self, names, i, act, fibers, anchor, out):
-        if i == len(names):
-            if all(self._relator_trivial(act, r) for r in self.relators):
-                out.append((dict(anchor), dict(act)))
-            return
-        name = names[i]
-        dst, src = self.gens[name]
-        for bij in _bijections(fibers[src], fibers[dst]):
-            act.update({(name, y): z for y, z in bij.items()})
-            self._extend(names, i + 1, act, fibers, anchor, out)
-            for y in bij:
-                del act[(name, y)]
 
     @staticmethod
     def _relator_trivial(act, relator):

@@ -220,9 +220,12 @@ class NormalForm:
     def __repr__(self):
         if self.zero:
             return "nf<0>"
-        w1 = "".join(map(str, self.w1.edges)) or "e"
-        w2 = "".join(map(str, self.w2.edges)) or "e"
-        return f"nf<{w1},{self.g},{w2}>"
+
+        def word(w):            # an empty word names its vertex if needed
+            if w.edges:
+                return "".join(map(str, w.edges))
+            return "e" if len(self.data.vertices) == 1 else f"e@{w.rv}"
+        return f"nf<{word(self.w1)},{self.g},{word(self.w2)}>"
 
     def __mul__(self, other):
         return nf_mul(self, other)

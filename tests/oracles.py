@@ -1,7 +1,8 @@
 """Brute-force reference versions of the library's searches.
 
 These are the earlier implementations that the propagating searches in
-``gpdcorr.diagram``, the table comparisons of ``verify_model``, the
+``gpdcorr.diagram``, its products of independent bijections (for
+groupoid actions and presentation actions), the table comparisons of ``verify_model``, the
 Tietze-reduced homomorphism count of ``gpdcorr.cgx``, the factorised
 configuration space of ``gpdcorr.mn``, the unchecked joins of
 ``gpdcorr.selfsim`` and the transversal composition of ``gpdcorr.corr``
@@ -16,7 +17,8 @@ library against them, answer for answer and in the same order.
 from itertools import permutations, product
 
 from gpdcorr.corr import Correspondence
-from gpdcorr.diagram import actions_on, invariant_check, validate_action
+from gpdcorr.diagram import (_bijections, actions_on, invariant_check,
+                             validate_action)
 from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.model import _signature
@@ -65,6 +67,59 @@ def enumerate_actions(d, n):
         for a in actions_on(d, list(range(k))):
             if not any(actions_isomorphic(a, b) for b in out):
                 out.append(a)
+    return out
+
+
+def left_actions(gpd, ys, anchor):
+    """All left actions of a groupoid on a fibred finite set, one arrow
+    at a time, checked for associativity at the leaves."""
+    arrows = [g for g in gpd.arrow_ids() if not gpd.is_unit(g)]
+    base = {(gpd.unit(anchor[y]), y): y for y in ys}
+
+    def extend(i, act):
+        if i == len(arrows):
+            ok = all(
+                act.get((gpd.mul(g, h), y)) == act.get((g, act[(h, y)]))
+                for g in gpd.arrow_ids() for h in gpd.arrow_ids()
+                if gpd.category.composable(g, h)
+                for y in ys if (h, y) in act)
+            if ok:
+                yield dict(act)
+            return
+        g = arrows[i]
+        dom = [y for y in ys if anchor[y] == gpd.src(g)]
+        cod = [y for y in ys if anchor[y] == gpd.dst(g)]
+        for image in _bijections(dom, cod):
+            nxt = dict(act)
+            nxt.update({(g, y): image[y] for y in dom})
+            yield from extend(i + 1, nxt)
+
+    yield from extend(0, base)
+
+
+def presentation_actions_on(model, carrier):
+    """PresentationModel.enumerate_on, one generator at a time."""
+    out = []
+    names = sorted(model.gens)
+
+    def extend(i, act, fibers, anchor):
+        if i == len(names):
+            if all(model._relator_trivial(act, r) for r in model.relators):
+                out.append((dict(anchor), dict(act)))
+            return
+        name = names[i]
+        dst, src = model.gens[name]
+        for bij in _bijections(fibers[src], fibers[dst]):
+            act.update({(name, y): z for y, z in bij.items()})
+            extend(i + 1, act, fibers, anchor)
+            for y in bij:
+                del act[(name, y)]
+
+    for anchors in product(model.objects, repeat=len(carrier)):
+        anchor = dict(zip(carrier, anchors))
+        fibers = {x: [y for y in carrier if anchor[y] == x]
+                  for x in model.objects}
+        extend(0, {}, fibers, anchor)
     return out
 
 

@@ -1,8 +1,8 @@
 import pytest
 
 from corpus import e1
-from gpdcorr.corr import (Correspondence, identity_correspondence,
-                          space_correspondence)
+from gpdcorr.corr import (Correspondence, from_group_hom,
+                          identity_correspondence, space_correspondence)
 from gpdcorr.diagram import (
     FAction, action_from_theta, compose_transformations, discrete_diagram,
     enumerate_actions, equivariant_maps, from_complex, from_generators,
@@ -141,6 +141,26 @@ def test_commutative_diagram_from_generators_valid():
                           for y in one.carrier}}
     d = from_generators(shape, {"a": two, "b": one}, braidings=sigma)
     assert validate_diagram(d) == []
+
+
+def test_commutative_diagram_over_a_group_braids_through_classes():
+    # both letters are Z/2 acting on itself, so a pair over (b, a) is
+    # unbraided through its class over the middle Z/2, not by swapping
+    z2 = Group.cyclic(2)
+    gens = {k: from_group_hom(z2, z2, {g: g for g in z2})
+            for k in ("a", "b")}
+    sigma = {("a", "b"): {(x, y): (y, x) for x in z2 for y in z2}}
+    d = from_generators(PresentedShape.free_commutative(("a", "b")), gens,
+                        braidings=sigma)
+    assert validate_diagram(d) == []
+    a, b = ("*", "*", ("a",)), ("*", "*", ("b",))
+    ab = ("*", "*", ("a", "b"))
+    assert d.mu[(b, a)] == {(("1",), ("1",)): ("1", "1"),
+                            (("1",), ("a",)): ("1", "a"),
+                            (("a",), ("1",)): ("1", "a"),
+                            (("a",), ("a",)): ("1", "1")}
+    assert d.mu[(b, ab)][(("a",), ("1", "a"))] == ("1", "1", "1")
+    assert d.mu[(ab, b)][(("1", "a"), ("a",))] == ("1", "1", "1")
 
 
 def test_swap_action_valid():

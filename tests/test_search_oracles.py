@@ -105,6 +105,19 @@ def test_alpha_tables_match_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_left_actions_match_oracle(name):
+    d, _ = CASES[name]
+    for gpd in d.gr.values():
+        objects = sorted(gpd.objects, key=repr)
+        for k in range(4):
+            ys = list(range(k))
+            for anchors in product(objects, repeat=k):
+                anchor = dict(zip(ys, anchors))
+                assert items(_left_actions(gpd, ys, anchor)) == \
+                    items(oracles.left_actions(gpd, ys, anchor))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_equivariant_maps_match_oracle(name):
     d, n = CASES[name]
     acts = labelled_actions(d, n)
@@ -205,6 +218,19 @@ def verdict(verify, d, model):
         return verify(d, model, 3)
     except Mismatch as e:
         return e.witness
+
+
+@pytest.mark.parametrize("name", ["zpres"] + [
+    "cgx-" + make.__name__ for make in COMPLEXES])
+def test_presentation_actions_match_oracle(name):
+    _, model = MODELS[name]
+    for k in range(4):
+        carrier = list(range(k))
+        assert [(list(anchor.items()), list(act.items()))
+                for anchor, act in model.enumerate_on(carrier)] == \
+            [(list(anchor.items()), list(act.items()))
+             for anchor, act in oracles.presentation_actions_on(model,
+                                                                carrier)]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

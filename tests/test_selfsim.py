@@ -361,7 +361,7 @@ OUTSIDE_DOMAIN = {
     "nf_restrict": ("nf_restrict(nf(g, (), '1', (), rv1='q', rv2='q'), "
                     "g.path(('x',)))",
                     "Undefined: Path(rv='p', edges=('x',)) does not start "
-                    "at the source of nf<e,1,e>"),
+                    "at the source of nf<e@q,1,e@q>"),
     "pair_from_nf": ("pair_from_nf(d, nf(d, (), '1', ('0',)), "
                      "d.ev((), ('1',)))",
                      "Undefined: point outside the domain"),
