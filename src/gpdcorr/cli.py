@@ -18,8 +18,9 @@ from . import mn as mnmod
 from .corr import Correspondence, compose, validate_correspondence
 from .diagram import (FAction, discrete_diagram, from_generators,
                       singleton_thetas, validate_action, validate_diagram)
-from .errors import (BoundExceeded, DepthInsufficient, Mismatch,
-                     NotSupported, ParseError, SchemaError, Undefined)
+from .errors import (BoundExceeded, DepthInsufficient, GpdError,
+                     HexagonViolation, Mismatch, NotSupported, ParseError,
+                     SchemaError, Undefined)
 from .fincat import FinCategory, PresentedShape, validate_category
 from .groupoid import FinGroupoid, Group, germ_groupoid, validate_groupoid
 from .model import (OreUniversal, PresentationModel, model_discrete_shape,
@@ -42,8 +43,14 @@ def _enc(value):
 def _dec(value):
     if isinstance(value, list):
         tag, items = value
-        decoded = [_dec(v) for v in items]
+        decoded = [_dec(v) for v in _array(items)]
         return tuple(decoded) if tag == "t" else decoded
+    return value
+
+
+def _array(value):
+    if not isinstance(value, list):
+        raise SchemaError(f"expected an array, got {value!r}")
     return value
 
 
@@ -53,7 +60,7 @@ def _pairs(mapping):
 
 
 def _unpairs(pairs):
-    return {_dec(k): _dec(v) for k, v in pairs}
+    return {_dec(k): _dec(v) for k, v in _array(pairs)}
 
 
 def category_payload(cat):
@@ -64,7 +71,7 @@ def category_payload(cat):
 
 
 def category_from(payload):
-    return FinCategory([_dec(x) for x in payload["objects"]],
+    return FinCategory([_dec(x) for x in _array(payload["objects"])],
                        _unpairs(payload["arrows"]),
                        _unpairs(payload["compose"]),
                        _unpairs(payload["identities"]))
@@ -91,7 +98,7 @@ def correspondence_payload(c):
 def correspondence_from(payload):
     return Correspondence(
         groupoid_from(payload["left"]), groupoid_from(payload["right"]),
-        [_dec(x) for x in payload["carrier"]],
+        [_dec(x) for x in _array(payload["carrier"])],
         _unpairs(payload["r"]), _unpairs(payload["s"]),
         _unpairs(payload["lact"]), _unpairs(payload["ract"]))
 
@@ -102,7 +109,7 @@ def group_payload(g):
 
 
 def group_from(payload):
-    return Group([_dec(x) for x in payload["elements"]],
+    return Group([_dec(x) for x in _array(payload["elements"])],
                  _unpairs(payload["mul"]), _dec(payload["identity"]))
 
 
@@ -118,8 +125,8 @@ def selfsimilar_payload(data):
 def selfsimilar_from(payload):
     return SelfSimilarData(
         group_from(payload["group"]),
-        [_dec(v) for v in payload["vertices"]],
-        [_dec(e) for e in payload["edges"]],
+        [_dec(v) for v in _array(payload["vertices"])],
+        [_dec(e) for e in _array(payload["edges"])],
         _unpairs(payload["er"]), _unpairs(payload["es"]),
         _unpairs(payload["vact"]), _unpairs(payload["eact"]),
         _unpairs(payload["cocycle"]))
@@ -137,8 +144,8 @@ def complex_payload(c):
 def complex_from(payload):
     return cgxmod.ComplexOfGroups(
         category_from(payload["shape"]),
-        {_dec(x): group_from(g) for x, g in payload["groups"]},
-        {_dec(g): _unpairs(h) for g, h in payload["homs"]},
+        {_dec(x): group_from(g) for x, g in _array(payload["groups"])},
+        {_dec(g): _unpairs(h) for g, h in _array(payload["homs"])},
         _unpairs(payload["twists"]))
 
 
@@ -156,6 +163,9 @@ def diagram_payload(d):
         gens = {g[2][0]: d.X(g) for g in d.gen_arrows()}
     payload["generators"] = [[_enc(a), correspondence_payload(c)]
                              for a, c in sorted(gens.items(), key=repr)]
+    if d.sigma:
+        payload["braidings"] = [[_enc(ab), _pairs(t)]
+                                for ab, t in sorted(d.sigma.items(), key=repr)]
     if d.selfsim is not None:
         payload["selfsimilar"] = selfsimilar_payload(d.selfsim)
     return payload
@@ -163,25 +173,32 @@ def diagram_payload(d):
 
 def diagram_from(payload):
     kind = payload["shape_kind"]
-    bound = payload["bound"]
+    bound = at_least("bound", payload["bound"], 0)
+    objects = [_dec(x) for x in _array(payload["objects"])]
     gens_ep = _unpairs(payload["gens"])
+    groupoids = {_dec(x): groupoid_from(gp)
+                 for x, gp in _array(payload["groupoids"])}
+    gens = {_dec(a): correspondence_from(c)
+            for a, c in _array(payload["generators"])}
     if kind == "free":
         shape = PresentedShape.free_monoid(sorted(gens_ep), bound)
     elif kind == "path":
-        shape = PresentedShape.path_category(
-            [_dec(x) for x in payload["objects"]], gens_ep, bound)
+        shape = PresentedShape.path_category(objects, gens_ep, bound)
     elif kind == "comm":
         shape = PresentedShape.free_commutative(sorted(gens_ep), bound)
     elif kind == "finite" and not gens_ep:
-        groupoids = {_dec(x): groupoid_from(gp)
-                     for x, gp in payload["groupoids"]}
-        return discrete_diagram(groupoids)
+        d = discrete_diagram(groupoids)
+        shape = d.shape
     else:
         raise SchemaError(f"unsupported shape kind {kind!r} in a diagram "
                           "document")
-    gens = {_dec(a): correspondence_from(c)
-            for a, c in payload["generators"]}
-    d = from_generators(shape, gens)
+    if list(shape.objects) != objects:
+        raise SchemaError(f"objects {objects!r} are not the shape's")
+    if kind == "finite":
+        return d
+    braidings = payload.get("braidings", [])
+    d = from_generators(shape, gens, groupoids, braidings={
+        _dec(ab): _unpairs(t) for ab, t in _array(braidings)})
     if "selfsimilar" in payload:
         d.selfsim = selfsimilar_from(payload["selfsimilar"])
     return d
@@ -198,10 +215,11 @@ def action_payload(d, a):
 
 def action_from(payload):
     d = diagram_from(payload["diagram"])
-    return d, FAction(d, [_dec(y) for y in payload["carrier"]],
+    return d, FAction(d, [_dec(y) for y in _array(payload["carrier"])],
                       _unpairs(payload["part"]), _unpairs(payload["anchor"]),
                       _unpairs(payload["gact"]),
-                      {_dec(g): _unpairs(t) for g, t in payload["alph"]})
+                      {_dec(g): _unpairs(t)
+                       for g, t in _array(payload["alph"])})
 
 
 def at_least(name, v, low):
@@ -612,26 +630,30 @@ def build_parser():
 COMMANDS = {"validate": cmd_validate, "compose": cmd_compose,
             "model": cmd_model, "selfsim": cmd_selfsim, "cgx": cmd_cgx,
             "mn": cmd_mn}
+_parser = None                  # built by the first call of main
 
 
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, SchemaError, FileNotFoundError, NotSupported,
-            AssertionError) as exc:
+    except (ParseError, SchemaError, FileNotFoundError, NotSupported) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (BoundExceeded, DepthInsufficient) as exc:
         sys.stderr.write(f"bound exceeded: {exc}\n")
         return 3
-    except Mismatch as exc:
+    except (Mismatch, HexagonViolation) as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return 1
+    except (GpdError, LookupError, TypeError, ValueError) as exc:
+        sys.stderr.write(f"error: malformed input: {exc!r}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ bound-relative.  Shape arrows are triples ``(dst, src, letters)`` where
 
 from collections import namedtuple
 
-from .errors import BoundExceeded, NotSupported
+from .errors import BoundExceeded, NotSupported, ParseError
 
 
 def canonical_classes(items, links, key):
@@ -308,7 +308,8 @@ def ore_check(shape, search_depth=4):
     the other, so a pair of distinct generators with the same range is a
     sound refutation witness.
     """
-    assert search_depth >= 1
+    if search_depth < 1:
+        raise ParseError(f"search depth must be positive, got {search_depth}")
     if shape.kind == GROUP:
         return OreResult(IS_ORE, None, "groups: h_i = g_i^-1 . (common)")
     if shape.kind == COMM or (shape.kind == FREE and len(shape.gens) <= 1):

@@ -8,7 +8,7 @@ of values; germ equality for abstract element calculi is delegated to
 an oracle supplied by the caller.
 """
 
-from .errors import NotEquivariant, OracleIncomplete, ParseError
+from .errors import NotEquivariant, OracleIncomplete, ParseError, Undefined
 from .fincat import FinCategory, canonical_classes, validate_category
 
 
@@ -160,7 +160,8 @@ class GroupoidAction:
     """
 
     def __init__(self, groupoid, carrier, anchor, act, side="right"):
-        assert side in ("left", "right")
+        if side not in ("left", "right"):
+            raise ParseError(f"side must be 'left' or 'right', got {side!r}")
         self.groupoid = groupoid
         self.carrier = tuple(carrier)
         self.anchor = dict(anchor)
@@ -224,7 +225,8 @@ def check_basic(action):
     Returns (flag, witness); the witness is a pair (y, g) with y.g == y
     for a non-unit g when the action is not basic.
     """
-    assert action.side == "right"
+    if action.side != "right":
+        raise ParseError("check_basic needs a right action")
     gp = action.groupoid
     for y in action.carrier:
         for g in gp.arrow_ids():
@@ -250,7 +252,8 @@ class PartialBijection:
 
     def __init__(self, mapping):
         mapping = dict(mapping)
-        assert len(set(mapping.values())) == len(mapping), "not injective"
+        if len(set(mapping.values())) != len(mapping):
+            raise ParseError("partial bijection is not injective")
         self.mapping = mapping
         self._key = frozenset(mapping.items())
 
@@ -350,9 +353,11 @@ class GermGroupoid:
         for f in self.closure:
             germs.update(f.mapping.items())
         self.germs = sorted(germs, key=repr)
+        self._germ_set = germs
 
     def arrow(self, y, z):
-        assert (y, z) in set(self.germs)
+        if (y, z) not in self._germ_set:
+            raise Undefined("no germ from {!r} to {!r}", y, z)
         return (y, z, self.labels.get((y, z), "id" if y == z else "w"))
 
     def arrows(self):
@@ -415,7 +420,8 @@ class TransformationGroupoid:
 
     def arrow(self, t, x):
         """Canonical class representative of (t, x)."""
-        assert self.apply(t, x) is not None, "t not defined at x"
+        if self.apply(t, x) is None:
+            raise Undefined("{!r} is not defined at {!r}", t, x)
         best = min((u for u in self.elements
                     if self.apply(u, x) is not None and self._ask(t, u, x)),
                    key=lambda u: self._index[u])
@@ -439,7 +445,8 @@ class TransformationGroupoid:
 
     def compose(self, a2, a1):
         (u, y), (t, x) = a2, a1
-        assert y == self.apply(t, x), "arrows not composable"
+        if y != self.apply(t, x):
+            raise Undefined("arrows {!r} and {!r} are not composable", a2, a1)
         ut = self.mul(u, t)
         if ut not in self._index:
             raise OracleIncomplete(f"product {u!r}.{t!r} left the universe")

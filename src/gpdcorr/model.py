@@ -15,9 +15,9 @@ a labelled carrier, each as ``(anchor, act)`` with ``act[(label, y)] ==
 z``, and ``to_faction`` translates one into a diagram action on the same
 carrier.  verify_model checks the defining bijection on all labelled
 carriers up to a size bound, and its naturality by comparing the two
-sides' sets of equivariant maps between every two actions (found by the
-propagating search of gpdcorr.diagram) and their orbit partitions on
-every action, which fix the invariant maps.
+sides' equivariant maps between every two actions (found by the search
+of gpdcorr.diagram) and orbit partitions, which fix the invariant maps,
+on one action per isomorphism class when that is exact.
 """
 
 from collections import Counter
@@ -314,6 +314,14 @@ def verify_model(d, model, n):
     Raises Mismatch with a witness on failure; for naturality the
     witness is the first map, in lexicographic order of its values, on
     which the two sides disagree.
+
+    Naturality is checked on the first action of each isomorphism class
+    when every other action's isomorphism onto its representative on
+    the diagram side is one on the model side too.  That is exact: if p
+    and q take u and v onto their representatives, the maps from u to v
+    are q^-1.f.p for the maps f between those, on both sides, and orbits
+    pull back alike, so the full scan's first failure is at
+    representatives.  Else, or if they fail, the full scan runs.
     """
     per_size = {}
     for k in range(n + 1):
@@ -337,8 +345,19 @@ def verify_model(d, model, n):
                 f"action sets differ at size {k}: {len(uas)} model actions "
                 f"vs {len(fas)} diagram actions")
         per_size[k] = tables
-    for k1 in range(n + 1):
-        for k2 in range(n + 1):
+    reps = {k: _representatives(t) for k, t in per_size.items()}
+    if None not in reps.values():
+        try:
+            return _natural(reps)
+        except Mismatch:
+            pass
+    return _natural(per_size)
+
+
+def _natural(per_size):
+    """The naturality loops of verify_model over the tables per size."""
+    for k1 in per_size:
+        for k2 in per_size:
             for u1, f1 in per_size[k1]:
                 for u2, f2 in per_size[k2]:
                     differ = _map_values(u1, u2, k1) ^ _map_values(f1, f2, k1)
@@ -353,6 +372,30 @@ def verify_model(d, model, n):
                 f = _invariance_witness(k1, c1, c2)
                 raise Mismatch(f"invariant maps differ for {f!r} at size {k1}")
     return True
+
+
+def _representatives(tables):
+    """The first action of each isomorphism class of the diagram side;
+    None if the isomorphism found onto it does not carry both tables."""
+    reps = []
+    for u, f in tables:
+        for ru, rf in reps:
+            p = next(_propagated_maps(f, rf, injective=True), None)
+            if p is not None:
+                if not (_carries(p, u, ru) and _carries(p, f, rf)):
+                    return None
+                break
+        else:
+            reps.append((u, f))
+    return reps
+
+
+def _carries(p, t1, t2):
+    """Whether the map p carries the action table t1 onto t2."""
+    (frame1, moves1), (frame2, moves2) = t1, t2
+    return all(frame2[p[y]] == v and moves2[p[y]] == {
+        label: p[z] for label, z in moves1[y].items()}
+        for y, v in frame1.items())
 
 
 def _table(ua):

@@ -2,7 +2,9 @@
 
 These are the earlier implementations that the propagating searches in
 ``gpdcorr.diagram``, its products of independent bijections (for
-groupoid actions and presentation actions), the table comparisons of ``verify_model``, the
+groupoid actions and presentation actions), the table comparisons of
+``verify_model`` and its naturality check on isomorphism-class
+representatives, the
 Tietze-reduced homomorphism count of ``gpdcorr.cgx``, the factorised
 configuration space of ``gpdcorr.mn``, the unchecked joins of
 ``gpdcorr.selfsim`` and the transversal composition of ``gpdcorr.corr``
@@ -21,7 +23,8 @@ from gpdcorr.diagram import (_bijections, actions_on, invariant_check,
                              validate_action)
 from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
-from gpdcorr.model import _signature
+from gpdcorr.model import (_invariance_witness, _map_values, _orbits,
+                           _signature, _table)
 from gpdcorr.selfsim import EvPeriodicWord, Path
 
 
@@ -235,6 +238,50 @@ def verify_model(d, model, n):
                 if _ua_invariant(ua1, f) != invariant_check(fa1, f):
                     raise Mismatch(
                         f"invariant maps differ for {f!r} at size {k1}")
+    return True
+
+
+def verify_model_all_pairs(d, model, n):
+    """verify_model as it was before it checked naturality on
+    isomorphism-class representatives: the same propagated maps and
+    orbit partitions, compared for every pair of labelled actions."""
+    per_size = {}
+    for k in range(n + 1):
+        carrier = list(range(k))
+        fas = list(actions_on(d, carrier))
+        fsigs = {_signature(a) for a in fas}
+        uas = model.enumerate_on(carrier)
+        tables, tsigs = [], set()
+        for ua in uas:
+            fa = model.to_faction(ua)
+            report = validate_action(d, fa)
+            if report:
+                raise Mismatch(
+                    f"translated action invalid at size {k}: {report[0]}")
+            tables.append((_table(ua), fa.table()))
+            tsigs.add(_signature(fa))
+        if len(tsigs) != len(uas):
+            raise Mismatch(f"translation not injective at size {k}")
+        if tsigs != fsigs:
+            raise Mismatch(
+                f"action sets differ at size {k}: {len(uas)} model actions "
+                f"vs {len(fas)} diagram actions")
+        per_size[k] = tables
+    for k1 in range(n + 1):
+        for k2 in range(n + 1):
+            for u1, f1 in per_size[k1]:
+                for u2, f2 in per_size[k2]:
+                    differ = _map_values(u1, u2, k1) ^ _map_values(f1, f2, k1)
+                    if differ:
+                        f = dict(zip(range(k1), min(differ)))
+                        raise Mismatch(
+                            f"naturality fails for {f!r} between sizes "
+                            f"{k1} and {k2}")
+        for u1, f1 in per_size[k1]:
+            c1, c2 = _orbits(u1), _orbits(f1)
+            if c1 != c2:
+                f = _invariance_witness(k1, c1, c2)
+                raise Mismatch(f"invariant maps differ for {f!r} at size {k1}")
     return True
 
 

@@ -14,7 +14,8 @@ from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.selfsim import iterate
 
 from test_cgx import cx_single_arrow
-from test_diagram import point_diagram, swap_correspondence
+from test_diagram import (point_diagram, swap_correspondence,
+                          z2_commutative_diagram)
 
 
 def run_cli(*argv, flags=()):
@@ -28,6 +29,49 @@ def write_doc(tmp_path, name, kind, payload):
     path = tmp_path / name
     path.write_text(cli.dumps(cli.envelope(kind, payload)), encoding="utf-8")
     return str(path)
+
+
+def test_commutative_diagram_document_keeps_its_braidings(tmp_path, capsys):
+    # a two-letter commutative diagram needs its braidings to materialise
+    d = z2_commutative_diagram()
+    payload = cli.diagram_payload(d)
+    assert cli._dec(payload["braidings"][0][0]) == ("a", "b")
+    path = write_doc(tmp_path, "comm.json", "diagram", payload)
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr() == ("OK\n", "")
+    again = cli.value_of(*cli.load(path))
+    assert again.sigma == d.sigma
+    assert cli.diagram_payload(again) == payload
+
+
+def test_diagram_document_without_braidings_has_no_braidings_key():
+    assert "braidings" not in cli.diagram_payload(point_diagram(2))
+
+
+def test_main_builds_one_parser_and_leaks_no_state(tmp_path, capsys):
+    # the parser is built on the first call and reused; each request
+    # still gets the defaults of its own subcommand
+    path = write_doc(tmp_path, "cx.json", "complex_of_groups",
+                     cli.complex_payload(cx_single_arrow()))
+    requests = [["mn", "2", "2", "--depth", "5", "--json"], ["mn", "2", "2"],
+                ["cgx", path, "homs", "-n", "4"], ["cgx", path, "homs"],
+                ["validate", path, "--json"], ["validate", path],
+                ["mn", "2"], ["nonsense"], ["model", path, "--verify", "2"]]
+
+    def answer(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr()
+
+    first = [answer(argv) for argv in requests]
+    built = cli._parser
+    assert built is not None
+    assert [answer(argv) for argv in reversed(requests)] == first[::-1]
+    assert cli._parser is built
+    assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+    # the same answers as a fresh process, usage errors included
+    for i in (1, 3, 6):
+        code, (out, err) = first[i]
+        assert run_cli(*requests[i]) == (code, out, err)
 
 
 def z2_groupoid_doc(tmp_path, broken=False):

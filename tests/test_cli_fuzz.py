@@ -1,0 +1,124 @@
+"""Malformed documents through the CLI, in-process.
+
+Each example takes a valid document and breaks it at one node of its
+JSON tree: it drops the node or puts a value of another JSON type in its
+place.  Whatever the break, ``gpdcorr.cli.main`` returns an exit code of
+the contract and raises nothing.  A break in the envelope, in a key of
+the payload or one level inside it (a dropped key, a wrong type, an
+array where an object belongs) is refused with exit 1, 2 or 3.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from corpus import e1
+from gpdcorr import cli
+from gpdcorr.diagram import discrete_diagram
+from gpdcorr.groupoid import FinGroupoid, Group
+
+from test_cgx import cx_single_arrow
+from test_diagram import (point_diagram, swap_action, swap_diagram,
+                          swap_correspondence, z2_commutative_diagram)
+
+
+def documents():
+    """Valid documents, small enough to check in a few milliseconds."""
+    z3 = FinGroupoid.from_group(Group.cyclic(3))
+    swap = swap_diagram(2)
+    docs = [("groupoid", cli.groupoid_payload(z3)),
+            ("category", cli.category_payload(z3.category)),
+            ("correspondence", cli.correspondence_payload(
+                swap_correspondence())),
+            ("selfsimilar", cli.selfsimilar_payload(e1())),
+            ("complex_of_groups", cli.complex_payload(cx_single_arrow())),
+            ("diagram", cli.diagram_payload(point_diagram(2))),
+            ("diagram", cli.diagram_payload(discrete_diagram({"x": z3}))),
+            ("diagram", cli.diagram_payload(z2_commutative_diagram())),
+            ("mn", {"m": 1, "n": 2}),
+            ("action", cli.action_payload(swap, swap_action(swap)))]
+    return [json.loads(cli.dumps(cli.envelope(kind, payload)))
+            for kind, payload in docs]
+
+
+DOCS = documents()
+# one value of each JSON type; a node is only replaced by another type
+OTHERS = ["x", 7, None, [], {}]
+
+
+def nodes(value, path=()):
+    """The path to every node below the root of a JSON tree."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from nodes(child, path + (key,))
+
+
+def kind_of(value):
+    return type(value) if value is not None else "null"
+
+
+@st.composite
+def broken_documents(draw, depth=None, drop_items=True):
+    """A document broken at one node at most ``depth`` keys deep, with
+    its kind before the break; list items are dropped only with
+    ``drop_items``."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+    kind = doc["kind"]
+    *path, last = draw(st.sampled_from(
+        [p for p in nodes(doc) if depth is None or len(p) <= depth]))
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    old = parent[last]
+    changes = [v for v in OTHERS if kind_of(v) != kind_of(old)]
+    if drop_items or isinstance(parent, dict):
+        changes.append("drop")
+    change = draw(st.sampled_from(changes))
+    if change == "drop":
+        del parent[last]
+    else:
+        parent[last] = change
+    return kind, doc
+
+
+def run(doc, command="validate"):
+    """main on the document: (exit code, standard error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(cli.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, path])
+    return code, err.getvalue()
+
+
+# kinds that `gpdcorr model` reads as well
+MODELLED = {"diagram", "complex_of_groups", "mn"}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(broken_documents())
+def test_broken_document_keeps_the_exit_contract(case):
+    # a break below the first level can leave a valid document, or one
+    # whose fault validate does not look for, so exit 0 is allowed here
+    kind, doc = case
+    for command in ["validate"] + ["model"] * (kind in MODELLED):
+        code, err = run(doc, command)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(broken_documents(depth=3, drop_items=False))
+def test_broken_envelope_is_refused(case):
+    code, err = run(case[1])
+    assert code in (1, 2, 3) and "Traceback" not in err

@@ -143,15 +143,20 @@ def test_commutative_diagram_from_generators_valid():
     assert validate_diagram(d) == []
 
 
-def test_commutative_diagram_over_a_group_braids_through_classes():
-    # both letters are Z/2 acting on itself, so a pair over (b, a) is
-    # unbraided through its class over the middle Z/2, not by swapping
+def z2_commutative_diagram():
+    """Two letters, both Z/2 acting on itself, braided by swapping."""
     z2 = Group.cyclic(2)
     gens = {k: from_group_hom(z2, z2, {g: g for g in z2})
             for k in ("a", "b")}
     sigma = {("a", "b"): {(x, y): (y, x) for x in z2 for y in z2}}
-    d = from_generators(PresentedShape.free_commutative(("a", "b")), gens,
-                        braidings=sigma)
+    return from_generators(PresentedShape.free_commutative(("a", "b")), gens,
+                           braidings=sigma)
+
+
+def test_commutative_diagram_over_a_group_braids_through_classes():
+    # both letters are Z/2 acting on itself, so a pair over (b, a) is
+    # unbraided through its class over the middle Z/2, not by swapping
+    d = z2_commutative_diagram()
     assert validate_diagram(d) == []
     a, b = ("*", "*", ("a",)), ("*", "*", ("b",))
     ab = ("*", "*", ("a", "b"))

@@ -1,3 +1,7 @@
+import inspect
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -243,3 +247,65 @@ def test_canonical_classes_matches_bfs_oracle(graph, rnd):
     assert canonical_classes(items, shuffled, key) == want
     flipped = [(b, a) for a, b in reversed(links)]
     assert canonical_classes(items, flipped, key) == want
+
+
+# each input check that was an assert, with the error it raises now; none
+# of them is reachable from a document, so they are exercised directly
+CHECKS = [
+    ("from gpdcorr.fincat import PresentedShape, ore_check\n"
+     "ore_check(PresentedShape.free_monoid(('t',)), search_depth=0)",
+     "ParseError: search depth must be positive, got 0"),
+    ("GroupoidAction(FinGroupoid.from_group(Group.cyclic(2)), (), {}, {},\n"
+     "               side='up')",
+     "ParseError: side must be 'left' or 'right', got 'up'"),
+    ("check_basic(GroupoidAction(FinGroupoid.from_group(Group.cyclic(2)),\n"
+     "                           (), {}, {}, side='left'))",
+     "ParseError: check_basic needs a right action"),
+    ("PartialBijection({1: 0, 2: 0})",
+     "ParseError: partial bijection is not injective"),
+    ("germ_groupoid({'s': PartialBijection({0: 1})}, (0, 1, 2)).arrow(0, 2)",
+     "Undefined: no germ from 0 to 2"),
+    ("tg = transformation_groupoid(['e'], lambda t, u: t, APPLY,\n"
+     "                             pointwise_oracle(APPLY), (0, 1),\n"
+     "                             lambda x: 'e')\n"
+     "tg.arrow('e', 1)",
+     "Undefined: 'e' is not defined at 1"),
+    ("tg = transformation_groupoid(['e'], lambda t, u: t, APPLY,\n"
+     "                             pointwise_oracle(APPLY), (0, 1),\n"
+     "                             lambda x: 'e')\n"
+     "tg.compose(('e', 1), ('e', 0))",
+     "Undefined: arrows ('e', 1) and ('e', 0) are not composable"),
+]
+PRELUDE = ("from gpdcorr.errors import GpdError\n"
+           "from gpdcorr.groupoid import (\n"
+           "    FinGroupoid, Group, GroupoidAction, PartialBijection,\n"
+           "    check_basic, germ_groupoid, pointwise_oracle,\n"
+           "    transformation_groupoid)\n"
+           "APPLY = lambda t, x: x if x == 0 else None\n")
+
+
+def check_outcome(code):
+    """The error that running one CHECKS entry raises, as text."""
+    scope = {}
+    exec(PRELUDE, scope)
+    try:
+        exec(code, scope)
+    except scope["GpdError"] as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+
+@pytest.mark.parametrize("code, want", CHECKS)
+def test_input_check_raises_a_typed_error(code, want):
+    assert check_outcome(code) == want
+
+
+def test_input_checks_hold_under_O():
+    code = "\n".join([f"PRELUDE = {PRELUDE!r}",
+                      inspect.getsource(check_outcome),
+                      f"for code in {[code for code, _ in CHECKS]!r}:",
+                      "    print(check_outcome(code))"])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == \
+        ("".join(want + "\n" for _, want in CHECKS), "")

@@ -1,7 +1,7 @@
 """Input checks in these modules raise typed errors, never ``assert``.
 
 ``python -O`` strips assert statements, so a check written as one
-silently stops checking.  The modules listed here have none left; this
+silently stops checking.  No module of the package has one left; this
 test keeps it that way.
 """
 
@@ -12,7 +12,8 @@ import pytest
 
 import gpdcorr
 
-CHECKED = ("selfsim.py", "corr.py", "cgx.py", "mn.py")
+CHECKED = sorted(name for name in os.listdir(os.path.dirname(gpdcorr.__file__))
+                 if name.endswith(".py"))
 
 
 @pytest.mark.parametrize("module", CHECKED)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gpdcorr.model
 import oracles
 from corpus import space_correspondences
 from gpdcorr.cgx import (GroupPresentation, count_homs, fundamental_group,
@@ -194,9 +195,30 @@ class Swapped:
         return relabel(a, names, (1, 0, *range(2, len(a.carrier))))
 
 
+class Exchanged:
+    """A model whose translation exchanges those of the i-th and j-th
+    actions on carriers of one size: still a bijection on actions, but
+    not natural."""
+
+    def __init__(self, model, size, i, j):
+        self.model, self.size, self.swap = model, size, {i: j, j: i}
+
+    def enumerate_on(self, carrier):
+        return self.model.enumerate_on(carrier)
+
+    def to_faction(self, ua):
+        if len(ua[0]) == self.size:
+            uas = self.enumerate_on(list(ua[0]))
+            k = uas.index(ua)
+            ua = uas[self.swap.get(k, k)]
+        return self.model.to_faction(ua)
+
+
 def models():
-    """name -> (diagram, model); every model is checked up to size 3."""
+    """name -> (diagram, model); every model is checked up to size 3,
+    and against the all-pairs oracle up to size 4."""
     disc = CASES["disc-z2-z3"][0]
+    disc_z2 = CASES["disc-z2"][0]
     point = point_diagram(2)
     graded = graded_diagram("a")
     out = {"disc-z2-z3": (disc, model_discrete_shape(disc)),
@@ -204,7 +226,16 @@ def models():
            "zpres": (point, zpres(point)),
            "zpres-T2": (point, zpres(point, [(("T", 1), ("T", 1))])),
            "swapped-disc-z2-z3": (disc, Swapped(model_discrete_shape(disc))),
-           "swapped-zpres": (point, Swapped(zpres(point)))}
+           "swapped-zpres": (point, Swapped(zpres(point))),
+           # the trivial and the free Z/2 action on two points: the
+           # exchange commutes with relabelling, so only representatives
+           # are checked, and they fail
+           "exchanged-disc-z2": (disc_z2, Exchanged(
+               model_discrete_shape(disc_z2), 2, 0, 1)),
+           # two actions on three points that are not the first of their
+           # class: every representative passes, the full scan fails
+           "crossed-disc-z2": (disc_z2, Exchanged(
+               model_discrete_shape(disc_z2), 3, 2, 3))}
     for make in COMPLEXES:
         out["cgx-" + make.__name__] = presentation_model(make())
     return out
@@ -213,9 +244,9 @@ def models():
 MODELS = models()
 
 
-def verdict(verify, d, model):
+def verdict(verify, d, model, n=3):
     try:
-        return verify(d, model, 3)
+        return verify(d, model, n)
     except Mismatch as e:
         return e.witness
 
@@ -240,8 +271,40 @@ def test_verify_model_matches_oracle_scan(name):
         verdict(oracles.verify_model, d, model)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_verify_model_matches_all_pairs_oracle(name, n):
+    d, model = MODELS[name]
+    assert verdict(verify_model, d, model, n) == \
+        verdict(oracles.verify_model_all_pairs, d, model, n)
+
+
+@pytest.mark.parametrize("name, scans", [
+    ("disc-z2-z3", ["representatives"]),
+    ("exchanged-disc-z2", ["representatives", "all"]),
+    ("crossed-disc-z2", ["all"]),
+    ("swapped-disc-z2-z3", ["all"]), ("swapped-zpres", ["all"])])
+def test_verify_model_falls_back_to_the_full_scan(monkeypatch, name, scans):
+    # a model whose isomorphisms differ from the diagram's is scanned in
+    # full at once; one whose representatives fail is scanned again
+    d, model = MODELS[name]
+    labelled = {k: len(model.enumerate_on(list(range(k)))) for k in range(4)}
+    natural, seen = gpdcorr.model._natural, []
+
+    def spy(per_size):
+        full = {k: len(tables) for k, tables in per_size.items()} == labelled
+        seen.append("all" if full else "representatives")
+        return natural(per_size)
+
+    monkeypatch.setattr(gpdcorr.model, "_natural", spy)
+    assert verdict(verify_model, d, model) == \
+        verdict(oracles.verify_model_all_pairs, d, model)
+    assert seen == scans
+
+
 @pytest.mark.parametrize("name, sizes", [
-    ("swapped-disc-z2-z3", "1 and 2"), ("swapped-zpres", "1 and 3")])
+    ("swapped-disc-z2-z3", "1 and 2"), ("swapped-zpres", "1 and 3"),
+    ("exchanged-disc-z2", "1 and 2")])
 def test_non_natural_model_is_refused(name, sizes):
     assert verdict(verify_model, *MODELS[name]) == \
         f"naturality fails for {{0: 0}} between sizes {sizes}"
