@@ -13,7 +13,8 @@ so that iterated composites stay comparable and serialisable.
 
 from .errors import NotCoOrbital, ParseError
 from .fincat import canonical_classes
-from .groupoid import FinGroupoid, GroupoidAction, check_basic
+from .groupoid import (FinGroupoid, GroupoidAction, check_basic,
+                       validate_groupoid)
 
 
 class Correspondence:
@@ -107,7 +108,14 @@ def disjoint_union_lift(c):
 
 def validate_correspondence(c):
     """Report violations of the correspondence axioms."""
-    report = []
+    report = [f"{side} groupoid: {line}"
+              for side, gpd in (("left", c.left), ("right", c.right))
+              for line in validate_groupoid(gpd)]
+    named = [("r", x) for x in c.rmap] + [("s", x) for x in c.smap] + [
+        ("lact", z) for (_, x), y in c.lact.items() for z in (x, y)] + [
+        ("ract", z) for (x, _), y in c.ract.items() for z in (x, y)]
+    report += [f"{name} names {x!r}, which is not in the carrier"
+               for name, x in dict.fromkeys(named) if x not in c._index]
     for x in c.carrier:
         if c.rmap[x] not in c.left.objects:
             report.append(f"r({x!r}) is not an object of the left groupoid")

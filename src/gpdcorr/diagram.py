@@ -19,10 +19,11 @@ The action searches run on two engines.  ``_propagated_maps`` finds the
 equivariant maps between two action tables, for ``equivariant_maps``,
 ``actions_isomorphic``, ``verify_model`` and the alpha tables of
 ``_equivariant_bijections`` (injective maps from the balance classes of
-``canonical_classes`` onto a piece).  Independent choices are products:
-``_bijection_tables`` for ``_left_actions`` and ``PresentationModel``,
-and ``_actions_with_frame`` over per-object groupoid actions and
-per-generator alpha tables.
+``canonical_classes`` onto a piece).  ``_backtrack`` picks one bijection
+per non-unit arrow for ``_left_actions`` and per generator for
+``PresentationModel``, in product order, and checks each condition as
+soon as its tables are chosen.  ``_actions_with_frame`` is a product
+over per-object groupoid actions and per-generator alpha tables.
 """
 
 from itertools import product
@@ -722,30 +723,71 @@ def actions_isomorphic(a1, a2):
 
 
 def _left_actions(gpd, ys, anchor):
-    """All left actions of a groupoid on a fibred finite set."""
-    arrows = [g for g in gpd.arrow_ids() if not gpd.is_unit(g)]
-    base = {(gpd.unit(anchor[y]), y): y for y in ys}
+    """All left actions of a groupoid on a fibred finite set, listed as
+    the product of one bijection per non-unit arrow would list them.
 
-    def fibre(obj):
-        return [y for y in ys if anchor[y] == obj]
+    Each composable pair (g, h) is checked at the first depth where g, h
+    and gh all have tables (units have theirs from the start, and a
+    missing gh counts as decided), which cuts only tables that would fail
+    when finished.  An arrow gh that follows the non-unit arrows g and h
+    gets the one table they force, the only candidate that check keeps.
+    """
+    cat, ends = gpd.category, gpd.category.arrows
+    units = set(cat.identities.values())
+    arrows = [g for g in cat.arrow_ids() if g not in units]
+    depth = {g: i + 1 for i, g in enumerate(arrows)}
+    fibre = {x: [y for y in ys if anchor[y] == x] for x in gpd.objects}
+    closing, forcing = [[] for _ in arrows + [0]], {}
+    for g in cat.arrow_ids():
+        for h in cat.arrow_ids():
+            if ends[g][0] != ends[h][1]:
+                continue
+            gh = cat.compose.get((g, h))
+            if h in units and gh == g:      # both sides are act[(g, y)]
+                continue
+            d = max(depth.get(g, 0), depth.get(h, 0), depth.get(gh, 0))
+            closing[d].append((g, h, gh))
+            if d == depth.get(gh) and g != gh != h and g in depth and \
+                    h in depth and (ends[h][0], ends[g][1]) == ends[gh]:
+                forcing.setdefault(gh, (g, h))
+    bijections = {e: list(_bijections(fibre.get(e[0], []),
+                                      fibre.get(e[1], [])))
+                  for e in {ends[g] for g in arrows if g not in forcing}}
 
-    for table in _bijection_tables(arrows, lambda g: fibre(gpd.src(g)),
-                                   lambda g: fibre(gpd.dst(g))):
-        act = {**base, **table}
-        if all(act.get((gpd.mul(g, h), y)) == act.get((g, act[(h, y)]))
-               for g in gpd.arrow_ids() for h in gpd.arrow_ids()
-               if gpd.category.composable(g, h)
-               for y in ys if (h, y) in act):
-            yield act
+    def tables(i, act):
+        g = arrows[i]
+        if g not in forcing:
+            return bijections[ends[g]]
+        a, b = forcing[g]       # a composite of two bijections
+        return [{y: act[(a, act[(b, y)])] for y in fibre.get(ends[g][0], [])}]
+
+    def associative(act, pairs):
+        for g, h, gh in pairs:
+            for y in ys:
+                if (h, y) in act and \
+                        act.get((gh, y)) != act.get((g, act[(h, y)])):
+                    return False
+        return True
+
+    base = {(cat.identities[anchor[y]], y): y for y in ys}
+    return _backtrack(base, arrows, tables, closing, associative)
 
 
-def _bijection_tables(labels, dom, cod):
-    """One bijection dom(label) -> cod(label) per label, in every
-    combination, each as the table {(label, y): z}."""
-    for choice in product(*(list(_bijections(dom(label), cod(label)))
-                            for label in labels)):
-        yield {(label, y): z for label, bij in zip(labels, choice)
-               for y, z in bij.items()}
+def _backtrack(act, labels, tables, closing, holds, i=0):
+    """Extend act by one table {(labels[j], y): z} from ``tables(j, act)``
+    for each j >= i, in product order, and return every finished act; a
+    branch is cut at depth j unless ``holds(act, closing[j])``."""
+    if not holds(act, closing[i]):
+        return []
+    if i == len(labels):
+        return [dict(act)]
+    out = []
+    for image in tables(i, act):
+        act.update(((labels[i], y), z) for y, z in image.items())
+        out += _backtrack(act, labels, tables, closing, holds, i + 1)
+        for y in image:
+            del act[(labels[i], y)]
+    return out
 
 
 def _bijections(dom, cod):

@@ -91,6 +91,12 @@ def validate_category(cat):
     """Check the category axioms and report every violation found."""
     report = []
     arrows = cat.arrow_ids()
+    objects = set(cat.objects)
+    report += [f"{end} {x!r} of {g!r} is not an object" for g in arrows
+               for end, x in zip(("source", "target"), cat.arrows[g])
+               if x not in objects]
+    report += [f"identity key {x!r} is not an object"
+               for x in cat.identities if x not in objects]
     for x in cat.objects:
         if x not in cat.identities:
             report.append(f"object {x!r} has no identity arrow")

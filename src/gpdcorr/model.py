@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import chain, product
 
 from .corr import Correspondence, classify, morita_check
-from .diagram import (FAction, _bijection_tables, _left_actions,
+from .diagram import (FAction, _backtrack, _bijections, _left_actions,
                       _propagated_maps, actions_on, enumerate_actions,
                       equivariant_maps, from_generators, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
@@ -172,15 +172,22 @@ class PresentationModel:
     def enumerate_on(self, carrier):
         out = []
         names = sorted(self.gens)
+        # a relator is checked once every generator it names has a table
+        depth = {name: i + 1 for i, name in enumerate(names)}
+        closing = [[] for _ in names + [0]]
+        for r in self.relators:
+            closing[max([depth.get(s, 0) for s, _ in r] + [0])].append(r)
         for anchors in product(self.objects, repeat=len(carrier)):
             anchor = dict(zip(carrier, anchors))
             fibers = {x: [y for y in carrier if anchor[y] == x]
                       for x in self.objects}
-            for act in _bijection_tables(
-                    names, lambda name: fibers[self.gens[name][1]],
-                    lambda name: fibers[self.gens[name][0]]):
-                if all(self._relator_trivial(act, r) for r in self.relators):
-                    out.append((dict(anchor), act))
+            tables = [list(_bijections(fibers[self.gens[name][1]],
+                                       fibers[self.gens[name][0]]))
+                      for name in names]
+            out.extend((dict(anchor), act) for act in _backtrack(
+                {}, names, lambda i, act: tables[i], closing,
+                lambda act, rs: all(self._relator_trivial(act, r)
+                                    for r in rs)))
         return out
 
     @staticmethod

@@ -1,8 +1,8 @@
 """Brute-force reference versions of the library's searches.
 
 These are the earlier implementations that the propagating searches in
-``gpdcorr.diagram``, its products of independent bijections (for
-groupoid actions and presentation actions), the table comparisons of
+``gpdcorr.diagram``, its backtracking over bijections (for groupoid
+actions and presentation actions), the table comparisons of
 ``verify_model`` and its naturality check on isomorphism-class
 representatives, the
 Tietze-reduced homomorphism count of ``gpdcorr.cgx``, the factorised
@@ -101,7 +101,8 @@ def left_actions(gpd, ys, anchor):
 
 
 def presentation_actions_on(model, carrier):
-    """PresentationModel.enumerate_on, one generator at a time."""
+    """PresentationModel.enumerate_on, one generator at a time, with the
+    relators checked at the leaves."""
     out = []
     names = sorted(model.gens)
 
@@ -661,9 +662,12 @@ class CheckedNF:
     def __repr__(self):
         if self.zero:
             return "nf<0>"
-        w1 = "".join(map(str, self.w1.edges)) or "e"
-        w2 = "".join(map(str, self.w2.edges)) or "e"
-        return f"nf<{w1},{self.g},{w2}>"
+
+        def word(w):            # an empty word names its vertex if needed
+            if w.edges:
+                return "".join(map(str, w.edges))
+            return "e" if len(self.data.vertices) == 1 else f"e@{w.rv}"
+        return f"nf<{word(self.w1)},{self.g},{word(self.w2)}>"
 
 
 def checked_nf(walk, t):

@@ -118,6 +118,44 @@ def test_validate_broken_groupoid(tmp_path):
     assert "'a'" in out
 
 
+def test_validate_category_with_undeclared_objects(tmp_path):
+    payload = cli.category_payload(
+        FinGroupoid.from_group(Group.cyclic(3)).category)
+    payload["objects"] = []
+    code, out, _ = run_cli("validate", write_doc(tmp_path, "c.json",
+                                                 "category", payload))
+    assert code == 1
+    assert "source '*' of 'a2' is not an object" in out
+    assert "identity key '*' is not an object" in out
+
+
+def test_validate_correspondence_with_a_point_missing_from_the_carrier(
+        tmp_path):
+    payload = cli.correspondence_payload(swap_correspondence())
+    payload["carrier"] = [x for x in payload["carrier"]
+                          if cli._dec(x) != ("x", 1)]
+    code, out, _ = run_cli("validate", write_doc(tmp_path, "c.json",
+                                                 "correspondence", payload))
+    assert code == 1
+    for name in ("r", "s", "lact", "ract"):
+        assert f"{name} names ('x', 1), which is not in the carrier" in out
+
+
+def test_validate_correspondence_checks_its_groupoids(tmp_path):
+    # a composite of two arrows that do not compose: the actions never
+    # use it, so only the groupoid check sees it
+    c = swap_correspondence()
+    c.right.category.compose[(("u", 0), ("u", 1))] = ("u", 0)
+    code, out, _ = run_cli("validate", write_doc(
+        tmp_path, "c.json", "correspondence", cli.correspondence_payload(c)))
+    assert code == 1
+    assert out.splitlines() == [
+        "right groupoid: compose(('u', 0),('u', 1)) defined but "
+        "src(g) != dst(h)",
+        "right groupoid: compose(('u', 0),('u', 1)) = ('u', 0) has wrong "
+        "endpoints"]
+
+
 def test_validate_unknown_kind(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": "1", "kind": "nope", "payload": {}}',

@@ -19,7 +19,7 @@ from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
                              discrete_diagram, enumerate_actions,
                              equivariant_maps, from_generators)
 from gpdcorr.errors import Mismatch
-from gpdcorr.fincat import PresentedShape
+from gpdcorr.fincat import FinCategory, PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.mn import make_emn
 from gpdcorr.model import (_invariance_witness, model_discrete_shape,
@@ -110,12 +110,66 @@ def test_left_actions_match_oracle(name):
     d, _ = CASES[name]
     for gpd in d.gr.values():
         objects = sorted(gpd.objects, key=repr)
-        for k in range(4):
+        for k in range(6):
             ys = list(range(k))
             for anchors in product(objects, repeat=k):
                 anchor = dict(zip(ys, anchors))
                 assert items(_left_actions(gpd, ys, anchor)) == \
                     items(oracles.left_actions(gpd, ys, anchor))
+
+
+def renamed(gpd, names):
+    """gpd with every arrow g called names[g]."""
+    cat = gpd.category
+    return FinGroupoid(FinCategory(
+        cat.objects, {names[g]: ends for g, ends in cat.arrows.items()},
+        {(names[g], names[h]): names[gh]
+         for (g, h), gh in cat.compose.items()},
+        {x: names[u] for x, u in cat.identities.items()}),
+        {names[g]: names[gi] for g, gi in gpd.inv.items()})
+
+
+def z4_on_two_points():
+    """Z/4 acting on two objects through Z/2: a connected groupoid whose
+    vertex groups are Z/2."""
+    z4 = Group.cyclic(4)
+    return FinGroupoid.transformation(
+        z4, (0, 1), {(g, v): (v + i) % 2
+                     for i, g in enumerate(z4.elements) for v in (0, 1)})
+
+
+# groupoid -> largest carrier size, so that the oracle walks at most a
+# few hundred tables
+SMALL_GROUPOIDS = [(FinGroupoid.from_group(Group.cyclic(2)), 5),
+                   (FinGroupoid.from_group(Group.cyclic(3)), 4),
+                   (FinGroupoid.from_group(Group.cyclic(4)), 3),
+                   (z4_on_two_points(), 5)]
+
+
+@given(st.data())
+def test_left_actions_match_oracle_on_random_groupoids(data):
+    # renaming the arrows reorders them, and with them the search
+    gpd, n = data.draw(st.sampled_from(SMALL_GROUPOIDS))
+    ids = gpd.arrow_ids()
+    names = dict(zip(ids, data.draw(st.permutations(range(len(ids))))))
+    gpd = renamed(gpd, {g: f"g{i}" for g, i in names.items()})
+    k = data.draw(st.integers(0, n))
+    ys = list(range(k))
+    anchor = dict(zip(ys, data.draw(st.lists(
+        st.sampled_from(sorted(gpd.objects)), min_size=k, max_size=k))))
+    assert items(_left_actions(gpd, ys, anchor)) == \
+        items(oracles.left_actions(gpd, ys, anchor))
+
+
+@pytest.mark.parametrize("order, count", [(5, 1), (4, 16)])
+def test_cyclic_group_actions_on_four_points(order, count):
+    # Z/5 has no orbit of size 2..4, and Z/4 -> S_4 sends the generator
+    # to one of the 16 permutations whose order divides 4
+    gpd = FinGroupoid.from_group(Group.cyclic(order))
+    ys = list(range(4))
+    acts = _left_actions(gpd, ys, {y: "*" for y in ys})
+    assert len(acts) == count
+    assert len({tuple(act.items()) for act in acts}) == count
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -255,7 +309,7 @@ def verdict(verify, d, model, n=3):
     "cgx-" + make.__name__ for make in COMPLEXES])
 def test_presentation_actions_match_oracle(name):
     _, model = MODELS[name]
-    for k in range(4):
+    for k in range(5):
         carrier = list(range(k))
         assert [(list(anchor.items()), list(act.items()))
                 for anchor, act in model.enumerate_on(carrier)] == \
@@ -271,8 +325,15 @@ def test_verify_model_matches_oracle_scan(name):
         verdict(oracles.verify_model, d, model)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("name", sorted(MODELS))
+# at n = 5 the all-pairs scan of disc-z2-z3 and cgx-cx_free_product
+# takes tens of seconds, so they are left out there
+AT_FIVE = ["graded-a", "zpres", "cgx-cx_loop", "crossed-disc-z2",
+           "exchanged-disc-z2", "swapped-disc-z2-z3", "swapped-zpres"]
+
+
+@pytest.mark.parametrize("name, n", [
+    (name, n) for n in (3, 4) for name in sorted(MODELS)] + [
+    (name, 5) for name in AT_FIVE])
 def test_verify_model_matches_all_pairs_oracle(name, n):
     d, model = MODELS[name]
     assert verdict(verify_model, d, model, n) == \
