@@ -612,8 +612,7 @@ def tighten(d, omega):
     rmap, smap = {}, {}
     for (e, g, z) in carrier:
         smap[(e, g, z)] = z
-        moved = data.group_act_ev(g, z)
-        rmap[(e, g, z)] = data.ev_canon((e,) + moved.pre, moved.per)
+        rmap[(e, g, z)] = data.ev_prepend((e,), data.group_act_ev(g, z))
     lact, ract = {}, {}
     for ((h, v), z0) in bo.arrow_ids():
         for (e, g, z) in carrier:
@@ -653,8 +652,7 @@ class RationalTightScan:
                     back = data.group_act_ev(data.group.inv[g], tail)
                     if data.vact[(data.group.inv[g], data.es[e])] != back.rv:
                         continue
-                    moved = data.group_act_ev(g, back)
-                    cand = data.ev_canon((e,) + moved.pre, moved.per)
+                    cand = data.ev_prepend((e,), data.group_act_ev(g, back))
                     if cand == z:
                         # right-orbit normal form: twist g away
                         decompositions.add(e)
@@ -707,13 +705,13 @@ class PairArrow:
 
     def source(self):
         data = self.data
-        moved = data.group_act_ev(self.g2, self.z)
-        return data.ev_canon(self.w2.edges + moved.pre, moved.per)
+        return data.ev_prepend(self.w2.edges,
+                               data.group_act_ev(self.g2, self.z))
 
     def target(self):
         data = self.data
-        moved = data.group_act_ev(self.g1, self.z)
-        return data.ev_canon(self.w1.edges + moved.pre, moved.per)
+        return data.ev_prepend(self.w1.edges,
+                               data.group_act_ev(self.g1, self.z))
 
     def inverse(self):
         return PairArrow(self.data, self.w2, self.g2, self.w1, self.g1,

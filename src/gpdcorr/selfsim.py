@@ -17,8 +17,8 @@ that are not total, and ``path``, ``ev`` and ``nf`` are the checked
 constructors.  Everything else trusts data with ``validate() == []``
 and builds its joins unchecked, as r(g.e) = g.r(e) and
 s(g.e) = g|_e.s(e) make them compose.  It trusts its points as well:
-an eventually periodic point must come from ``ev`` or ``ev_canon``,
-which return it in canonical form.
+an eventually periodic point must come from ``ev``, ``ev_canon`` or
+``ev_prepend``, which return it in canonical form.
 """
 
 from collections import namedtuple
@@ -154,7 +154,13 @@ class SelfSimilarData:
         """pre . per^infinity in canonical form, for a join that composes."""
         k = next(k for k in range(1, len(per) + 1)
                  if len(per) % k == 0 and per == per[:k] * (len(per) // k))
-        per = per[:k]
+        return self._rotated(pre, per[:k])
+
+    def ev_prepend(self, w, z):
+        """w . z for a canonical z that w joins: ev_canon's rotation only."""
+        return self._rotated(w + z.pre, z.per)
+
+    def _rotated(self, pre, per):
         while pre and pre[-1] == per[-1]:
             pre, per = pre[:-1], (per[-1],) + per[:-1]
         return EvPeriodicWord(self.er[(pre or per)[0]], pre, per)
@@ -312,8 +318,7 @@ def act_on_word(t, z):
     if not data.ev_starts_with(z, t.w2):
         raise Undefined("{!r} does not start with {!r}", z, t.w2)
     tail = data.ev_drop(z, len(t.w2.edges))
-    moved = data.group_act_ev(t.g, tail)
-    return data.ev_canon(t.w1.edges + moved.pre, moved.per)
+    return data.ev_prepend(t.w1.edges, data.group_act_ev(t.g, tail))
 
 
 def germ_equal(t1, t2, z):

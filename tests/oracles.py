@@ -4,18 +4,19 @@ These are the earlier implementations that the propagating searches in
 ``gpdcorr.diagram``, its backtracking over bijections (for groupoid
 actions and presentation actions), the table comparisons of
 ``verify_model`` and its naturality check on isomorphism-class
-representatives, the
-Tietze-reduced homomorphism count of ``gpdcorr.cgx``, the factorised
-configuration space of ``gpdcorr.mn``, the unchecked joins of
-``gpdcorr.selfsim`` and the transversal composition of ``gpdcorr.corr``
-replaced.  They walk every candidate and check at the leaves (the
-homomorphism count visits one leaf per homomorphism, the configuration
-enumerator one call per tree node, the self-similar walk re-checks every
-path it joins, the composition joins fibre pairs along every middle
-arrow), so they are slow but obviously right; the tests compare the
-library against them, answer for answer and in the same order.
+representatives, the Tietze-reduced homomorphism count of
+``gpdcorr.cgx``, the factorised configuration space of ``gpdcorr.mn``,
+the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
+of ``gpdcorr.corr`` and the document writer of ``gpdcorr.cli`` replaced.
+They walk every candidate and check at the leaves (the homomorphism
+count visits one leaf per homomorphism, the configuration enumerator one
+call per tree node, the self-similar walk re-checks every path it joins,
+the composition joins fibre pairs along every middle arrow), so they are
+slow but obviously right; the tests compare the library against them,
+answer for answer and in the same order.
 """
 
+import json
 from itertools import permutations, product
 
 from gpdcorr.corr import Correspondence
@@ -431,6 +432,11 @@ def check_basic_bruteforce(action):
             return False
         seen[key] = g
     return True
+
+
+def dumps(doc):
+    """A CLI document's text, as json's own indenting encoder writes it."""
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def compose(c1, c2):

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdcorr import cli
@@ -75,6 +75,46 @@ def test_check_basic_agrees_with_bruteforce():
                                for g in z2 for y in range(4)})]
     for action in actions:
         assert check_basic(action)[0] == check_basic_bruteforce(action)
+
+
+@st.composite
+def cyclic_right_actions(draw):
+    """Z/n (n = 2..4) acting on up to 5 points by a permutation whose
+    cycle lengths divide n; all of length n exactly when the action is
+    free."""
+    n = draw(st.integers(2, 4))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    if draw(st.booleans()):
+        lengths = [n] * draw(st.integers(1, 5 // n))
+    else:
+        lengths = draw(st.lists(st.sampled_from(divisors[:-1]), min_size=1,
+                                max_size=5))
+        lengths += draw(st.lists(st.sampled_from(divisors), max_size=2))
+        while sum(lengths) > 5:
+            lengths.pop()
+    points = draw(st.permutations(range(sum(lengths))))
+    step, start = {}, 0
+    for k in lengths:
+        cycle = points[start:start + k]
+        start += k
+        step.update(zip(cycle, cycle[1:] + cycle[:1]))
+    group = Group.cyclic(n)
+    act = {}
+    for j, g in enumerate(group.elements):
+        for y in points:
+            z = y
+            for _ in range(j):
+                z = step[z]
+            act[(g, y)] = z
+    return GroupoidAction(FinGroupoid.from_group(group), range(sum(lengths)),
+                          {y: "*" for y in points}, act)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_right_actions())
+def test_check_basic_matches_bruteforce_on_random_actions(action):
+    assert action.validate() == []
+    assert check_basic(action)[0] == check_basic_bruteforce(action)
 
 
 def test_orbit_space_free_action_on_four_points():

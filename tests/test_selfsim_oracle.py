@@ -171,3 +171,14 @@ def test_pair_arrows_match_checked_walk(draw, name, k):
         assert arrow.source() == checked.source()
         assert arrow.target() == checked.target()
         assert isinstance(got, PairArrow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), names)
+def test_ev_prepend_matches_ev_canon(draw, name):
+    data = DATAS[name]
+    z = draw.draw(st.sampled_from(points(name)))
+    w = draw.draw(st.sampled_from(
+        [w for w in words(name) if data.ps(w) == z.rv]))
+    assert data.ev_prepend(w.edges, z) == \
+        data.ev_canon(w.edges + z.pre, z.per)
