@@ -13,9 +13,9 @@ Presentation symbols are ("arr", g) for non-unit shape arrows and
 generators are eliminated eagerly.
 """
 
-from itertools import permutations
 from math import factorial
 
+from .diagram import from_complex, presentation_actions
 from .fincat import FinCategory, canonical_classes
 from .groupoid import Group
 
@@ -332,23 +332,22 @@ def count_homs(p, n):
     into the other relators and drops both.  The remaining generators
     fall into components that share no relator, and the count is the
     product of the components' counts; a generator in no relator
-    contributes n!.  Each other component is counted by backtracking
-    over generator images, checking each relator as soon as all of its
-    generators are placed.
+    contributes n!.  Each other component counts the actions of its
+    one-object presentation on n points (``diagram.presentation_actions``),
+    checking each relator once all of its generators have a permutation.
     """
     gens, rels = _tietze_reduce(p.generators, p.relators)
     comp = canonical_classes(
         gens, ((r[0][0], s) for r in rels for (s, _) in r), repr)
-    members, relators = {}, {}
-    for g in gens:
-        members.setdefault(comp[g], []).append(g)
+    relators = {}
     for r in rels:
         relators.setdefault(comp[r[0][0]], []).append(r)
-    perms = list(permutations(range(n)))
     total = 1
-    for rep, component in members.items():
+    for rep in dict.fromkeys(comp[g] for g in gens):
         if rep in relators:
-            total *= _count_component(component, relators[rep], perms, n)
+            total *= sum(1 for _ in presentation_actions(
+                {g: ("*", "*") for g in gens if comp[g] == rep},
+                relators[rep], {"*": list(range(n))}))
         else:
             total *= factorial(n)
         if total == 0:
@@ -389,63 +388,6 @@ def _substitute(word, s, solution):
         else:
             out.extend(solution if power > 0 else _invert(solution))
     return tuple(out)
-
-
-def _count_component(gens, rels, perms, n):
-    """Backtracking over generator images with relator pruning."""
-    gens = _placement_order(gens, rels)
-    index = {g: i for i, g in enumerate(gens)}
-    by_stage = [[] for _ in gens]
-    for r in rels:
-        by_stage[max(index[s] for (s, _) in r)].append(r)
-    identity = tuple(range(n))
-
-    def pinv(perm):
-        out = [0] * n
-        for i in range(n):
-            out[perm[i]] = i
-        return tuple(out)
-
-    inverses = {perm: pinv(perm) for perm in perms}
-
-    def ev(word, images):
-        out = identity
-        for sym, power in reversed(word):
-            perm = images[sym]
-            if power < 0:
-                perm = inverses[perm]
-            out = tuple(perm[i] for i in out)
-        return out
-
-    def backtrack(i, images):
-        if i == len(gens):
-            return 1
-        g = gens[i]
-        total = 0
-        for perm in perms:
-            images[g] = perm
-            if all(ev(r, images) == identity for r in by_stage[i]):
-                total += backtrack(i + 1, images)
-            del images[g]
-        return total
-
-    return backtrack(0, {})
-
-
-def _placement_order(gens, rels):
-    """Order generators so relators complete as early as possible."""
-    remaining = sorted(gens, key=repr)
-    supports = [{s for (s, _) in r} for r in rels]
-    order = []
-    placed = set()
-    while remaining:
-        pick = next((g for g in remaining
-                     if any(sup <= placed | {g} for sup in supports)),
-                    remaining[0])
-        order.append(pick)
-        placed.add(pick)
-        remaining.remove(pick)
-    return order
 
 
 def morphism_check(c1, c2, psis, vs):
@@ -525,7 +467,6 @@ def homotopy_check(c1, c2, m1, m2, ws):
 
 
 def diagram_of_complex(c):
-    from .diagram import from_complex
     return from_complex(c.shape, c.groups, c.homs, c.twists)
 
 

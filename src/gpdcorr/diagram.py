@@ -20,10 +20,11 @@ equivariant maps between two action tables, for ``equivariant_maps``,
 ``actions_isomorphic``, ``verify_model`` and the alpha tables of
 ``_equivariant_bijections`` (injective maps from the balance classes of
 ``canonical_classes`` onto a piece).  ``_backtrack`` picks one bijection
-per non-unit arrow for ``_left_actions`` and per generator for
-``PresentationModel``, in product order, and checks each condition as
-soon as its tables are chosen.  ``_actions_with_frame`` is a product
-over per-object groupoid actions and per-generator alpha tables.
+per label in product order, checking each condition once its tables are
+chosen: per non-unit arrow for ``_left_actions``, and per generator for
+``presentation_actions``, which serves ``PresentationModel`` and
+``cgx.count_homs``.  ``_actions_with_frame`` is a product over
+per-object groupoid actions and per-generator alpha tables.
 """
 
 from itertools import product
@@ -438,14 +439,30 @@ class FAction:
 
 
 def validate_action(d, a):
-    """Check the definition of a diagram action, within the bound."""
+    """Check the definition of a diagram action, within the bound.  A name
+    outside the shape, carrier, groupoids or X(g) ends it before the axioms."""
     report = []
     for y in a.carrier:
         if a.part.get(y) not in d.shape.objects:
             report.append(f"{y!r} not assigned to a shape object")
-            continue
-        if a.anchor.get(y) not in d.gr[a.part[y]].objects:
+        elif a.anchor.get(y) not in d.gr[a.part[y]].objects:
             report.append(f"anchor of {y!r} is not a unit of its groupoid")
+    named = [("part", y) for y in a.part] + [("anchor", y) for y in a.anchor]
+    named += [("gact", w) for (_, y), z in a.gact.items() for w in (y, z)]
+    named += [(f"alpha({g!r})", w) for g, t in a.alph.items()
+              for (_, y), z in t.items() for w in (y, z)]
+    points = set(a.carrier)
+    report += [f"{name} names {y!r}, which is not in the carrier"
+               for name, y in dict.fromkeys(named) if y not in points]
+    report += [f"gact names {gamma!r}, which is not an arrow of its groupoid"
+               for gamma, y in a.gact if a.part.get(y) in d.gr
+               and gamma not in d.gr[a.part[y]].category.arrows]
+    for g in d.gen_arrows():
+        report += [f"alpha({g!r}) names {xi!r}, which is not in X({g!r})"
+                   for xi in dict.fromkeys(xi for xi, _ in a.alph.get(g, {}))
+                   if xi not in d.X(g).carrier]
+    if report:
+        return report
     for x in d.shape.objects:
         gpd = d.gr[x]
         ys = a.piece(x)
@@ -770,24 +787,61 @@ def _left_actions(gpd, ys, anchor):
         return True
 
     base = {(cat.identities[anchor[y]], y): y for y in ys}
-    return _backtrack(base, arrows, tables, closing, associative)
+    return list(_backtrack(base, arrows, tables, closing, associative))
 
 
 def _backtrack(act, labels, tables, closing, holds, i=0):
     """Extend act by one table {(labels[j], y): z} from ``tables(j, act)``
-    for each j >= i, in product order, and return every finished act; a
+    for each j >= i, in product order, and yield every finished act; a
     branch is cut at depth j unless ``holds(act, closing[j])``."""
     if not holds(act, closing[i]):
-        return []
+        return
     if i == len(labels):
-        return [dict(act)]
-    out = []
+        yield dict(act)
+        return
     for image in tables(i, act):
         act.update(((labels[i], y), z) for y, z in image.items())
-        out += _backtrack(act, labels, tables, closing, holds, i + 1)
+        yield from _backtrack(act, labels, tables, closing, holds, i + 1)
         for y in image:
             del act[(labels[i], y)]
-    return out
+
+
+def presentation_actions(gens, relators, fibre):
+    """Every action of a presented groupoid on a fibred finite set.
+
+    ``gens`` maps each name to its (dst, src), ``fibre`` each object to
+    its points, and ``relators`` are words of (name, power) pairs.  Each
+    name, in the order of ``gens``, picks one bijection fibre[src] ->
+    fibre[dst]; a relator is checked once every name in it has one."""
+    names = list(gens)
+    depth = {name: i + 1 for i, name in enumerate(names)}
+    closing = [[] for _ in names + [0]]
+    for r in relators:
+        closing[max([depth.get(s, 0) for s, _ in r] + [0])].append(r)
+    tables = [list(_bijections(fibre[gens[name][1]], fibre[gens[name][0]]))
+              for name in names]
+    return _backtrack({}, names, lambda i, act: tables[i], closing,
+                      lambda act, rs: all(_relator_trivial(act, r)
+                                          for r in rs))
+
+
+def _relator_trivial(act, relator):
+    """Whether the word fixes each point from which its walk is defined."""
+    step = {}
+    for (name, y), z in act.items():
+        step[(name, 1, y)], step[(name, -1, z)] = z, y
+    walk = [(name, 1 if power > 0 else -1) for name, power in
+            reversed(relator) for _ in range(abs(power))]
+    for y in {y for (_, _, y) in step}:
+        z = y
+        for name, sign in walk:
+            z = step.get((name, sign, z))
+            if z is None:
+                break
+        else:
+            if z != y:
+                return False
+    return True
 
 
 def _bijections(dom, cod):

@@ -24,9 +24,9 @@ from collections import Counter
 from itertools import chain, product
 
 from .corr import Correspondence, classify, morita_check
-from .diagram import (FAction, _backtrack, _bijections, _left_actions,
-                      _propagated_maps, actions_on, enumerate_actions,
-                      equivariant_maps, from_generators, validate_action)
+from .diagram import (FAction, _left_actions, _propagated_maps, actions_on,
+                      enumerate_actions, equivariant_maps, from_generators,
+                      presentation_actions, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight, Undefined)
 from .fincat import (FREE, GROUP, IS_ORE, FinCategory, PresentedShape,
@@ -161,7 +161,7 @@ class PresentationModel:
     def __init__(self, d, objects, gens, relators, binding, object_map=None):
         self.d = d
         self.objects = list(objects)
-        self.gens = dict(gens)
+        self.gens = dict(sorted(gens.items()))    # enumerate_on order
         self.relators = [tuple(r) for r in relators]
         self.binding = dict(binding)
         if object_map is None:
@@ -171,44 +171,13 @@ class PresentationModel:
 
     def enumerate_on(self, carrier):
         out = []
-        names = sorted(self.gens)
-        # a relator is checked once every generator it names has a table
-        depth = {name: i + 1 for i, name in enumerate(names)}
-        closing = [[] for _ in names + [0]]
-        for r in self.relators:
-            closing[max([depth.get(s, 0) for s, _ in r] + [0])].append(r)
         for anchors in product(self.objects, repeat=len(carrier)):
             anchor = dict(zip(carrier, anchors))
-            fibers = {x: [y for y in carrier if anchor[y] == x]
-                      for x in self.objects}
-            tables = [list(_bijections(fibers[self.gens[name][1]],
-                                       fibers[self.gens[name][0]]))
-                      for name in names]
-            out.extend((dict(anchor), act) for act in _backtrack(
-                {}, names, lambda i, act: tables[i], closing,
-                lambda act, rs: all(self._relator_trivial(act, r)
-                                    for r in rs)))
+            fibre = {x: [y for y in carrier if anchor[y] == x]
+                     for x in self.objects}
+            out.extend((dict(anchor), act) for act in presentation_actions(
+                self.gens, self.relators, fibre))
         return out
-
-    @staticmethod
-    def _relator_trivial(act, relator):
-        step = {}
-        for (name, y), z in act.items():
-            step[(name, 1, y)] = z
-            step[(name, -1, z)] = y
-        for y in {y for (_, _, y) in step}:
-            z = y
-            for name, power in reversed(relator):
-                sign = 1 if power > 0 else -1
-                for _ in range(abs(power)):
-                    z = step.get((name, sign, z))
-                    if z is None:
-                        break
-                if z is None:
-                    break
-            if z is not None and z != y:
-                return False
-        return True
 
     def to_faction(self, ua):
         anchor, act = ua
@@ -301,14 +270,6 @@ def check_terminal(d, omega, n):
 
 # -- the model-defining bijection --------------------------------------------
 
-def _signature(a):
-    return (tuple(sorted(a.part.items(), key=repr)),
-            tuple(sorted(a.anchor.items(), key=repr)),
-            tuple(sorted(a.gact.items(), key=repr)),
-            tuple(sorted(((g, tuple(sorted(t.items(), key=repr)))
-                          for g, t in a.alph.items()), key=repr)))
-
-
 def verify_model(d, model, n):
     """Check the defining property of a groupoid model up to size n.
 
@@ -334,7 +295,7 @@ def verify_model(d, model, n):
     for k in range(n + 1):
         carrier = list(range(k))
         fas = list(actions_on(d, carrier))
-        fsigs = {_signature(a) for a in fas}
+        fsigs = {_frozen(a.table()) for a in fas}
         uas = model.enumerate_on(carrier)
         tables, tsigs = [], set()
         for ua in uas:
@@ -344,7 +305,7 @@ def verify_model(d, model, n):
                 raise Mismatch(
                     f"translated action invalid at size {k}: {report[0]}")
             tables.append((_table(ua), fa.table()))
-            tsigs.add(_signature(fa))
+            tsigs.add(_frozen(tables[-1][1]))
         if len(tsigs) != len(uas):
             raise Mismatch(f"translation not injective at size {k}")
         if tsigs != fsigs:
@@ -413,6 +374,13 @@ def _table(ua):
     for (label, y), z in act.items():
         moves[y][label] = z
     return anchor, moves
+
+
+def _frozen(table):
+    """An action table as a hashable value, free of its carrier order."""
+    frame, moves = table
+    return frozenset(frame.items()), frozenset(
+        (y, label, z) for y in moves for label, z in moves[y].items())
 
 
 def _map_values(t1, t2, k):

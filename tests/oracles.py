@@ -24,8 +24,7 @@ from gpdcorr.diagram import (_bijections, actions_on, invariant_check,
                              validate_action)
 from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
-from gpdcorr.model import (_invariance_witness, _map_values, _orbits,
-                           _signature, _table)
+from gpdcorr.model import _invariance_witness, _map_values, _orbits, _table
 from gpdcorr.selfsim import EvPeriodicWord, Path
 
 
@@ -109,7 +108,7 @@ def presentation_actions_on(model, carrier):
 
     def extend(i, act, fibers, anchor):
         if i == len(names):
-            if all(model._relator_trivial(act, r) for r in model.relators):
+            if all(_relator_trivial(act, r) for r in model.relators):
                 out.append((dict(anchor), dict(act)))
             return
         name = names[i]
@@ -126,6 +125,26 @@ def presentation_actions_on(model, carrier):
                   for x in model.objects}
         extend(0, {}, fibers, anchor)
     return out
+
+
+def _relator_trivial(act, relator):
+    step = {}
+    for (name, y), z in act.items():
+        step[(name, 1, y)] = z
+        step[(name, -1, z)] = y
+    for y in {y for (_, _, y) in step}:
+        z = y
+        for name, power in reversed(relator):
+            sign = 1 if power > 0 else -1
+            for _ in range(abs(power)):
+                z = step.get((name, sign, z))
+                if z is None:
+                    break
+            if z is None:
+                break
+        if z is not None and z != y:
+            return False
+    return True
 
 
 def equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
@@ -195,6 +214,14 @@ def equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
                 yield from place(i + 1, nxt)
 
     yield from place(0, {})
+
+
+def _signature(a):
+    return (tuple(sorted(a.part.items(), key=repr)),
+            tuple(sorted(a.anchor.items(), key=repr)),
+            tuple(sorted(a.gact.items(), key=repr)),
+            tuple(sorted(((g, tuple(sorted(t.items(), key=repr)))
+                          for g, t in a.alph.items()), key=repr)))
 
 
 def verify_model(d, model, n):

@@ -14,8 +14,8 @@ from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.selfsim import iterate
 
 from test_cgx import cx_single_arrow
-from test_diagram import (point_diagram, swap_correspondence,
-                          z2_commutative_diagram)
+from test_diagram import (point_diagram, swap_action, swap_correspondence,
+                          swap_diagram, z2_commutative_diagram)
 
 
 def run_cli(*argv, flags=()):
@@ -139,6 +139,36 @@ def test_validate_correspondence_with_a_point_missing_from_the_carrier(
     assert code == 1
     for name in ("r", "s", "lact", "ract"):
         assert f"{name} names ('x', 1), which is not in the carrier" in out
+
+
+def _part_outside(payload):
+    payload["part"].append([99, "*"])
+
+
+def _gact_outside(payload):
+    payload["gact"][0][1] = 99
+
+
+def _alph_outside(payload):
+    payload["alph"][0][1].append([cli._enc(("zz", 0)), 1])
+
+
+SWAP_ARROW = ("*", "*", ("t",))
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("mutate, line", [
+    (_part_outside, "part names 99, which is not in the carrier"),
+    (_gact_outside, "gact names 99, which is not in the carrier"),
+    (_alph_outside, f"alpha({SWAP_ARROW!r}) names 'zz', which is not in "
+                    f"X({SWAP_ARROW!r})")],
+    ids=["part", "gact", "alph"])
+def test_validate_action_reports_unknown_names(tmp_path, mutate, line, flags):
+    d = swap_diagram(2)
+    payload = cli.action_payload(d, swap_action(d))
+    mutate(payload)
+    path = write_doc(tmp_path, "act.json", "action", payload)
+    assert run_cli("validate", path, flags=flags) == (1, line + "\n", "")
 
 
 def test_validate_correspondence_checks_its_groupoids(tmp_path):
@@ -504,7 +534,6 @@ def test_cli_outputs_deterministic(tmp_path):
 
 
 def test_action_document_validates(tmp_path):
-    from test_diagram import swap_action, swap_diagram
     d = swap_diagram(2)
     a = swap_action(d)
     path = write_doc(tmp_path, "act.json", "action",

@@ -15,9 +15,10 @@ from corpus import space_correspondences
 from gpdcorr.cgx import (GroupPresentation, count_homs, fundamental_group,
                          isotropy_at_infinity, presentation_model)
 from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
-                             actions_isomorphic, actions_on,
+                             action_from_theta, actions_isomorphic, actions_on,
                              discrete_diagram, enumerate_actions,
-                             equivariant_maps, from_generators)
+                             equivariant_maps, from_generators,
+                             singleton_thetas)
 from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import FinCategory, PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
@@ -54,6 +55,16 @@ def cases():
 
 
 CASES = cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_actions_round_trip_through_their_thetas(name):
+    d = CASES[name][0]
+    for k in range(4):
+        for a in actions_on(d, list(range(k))):
+            back = action_from_theta(d, a.part, a.anchor,
+                                     singleton_thetas(d, a))
+            assert back.table() == a.table()
 
 
 def frames(d, n):
@@ -423,6 +434,16 @@ def pres(gens, *rels):
                ("s", 1, "s", 1, "u", 1, "s", 1)), 4))
 @example((pres("stuv", ("s", 1, "s", 1), ("u", 1, "t", -1, "u", 1)), 3))
 @example((pres("st", ("s", 1, "t", 1, "s", -1, "t", -1)), 4))
+# each relator uses each generator it names twice, so Tietze reduction
+# eliminates none: one component of two generators, and one of three
+@example((pres("st", ("s", 1, "s", 1, "t", 1, "t", 1),
+               ("s", 1, "t", 1, "s", 1, "t", 1)), 4))
+@example((pres("stu", ("s", 1, "s", 1, "t", 1, "t", 1),
+               ("t", 1, "t", 1, "u", -1, "u", -1),
+               ("s", 1, "t", 1, "u", 1, "s", 1, "t", 1, "u", 1)), 4))
+# generator names that do not compare with each other
+@example((pres((1, "a"), (1, 1, "a", 1, 1, 1, "a", 1),
+               (1, 1, 1, 1, "a", 1, "a", 1)), 4))
 def test_count_homs_matches_oracle_on_random_presentations(case):
     p, n = case
     assert count_homs(p, n) == oracles.count_homs(p, n)
