@@ -457,7 +457,10 @@ def validate_action(d, a):
     report += [f"gact names {gamma!r}, which is not an arrow of its groupoid"
                for gamma, y in a.gact if a.part.get(y) in d.gr
                and gamma not in d.gr[a.part[y]].category.arrows]
-    for g in d.gen_arrows():
+    gens = d.gen_arrows()
+    report += [f"alph names {g!r}, which is not a generator arrow"
+               for g in a.alph if g not in gens]
+    for g in gens:
         report += [f"alpha({g!r}) names {xi!r}, which is not in X({g!r})"
                    for xi in dict.fromkeys(xi for xi, _ in a.alph.get(g, {}))
                    if xi not in d.X(g).carrier]
@@ -817,30 +820,34 @@ def presentation_actions(gens, relators, fibre):
     depth = {name: i + 1 for i, name in enumerate(names)}
     closing = [[] for _ in names + [0]]
     for r in relators:
-        closing[max([depth.get(s, 0) for s, _ in r] + [0])].append(r)
+        closing[max([depth.get(s, 0) for s, _ in r] + [0])].append(
+            [(name, 1 if power > 0 else -1) for name, power in reversed(r)
+             for _ in range(abs(power))])
     tables = [list(_bijections(fibre[gens[name][1]], fibre[gens[name][0]]))
               for name in names]
     return _backtrack({}, names, lambda i, act: tables[i], closing,
-                      lambda act, rs: all(_relator_trivial(act, r)
-                                          for r in rs))
+                      _relators_trivial)
 
 
-def _relator_trivial(act, relator):
-    """Whether the word fixes each point from which its walk is defined."""
+def _relators_trivial(act, walks):
+    """Whether each walk, a relator read right to left as (name, sign)
+    steps, fixes each point from which it is defined."""
+    if not walks:
+        return True
     step = {}
     for (name, y), z in act.items():
         step[(name, 1, y)], step[(name, -1, z)] = z, y
-    walk = [(name, 1 if power > 0 else -1) for name, power in
-            reversed(relator) for _ in range(abs(power))]
-    for y in {y for (_, _, y) in step}:
-        z = y
-        for name, sign in walk:
-            z = step.get((name, sign, z))
-            if z is None:
-                break
-        else:
-            if z != y:
-                return False
+    points = {y for (_, _, y) in step}
+    for walk in walks:
+        for y in points:
+            z = y
+            for name, sign in walk:
+                z = step.get((name, sign, z))
+                if z is None:
+                    break
+            else:
+                if z != y:
+                    return False
     return True
 
 

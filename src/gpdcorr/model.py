@@ -709,7 +709,10 @@ class SelfSimPairModel:
 
     Arrow equality aligns the two pairs at a common source, then walks
     the extensions level by level; a repeated pair of residuals at the
-    same phase of the tail certifies inequality by pigeonhole.
+    same phase of the tail certifies inequality by pigeonhole.  Equal
+    arrows have the same normalised source and the same grade, so
+    arrows_over compares a candidate only with the arrows it kept for
+    that (source, grade).
     """
 
     def __init__(self, d, depth=4):
@@ -720,9 +723,9 @@ class SelfSimPairModel:
     def equal(self, p, q):
         data = self.data
         p, q = p.normalised(), q.normalised()
-        if p.source() != q.source() or p.grade() != q.grade():
-            return False
         z0 = p.source()
+        if z0 != q.source() or p.grade() != q.grade():
+            return False
         lp, lq = len(p.w2.edges), len(q.w2.edges)
         top = max(lp, lq)
         p = p.extend(top - lp)
@@ -774,7 +777,7 @@ class SelfSimPairModel:
     def arrows_over(self, points, word_len=2):
         """All distinct arrows with legs of the given length, as reps."""
         data = self.data
-        out = []
+        out, classes = [], {}
         paths = [w for n in range(word_len + 1) for w in data.paths(n)]
         for z in points:
             for w1 in paths:
@@ -787,7 +790,10 @@ class SelfSimPairModel:
                         if not data.ev_starts_with(z, t.w2):
                             continue
                         p = pair_from_nf(data, t, z)
-                        if not any(self.equal(p, q) for q in out):
+                        kept = classes.setdefault(
+                            (p.normalised().source(), p.grade()), [])
+                        if not any(self.equal(p, q) for q in kept):
+                            kept.append(p)
                             out.append(p)
         return out
 

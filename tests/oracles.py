@@ -7,13 +7,15 @@ actions and presentation actions), the table comparisons of
 representatives, the Tietze-reduced homomorphism count of
 ``gpdcorr.cgx``, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
-of ``gpdcorr.corr`` and the document writer of ``gpdcorr.cli`` replaced.
+of ``gpdcorr.corr``, the document writer of ``gpdcorr.cli`` and the
+bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` replaced.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
-the composition joins fibre pairs along every middle arrow), so they are
-slow but obviously right; the tests compare the library against them,
-answer for answer and in the same order.
+the composition joins fibre pairs along every middle arrow, the pair
+arrows are compared with every arrow kept so far), so they are slow but
+obviously right; the tests compare the library against them, answer for
+answer and in the same order.
 """
 
 import json
@@ -24,8 +26,9 @@ from gpdcorr.diagram import (_bijections, actions_on, invariant_check,
                              validate_action)
 from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
-from gpdcorr.model import _invariance_witness, _map_values, _orbits, _table
-from gpdcorr.selfsim import EvPeriodicWord, Path
+from gpdcorr.model import (_invariance_witness, _map_values, _orbits, _table,
+                           pair_from_nf)
+from gpdcorr.selfsim import EvPeriodicWord, Path, nf
 
 
 def equivariant_maps(a1, a2):
@@ -882,3 +885,24 @@ class CheckedPairArrow:
 
     def fields(self):
         return (self.w1, self.g1, self.w2, self.g2, self.z)
+
+
+def arrows_over(model, points, word_len=2):
+    """All distinct arrows with legs of the given length, as reps."""
+    data = model.data
+    out = []
+    paths = [w for n in range(word_len + 1) for w in data.paths(n)]
+    for z in points:
+        for w1 in paths:
+            for g in data.group:
+                for w2 in paths:
+                    if data.ps(w1) != data.vact[(g, data.ps(w2))]:
+                        continue
+                    t = nf(data, w1.edges, g, w2.edges,
+                           rv1=w1.rv, rv2=w2.rv)
+                    if not data.ev_starts_with(z, t.w2):
+                        continue
+                    p = pair_from_nf(data, t, z)
+                    if not any(model.equal(p, q) for q in out):
+                        out.append(p)
+    return out

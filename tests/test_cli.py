@@ -153,6 +153,11 @@ def _alph_outside(payload):
     payload["alph"][0][1].append([cli._enc(("zz", 0)), 1])
 
 
+def _alph_unknown_arrow(payload):
+    payload["alph"].append([cli._enc(("*", "*", ("q",))),
+                            list(payload["alph"][0][1])])
+
+
 SWAP_ARROW = ("*", "*", ("t",))
 
 
@@ -161,8 +166,10 @@ SWAP_ARROW = ("*", "*", ("t",))
     (_part_outside, "part names 99, which is not in the carrier"),
     (_gact_outside, "gact names 99, which is not in the carrier"),
     (_alph_outside, f"alpha({SWAP_ARROW!r}) names 'zz', which is not in "
-                    f"X({SWAP_ARROW!r})")],
-    ids=["part", "gact", "alph"])
+                    f"X({SWAP_ARROW!r})"),
+    (_alph_unknown_arrow, "alph names ('*', '*', ('q',)), which is not a "
+                          "generator arrow")],
+    ids=["part", "gact", "alph", "alph-arrow"])
 def test_validate_action_reports_unknown_names(tmp_path, mutate, line, flags):
     d = swap_diagram(2)
     payload = cli.action_payload(d, swap_action(d))
