@@ -16,7 +16,7 @@ generators are eliminated eagerly.
 from math import factorial
 
 from .diagram import from_complex, presentation_actions
-from .fincat import FinCategory, canonical_classes
+from .fincat import FinCategory, canonical_classes, validate_category
 from .groupoid import Group
 
 
@@ -39,9 +39,12 @@ class ComplexOfGroups:
 
 
 def validate_cgx(c):
-    """Check the homomorphism, normalisation and cocycle conditions."""
-    report = []
+    """Check the shape, then the homomorphism, normalisation and cocycle
+    conditions."""
     cat = c.shape
+    report = [f"shape: {line}" for line in validate_category(cat)]
+    if report:
+        return report, {}
     for g in cat.arrow_ids():
         gr_r, gr_s = c.groups[cat.dst(g)], c.groups[cat.src(g)]
         phi = c.homs[g]

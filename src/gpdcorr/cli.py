@@ -46,6 +46,8 @@ def _enc(value):
 def _dec(value):
     if isinstance(value, list):
         tag, items = value
+        if tag not in ("t", "l"):
+            raise SchemaError(f"expected the tag 't' or 'l', got {tag!r}")
         decoded = [_dec(v) for v in _array(items)]
         return tuple(decoded) if tag == "t" else decoded
     return value
@@ -73,20 +75,22 @@ def category_payload(cat):
             "identities": _pairs(cat.identities)}
 
 
+def _category_fields(payload):
+    return ([_dec(x) for x in _array(payload["objects"])],
+            _unpairs(payload["arrows"]), _unpairs(payload["compose"]),
+            _unpairs(payload["identities"]))
+
+
 def category_from(payload):
-    return FinCategory([_dec(x) for x in _array(payload["objects"])],
-                       _unpairs(payload["arrows"]),
-                       _unpairs(payload["compose"]),
-                       _unpairs(payload["identities"]))
+    return FinCategory(*_category_fields(payload))
 
 
 def groupoid_payload(gpd):
-    return {"category": category_payload(gpd.category),
-            "inv": _pairs(gpd.inv)}
+    return {"category": category_payload(gpd), "inv": _pairs(gpd.inv)}
 
 
 def groupoid_from(payload):
-    return FinGroupoid(category_from(payload["category"]),
+    return FinGroupoid(*_category_fields(payload["category"]),
                        _unpairs(payload["inv"]))
 
 
@@ -400,7 +404,7 @@ def cmd_validate(args):
         report = validate_diagram(mnmod.make_emn(*value))
     elif kind == "action":
         d, a = value
-        report = validate_action(d, a)
+        report = validate_diagram(d) or validate_action(d, a)
     else:
         raise SchemaError(f"validate does not handle kind {kind!r}")
     lines = ["OK"] if not report else report

@@ -62,9 +62,9 @@ def identity_correspondence(gpd):
     """The arrow space of a groupoid acting on itself both ways."""
     arrows = gpd.arrow_ids()
     lact = {(h, x): gpd.mul(h, x) for h in arrows for x in arrows
-            if gpd.category.composable(h, x)}
+            if gpd.composable(h, x)}
     ract = {(x, g): gpd.mul(x, g) for x in arrows for g in arrows
-            if gpd.category.composable(x, g)}
+            if gpd.composable(x, g)}
     return Correspondence(gpd, gpd, arrows,
                           {x: gpd.dst(x) for x in arrows},
                           {x: gpd.src(x) for x in arrows}, lact, ract)
@@ -172,7 +172,7 @@ def compose(c1, c2):
     (an entry is missing or moves the anchor it must keep).
     """
     if c1.right is not c2.left and \
-            c1.right.category.arrows != c2.left.category.arrows:
+            c1.right.arrows != c2.left.arrows:
         raise ParseError("middle groupoids differ")
     t = {}                      # x -> the middle arrow with x == p(x).t[x]
     for (x, g), v in c1.ract.items():

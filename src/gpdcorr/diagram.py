@@ -27,7 +27,7 @@ chosen: per non-unit arrow for ``_left_actions``, and per generator for
 per-object groupoid actions and per-generator alpha tables.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from .corr import (Correspondence, classify, compose, from_group_hom,
                    identity_correspondence, inner_product,
@@ -456,7 +456,7 @@ def validate_action(d, a):
                for name, y in dict.fromkeys(named) if y not in points]
     report += [f"gact names {gamma!r}, which is not an arrow of its groupoid"
                for gamma, y in a.gact if a.part.get(y) in d.gr
-               and gamma not in d.gr[a.part[y]].category.arrows]
+               and gamma not in d.gr[a.part[y]].arrows]
     gens = d.gen_arrows()
     report += [f"alph names {g!r}, which is not a generator arrow"
                for g in a.alph if g not in gens]
@@ -481,7 +481,7 @@ def validate_action(d, a):
                         report.append(f"groupoid action anchor wrong at ({g!r},{y!r})")
         for g in gpd.arrow_ids():
             for h in gpd.arrow_ids():
-                if not gpd.category.composable(g, h):
+                if not gpd.composable(g, h):
                     continue
                 gh = gpd.mul(g, h)
                 for y in ys:
@@ -752,17 +752,17 @@ def _left_actions(gpd, ys, anchor):
     when finished.  An arrow gh that follows the non-unit arrows g and h
     gets the one table they force, the only candidate that check keeps.
     """
-    cat, ends = gpd.category, gpd.category.arrows
-    units = set(cat.identities.values())
-    arrows = [g for g in cat.arrow_ids() if g not in units]
+    ends = gpd.arrows
+    units = set(gpd.identities.values())
+    arrows = [g for g in gpd.arrow_ids() if g not in units]
     depth = {g: i + 1 for i, g in enumerate(arrows)}
     fibre = {x: [y for y in ys if anchor[y] == x] for x in gpd.objects}
     closing, forcing = [[] for _ in arrows + [0]], {}
-    for g in cat.arrow_ids():
-        for h in cat.arrow_ids():
+    for g in gpd.arrow_ids():
+        for h in gpd.arrow_ids():
             if ends[g][0] != ends[h][1]:
                 continue
-            gh = cat.compose.get((g, h))
+            gh = gpd.compose.get((g, h))
             if h in units and gh == g:      # both sides are act[(g, y)]
                 continue
             d = max(depth.get(g, 0), depth.get(h, 0), depth.get(gh, 0))
@@ -789,7 +789,7 @@ def _left_actions(gpd, ys, anchor):
                     return False
         return True
 
-    base = {(cat.identities[anchor[y]], y): y for y in ys}
+    base = {(gpd.identities[anchor[y]], y): y for y in ys}
     return list(_backtrack(base, arrows, tables, closing, associative))
 
 
@@ -852,15 +852,8 @@ def _relators_trivial(act, walks):
 
 
 def _bijections(dom, cod):
-    if len(dom) != len(cod):
-        return
-    if not dom:
-        yield {}
-        return
-    y, rest = dom[0], dom[1:]
-    for z in cod:
-        for tail in _bijections(rest, [c for c in cod if c != z]):
-            yield {y: z, **tail}
+    if len(dom) == len(cod):
+        yield from (dict(zip(dom, image)) for image in permutations(cod))
 
 
 def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):

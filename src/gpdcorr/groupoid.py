@@ -48,70 +48,62 @@ class Group:
         return cls(names, mul)
 
 
-class FinGroupoid:
+class FinGroupoid(FinCategory):
     """A finite groupoid: a finite category with an inverse map."""
 
-    def __init__(self, category, inv):
-        self.category = category
+    def __init__(self, objects, arrows, compose, identities, inv):
+        super().__init__(objects, arrows, compose, identities)
         self.inv = dict(inv)
 
-    @property
-    def objects(self):
-        return self.category.objects
-
-    def arrow_ids(self):
-        return self.category.arrow_ids()
-
-    def src(self, g):
-        return self.category.src(g)
-
-    def dst(self, g):
-        return self.category.dst(g)
-
-    def mul(self, g, h):
-        return self.category.mul(g, h)
-
-    def unit(self, x):
-        return self.category.identity(x)
-
-    def is_unit(self, g):
-        return self.category.is_identity(g)
+    unit = FinCategory.identity
+    is_unit = FinCategory.is_identity
 
     def invert(self, g):
         return self.inv[g]
 
     def __len__(self):
-        return len(self.category.arrows)
+        return len(self.arrows)
 
     @classmethod
     def from_group(cls, group):
-        cat = FinCategory(("*",), {g: ("*", "*") for g in group.elements},
-                          {(a, b): group.op(a, b) for a in group for b in group},
-                          {"*": group.identity})
-        return cls(cat, dict(group.inv))
+        return cls(("*",), {g: ("*", "*") for g in group.elements},
+                   {(a, b): group.op(a, b) for a in group for b in group},
+                   {"*": group.identity}, group.inv)
 
     @classmethod
     def space(cls, points):
-        cat = FinCategory(tuple(points), {("u", x): (x, x) for x in points},
-                          {(("u", x), ("u", x)): ("u", x) for x in points},
-                          {x: ("u", x) for x in points})
-        return cls(cat, {("u", x): ("u", x) for x in points})
+        return cls(tuple(points), {("u", x): (x, x) for x in points},
+                   {(("u", x), ("u", x)): ("u", x) for x in points},
+                   {x: ("u", x) for x in points},
+                   {("u", x): ("u", x) for x in points})
+
+    @classmethod
+    def semidirect(cls, gpd, carrier, anchor, act):
+        """The transformation groupoid of a groupoid action on a finite set.
+
+        Arrows are pairs (gamma, w) from w to gamma.w for anchor-matching
+        points w.
+        """
+        arrows = {}
+        for g in gpd.arrow_ids():
+            for w in carrier:
+                if anchor[w] == gpd.src(g):
+                    arrows[(g, w)] = (w, act[(g, w)])
+        comp = {}
+        for (g2, w2) in arrows:
+            for (g1, w1) in arrows:
+                if w2 == act[(g1, w1)]:
+                    comp[((g2, w2), (g1, w1))] = (gpd.mul(g2, g1), w1)
+        ident = {w: (gpd.unit(anchor[w]), w) for w in carrier}
+        inv = {(g, w): (gpd.invert(g), act[(g, w)]) for (g, w) in arrows}
+        return cls(tuple(carrier), arrows, comp, ident, inv)
 
     @classmethod
     def transformation(cls, group, points, action):
         """The groupoid of a group action: arrows (g, v) from v to g.v."""
         points = tuple(points)
-        arrows = {(g, v): (v, action[(g, v)]) for g in group for v in points}
-        comp = {}
-        for (g2, v2) in arrows:
-            for (g1, v1) in arrows:
-                if v2 == action[(g1, v1)]:
-                    comp[((g2, v2), (g1, v1))] = (group.op(g2, g1), v1)
-        ident = {v: (group.identity, v) for v in points}
-        inv = {(g, v): (group.inv[g], action[(g, v)]) for (g, v) in arrows}
-        gpd = cls(FinCategory(points, arrows, comp, ident), inv)
-        gpd.group, gpd.points, gpd.action = group, points, dict(action)
-        return gpd
+        return cls.semidirect(cls.from_group(group), points,
+                              dict.fromkeys(points, "*"), action)
 
     @classmethod
     def disjoint_union(cls, groupoids, tags=None):
@@ -119,19 +111,19 @@ class FinGroupoid:
         objects, arrows, comp, ident, inv = [], {}, {}, {}, {}
         for tag, g in zip(tags, groupoids):
             objects.extend((tag, x) for x in g.objects)
-            for a, (s, d) in g.category.arrows.items():
+            for a, (s, d) in g.arrows.items():
                 arrows[(tag, a)] = ((tag, s), (tag, d))
-            for (a, b), c in g.category.compose.items():
+            for (a, b), c in g.compose.items():
                 comp[((tag, a), (tag, b))] = (tag, c)
-            for x, i in g.category.identities.items():
+            for x, i in g.identities.items():
                 ident[(tag, x)] = (tag, i)
             for a, b in g.inv.items():
                 inv[(tag, a)] = (tag, b)
-        return cls(FinCategory(objects, arrows, comp, ident), inv)
+        return cls(objects, arrows, comp, ident, inv)
 
 
 def validate_groupoid(gpd):
-    report = validate_category(gpd.category)
+    report = validate_category(gpd)
     for g in gpd.arrow_ids():
         gi = gpd.inv.get(g)
         if gi is None:
@@ -144,7 +136,7 @@ def validate_groupoid(gpd):
         if gpd.mul(gi, g) != gpd.unit(gpd.src(g)):
             report.append(f"inv({g!r}).{g!r} is not the unit at src")
     for g in gpd.inv:
-        if g not in gpd.category.arrows:
+        if g not in gpd.arrows:
             report.append(f"inv names {g!r}, which is not an arrow")
     return report
 
@@ -198,7 +190,7 @@ class GroupoidAction:
                     report.append(f"unit at {x!r} moves {y!r}")
         for g in gp.arrow_ids():
             for h in gp.arrow_ids():
-                gh = gp.mul(g, h) if gp.category.composable(g, h) else None
+                gh = gp.mul(g, h) if gp.composable(g, h) else None
                 if gh is None:
                     continue
                 for y in self.carrier:
@@ -376,8 +368,7 @@ class GermGroupoid:
                         self.arrow(y1, z2)
         ident = {y: self.arrow(y, y) for y in self.carrier}
         inv = {self.arrow(y, z): self.arrow(z, y) for (y, z) in self.germs}
-        return FinGroupoid(
-            FinCategory(self.carrier, arrows, comp, ident), inv)
+        return FinGroupoid(self.carrier, arrows, comp, ident, inv)
 
 
 def germ_groupoid(gens, carrier):

@@ -29,31 +29,10 @@ from .diagram import (FAction, _left_actions, _propagated_maps, actions_on,
                       presentation_actions, validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight, Undefined)
-from .fincat import (FREE, GROUP, IS_ORE, FinCategory, PresentedShape,
-                     canonical_classes, ore_check)
+from .fincat import (FREE, GROUP, IS_ORE, PresentedShape, canonical_classes,
+                     ore_check)
 from .groupoid import FinGroupoid, Group
 from .selfsim import Path, SelfSimilarData, act_on_word, nf
-
-
-def groupoid_semidirect(gpd, carrier, anchor, act):
-    """The transformation groupoid of a groupoid action on a finite set.
-
-    Arrows are pairs (gamma, w) from w to gamma.w for anchor-matching
-    points w.
-    """
-    arrows = {}
-    for g in gpd.arrow_ids():
-        for w in carrier:
-            if anchor[w] == gpd.src(g):
-                arrows[(g, w)] = (w, act[(g, w)])
-    comp = {}
-    for (g2, w2) in arrows:
-        for (g1, w1) in arrows:
-            if w2 == act[(g1, w1)]:
-                comp[((g2, w2), (g1, w1))] = (gpd.mul(g2, g1), w1)
-    ident = {w: (gpd.unit(anchor[w]), w) for w in carrier}
-    inv = {(g, w): (gpd.invert(g), act[(g, w)]) for (g, w) in arrows}
-    return FinGroupoid(FinCategory(tuple(carrier), arrows, comp, ident), inv)
 
 
 # -- models with translators -------------------------------------------------
@@ -116,8 +95,7 @@ class GradedGroupoidModel:
             for b in arrows:
                 if comp.get((a, b)) == ident[r] and comp.get((b, a)) == ident[s]:
                     inv[a] = b
-        self.groupoid = FinGroupoid(
-            FinCategory(base.objects, arrows, comp, ident), inv)
+        self.groupoid = FinGroupoid(base.objects, arrows, comp, ident, inv)
         self.grading = {a: a[0] for a in arrows}
 
     def enumerate_on(self, carrier):
@@ -289,7 +267,7 @@ def verify_model(d, model, n):
     and q take u and v onto their representatives, the maps from u to v
     are q^-1.f.p for the maps f between those, on both sides, and orbits
     pull back alike, so the full scan's first failure is at
-    representatives.  Else, or if they fail, the full scan runs.
+    representatives and is the one reported.  Else the full scan runs.
     """
     per_size = {}
     for k in range(n + 1):
@@ -314,12 +292,7 @@ def verify_model(d, model, n):
                 f"vs {len(fas)} diagram actions")
         per_size[k] = tables
     reps = {k: _representatives(t) for k, t in per_size.items()}
-    if None not in reps.values():
-        try:
-            return _natural(reps)
-        except Mismatch:
-            pass
-    return _natural(per_size)
+    return _natural(per_size if None in reps.values() else reps)
 
 
 def _natural(per_size):
@@ -570,7 +543,7 @@ def tighten(d, omega):
         for z in points:
             if z.rv == v:
                 act[((g, v), z)] = data.group_act_ev(g, z)
-    bo = groupoid_semidirect(base, points, anchor, act)
+    bo = FinGroupoid.semidirect(base, points, anchor, act)
     carrier = []
     for e in sorted(data.edges, key=repr):
         for g in data.group:

@@ -7,8 +7,9 @@ actions and presentation actions), the table comparisons of
 representatives, the Tietze-reduced homomorphism count of
 ``gpdcorr.cgx``, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
-of ``gpdcorr.corr``, the document writer of ``gpdcorr.cli`` and the
-bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` replaced.
+of ``gpdcorr.corr``, the document writer of ``gpdcorr.cli``, the
+bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
+one action-groupoid constructor ``FinGroupoid.semidirect`` replaced.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
@@ -22,10 +23,11 @@ import json
 from itertools import permutations, product
 
 from gpdcorr.corr import Correspondence
-from gpdcorr.diagram import (_bijections, actions_on, invariant_check,
+from gpdcorr.diagram import (actions_on, invariant_check,
                              validate_action)
 from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
 from gpdcorr.fincat import canonical_classes
+from gpdcorr.groupoid import FinGroupoid
 from gpdcorr.model import (_invariance_witness, _map_values, _orbits, _table,
                            pair_from_nf)
 from gpdcorr.selfsim import EvPeriodicWord, Path, nf
@@ -76,6 +78,20 @@ def enumerate_actions(d, n):
     return out
 
 
+def _bijections(dom, cod):
+    """Every bijection dom -> cod as a dict, the image of dom[0] varying
+    slowest."""
+    if len(dom) != len(cod):
+        return
+    if not dom:
+        yield {}
+        return
+    y, rest = dom[0], dom[1:]
+    for z in cod:
+        for tail in _bijections(rest, [c for c in cod if c != z]):
+            yield {y: z, **tail}
+
+
 def left_actions(gpd, ys, anchor):
     """All left actions of a groupoid on a fibred finite set, one arrow
     at a time, checked for associativity at the leaves."""
@@ -87,7 +103,7 @@ def left_actions(gpd, ys, anchor):
             ok = all(
                 act.get((gpd.mul(g, h), y)) == act.get((g, act[(h, y)]))
                 for g in gpd.arrow_ids() for h in gpd.arrow_ids()
-                if gpd.category.composable(g, h)
+                if gpd.composable(g, h)
                 for y in ys if (h, y) in act)
             if ok:
                 yield dict(act)
@@ -473,7 +489,7 @@ def compose(c1, c2):
     """(X x_s,r Y) / G by union-find over every (fibre pair, middle arrow)
     move, each class named by its key-least pair."""
     if c1.right is not c2.left and \
-            c1.right.category.arrows != c2.left.category.arrows:
+            c1.right.arrows != c2.left.arrows:
         raise ParseError("middle groupoids differ")
     mid = c1.right
     fibre = [(x, y) for x in c1.carrier for y in c2.carrier
@@ -906,3 +922,39 @@ def arrows_over(model, points, word_len=2):
                     if not any(model.equal(p, q) for q in out):
                         out.append(p)
     return out
+
+
+def transformation(group, points, action):
+    """The groupoid of a group action, built by hand: arrows (g, v) from
+    v to g.v."""
+    points = tuple(points)
+    arrows = {(g, v): (v, action[(g, v)]) for g in group for v in points}
+    comp = {}
+    for (g2, v2) in arrows:
+        for (g1, v1) in arrows:
+            if v2 == action[(g1, v1)]:
+                comp[((g2, v2), (g1, v1))] = (group.op(g2, g1), v1)
+    ident = {v: (group.identity, v) for v in points}
+    inv = {(g, v): (group.inv[g], action[(g, v)]) for (g, v) in arrows}
+    return FinGroupoid(points, arrows, comp, ident, inv)
+
+
+def groupoid_semidirect(gpd, carrier, anchor, act):
+    """The transformation groupoid of a groupoid action on a finite set.
+
+    Arrows are pairs (gamma, w) from w to gamma.w for anchor-matching
+    points w.
+    """
+    arrows = {}
+    for g in gpd.arrow_ids():
+        for w in carrier:
+            if anchor[w] == gpd.src(g):
+                arrows[(g, w)] = (w, act[(g, w)])
+    comp = {}
+    for (g2, w2) in arrows:
+        for (g1, w1) in arrows:
+            if w2 == act[(g1, w1)]:
+                comp[((g2, w2), (g1, w1))] = (gpd.mul(g2, g1), w1)
+    ident = {w: (gpd.unit(anchor[w]), w) for w in carrier}
+    inv = {(g, w): (gpd.invert(g), act[(g, w)]) for (g, w) in arrows}
+    return FinGroupoid(tuple(carrier), arrows, comp, ident, inv)

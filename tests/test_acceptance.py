@@ -87,10 +87,10 @@ def test_criterion_1_correspondence_algebra():
     triples = 0
     for c1 in corpus:
         for c2 in corpus:
-            if c1.right.category.arrows != c2.left.category.arrows:
+            if c1.right.arrows != c2.left.arrows:
                 continue
             for c3 in corpus:
-                if c2.right.category.arrows != c3.left.category.arrows:
+                if c2.right.arrows != c3.left.arrows:
                     continue
                 if len(c1) * len(c3) > 64:
                     continue

@@ -120,7 +120,7 @@ def test_validate_broken_groupoid(tmp_path):
 
 def test_validate_category_with_undeclared_objects(tmp_path):
     payload = cli.category_payload(
-        FinGroupoid.from_group(Group.cyclic(3)).category)
+        FinGroupoid.from_group(Group.cyclic(3)))
     payload["objects"] = []
     code, out, _ = run_cli("validate", write_doc(tmp_path, "c.json",
                                                  "category", payload))
@@ -178,11 +178,46 @@ def test_validate_action_reports_unknown_names(tmp_path, mutate, line, flags):
     assert run_cli("validate", path, flags=flags) == (1, line + "\n", "")
 
 
+def _tag_not_t():
+    payload = cli.groupoid_payload(FinGroupoid.from_group(Group.cyclic(3)))
+    payload["category"]["arrows"][1][1][0] = 7      # the endpoints of "a"
+    return "groupoid", payload
+
+
+def _action_groupoid_without_an_inverse():
+    d = swap_diagram(2)
+    payload = cli.action_payload(d, swap_action(d))
+    del payload["diagram"]["groupoids"][0][1]["inv"][0]
+    return "action", payload
+
+
+def _complex_shape_without_a_composite():
+    payload = cli.complex_payload(cx_single_arrow())
+    del payload["shape"]["compose"][0]
+    return "complex_of_groups", payload
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("make, want", [
+    (_tag_not_t, (2, "", "error: expected the tag 't' or 'l', got 7\n")),
+    (_action_groupoid_without_an_inverse, (
+        1, "X(('*', '*', ())): left groupoid: arrow ('u', 0) has no inverse\n"
+           "X(('*', '*', ())): right groupoid: arrow ('u', 0) has no "
+           "inverse\n", "")),
+    (_complex_shape_without_a_composite, (
+        1, "shape: missing composite ('g',('i', 'y'))\n", ""))],
+    ids=["tag", "action-diagram", "cgx-shape"])
+def test_validate_sees_a_break_below_the_first_level(tmp_path, make, want,
+                                                     flags):
+    path = write_doc(tmp_path, "doc.json", *make())
+    assert run_cli("validate", path, flags=flags) == want
+
+
 def test_validate_correspondence_checks_its_groupoids(tmp_path):
     # a composite of two arrows that do not compose: the actions never
     # use it, so only the groupoid check sees it
     c = swap_correspondence()
-    c.right.category.compose[(("u", 0), ("u", 1))] = ("u", 0)
+    c.right.compose[(("u", 0), ("u", 1))] = ("u", 0)
     code, out, _ = run_cli("validate", write_doc(
         tmp_path, "c.json", "correspondence", cli.correspondence_payload(c)))
     assert code == 1

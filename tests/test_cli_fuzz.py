@@ -32,7 +32,7 @@ def documents():
     z3 = FinGroupoid.from_group(Group.cyclic(3))
     swap = swap_diagram(2)
     docs = [("groupoid", cli.groupoid_payload(z3)),
-            ("category", cli.category_payload(z3.category)),
+            ("category", cli.category_payload(z3)),
             ("correspondence", cli.correspondence_payload(
                 swap_correspondence())),
             ("selfsimilar", cli.selfsimilar_payload(e1())),

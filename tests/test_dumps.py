@@ -95,8 +95,7 @@ def corpus_documents():
     z3 = Group.cyclic(3)
     swap = swap_diagram(2)
     docs = [("groupoid", cli.groupoid_payload(FinGroupoid.from_group(z3))),
-            ("category", cli.category_payload(
-                FinGroupoid.from_group(z3).category)),
+            ("category", cli.category_payload(FinGroupoid.from_group(z3))),
             ("complex_of_groups", cli.complex_payload(cx_single_arrow())),
             ("diagram", cli.diagram_payload(point_diagram(2))),
             ("diagram", cli.diagram_payload(z2_commutative_diagram())),

@@ -3,10 +3,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpdcorr import cli
+from gpdcorr.diagram import _left_actions
 from gpdcorr.errors import NotEquivariant
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import (
@@ -15,6 +16,7 @@ from gpdcorr.groupoid import (
     pointwise_oracle, pseudogroup_closure, transformation_groupoid,
     validate_groupoid)
 
+import oracles
 from oracles import check_basic_bruteforce
 from test_cli import run_cli, write_doc
 
@@ -38,7 +40,8 @@ def test_groupoid_constructors_valid():
 
 def test_validate_reports_inverse_of_unknown_arrow(tmp_path):
     gpd = FinGroupoid.from_group(Group.cyclic(2))
-    bad = FinGroupoid(gpd.category, {**gpd.inv, "zz": "a"})
+    bad = FinGroupoid(gpd.objects, gpd.arrows, gpd.compose, gpd.identities,
+                      {**gpd.inv, "zz": "a"})
     assert validate_groupoid(bad) == ["inv names 'zz', which is not an arrow"]
     path = write_doc(tmp_path, "g.json", "groupoid", cli.groupoid_payload(bad))
     code, out, err = run_cli("validate", path)
@@ -115,6 +118,51 @@ def cyclic_right_actions(draw):
 def test_check_basic_matches_bruteforce_on_random_actions(action):
     assert action.validate() == []
     assert check_basic(action)[0] == check_basic_bruteforce(action)
+
+
+def fields(gpd):
+    return gpd.objects, gpd.arrows, gpd.compose, gpd.identities, gpd.inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_transformation_matches_the_hand_built_groupoid(n, k, data):
+    group, points = Group.cyclic(n), list(range(k))
+    action = data.draw(st.sampled_from(_left_actions(
+        FinGroupoid.from_group(group), points, dict.fromkeys(points, "*"))))
+    # a generator of points is read once
+    gpd = FinGroupoid.transformation(group, iter(points), action)
+    assert fields(gpd) == fields(oracles.transformation(group, points, action))
+    assert validate_groupoid(gpd) == []
+
+
+ACTED_ON = [
+    FinGroupoid.from_group(Group.cyclic(2)),
+    FinGroupoid.from_group(Group.cyclic(3)),
+    FinGroupoid.space(("p", "q")),
+    FinGroupoid.transformation(     # Z/4 through Z/2 on two objects
+        Group.cyclic(4), (0, 1), {(g, v): (v + i) % 2 for i, g in
+                                  enumerate(Group.cyclic(4)) for v in (0, 1)}),
+    FinGroupoid.disjoint_union([FinGroupoid.from_group(Group.cyclic(2)),
+                                FinGroupoid.space(("p",))])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_semidirect_matches_the_hand_built_groupoid(data):
+    gpd = data.draw(st.sampled_from(ACTED_ON))
+    k = data.draw(st.integers(0, 3))
+    ys = list(range(k))
+    anchor = dict(zip(ys, data.draw(st.lists(
+        st.sampled_from(sorted(gpd.objects, key=repr)), min_size=k,
+        max_size=k))))
+    acts = _left_actions(gpd, ys, anchor)
+    assume(acts)
+    act = data.draw(st.sampled_from(acts))
+    got = FinGroupoid.semidirect(gpd, ys, anchor, act)
+    assert fields(got) == \
+        fields(oracles.groupoid_semidirect(gpd, ys, anchor, act))
+    assert validate_groupoid(got) == []
 
 
 def test_orbit_space_free_action_on_four_points():

@@ -20,7 +20,7 @@ from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
                              equivariant_maps, from_generators,
                              singleton_thetas)
 from gpdcorr.errors import Mismatch
-from gpdcorr.fincat import FinCategory, PresentedShape
+from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.mn import make_emn
 from gpdcorr.model import (_invariance_witness, model_discrete_shape,
@@ -131,12 +131,11 @@ def test_left_actions_match_oracle(name):
 
 def renamed(gpd, names):
     """gpd with every arrow g called names[g]."""
-    cat = gpd.category
-    return FinGroupoid(FinCategory(
-        cat.objects, {names[g]: ends for g, ends in cat.arrows.items()},
+    return FinGroupoid(
+        gpd.objects, {names[g]: ends for g, ends in gpd.arrows.items()},
         {(names[g], names[h]): names[gh]
-         for (g, h), gh in cat.compose.items()},
-        {x: names[u] for x, u in cat.identities.items()}),
+         for (g, h), gh in gpd.compose.items()},
+        {x: names[u] for x, u in gpd.identities.items()},
         {names[g]: names[gi] for g, gi in gpd.inv.items()})
 
 
@@ -353,12 +352,13 @@ def test_verify_model_matches_all_pairs_oracle(name, n):
 
 @pytest.mark.parametrize("name, scans", [
     ("disc-z2-z3", ["representatives"]),
-    ("exchanged-disc-z2", ["representatives", "all"]),
+    ("exchanged-disc-z2", ["representatives"]),
     ("crossed-disc-z2", ["all"]),
     ("swapped-disc-z2-z3", ["all"]), ("swapped-zpres", ["all"])])
 def test_verify_model_falls_back_to_the_full_scan(monkeypatch, name, scans):
     # a model whose isomorphisms differ from the diagram's is scanned in
-    # full at once; one whose representatives fail is scanned again
+    # full; one whose representatives fail is not scanned again, and its
+    # witness is still the full scan's
     d, model = MODELS[name]
     labelled = {k: len(model.enumerate_on(list(range(k)))) for k in range(4)}
     natural, seen = gpdcorr.model._natural, []

@@ -267,7 +267,7 @@ def test_iterate_zero_is_identity_correspondence():
     c = iterate(data, 0)
     assert validate_correspondence(c) == []
     base = c.left
-    iso = {(p, g): (g, data.vact[(base.group.inv[g], p.rv)])
+    iso = {(p, g): (g, data.vact[(data.group.inv[g], p.rv)])
            for (p, g) in c.carrier}
     assert sorted(iso.values()) == sorted(base.arrow_ids())
     for (h, v) in base.arrow_ids():
