@@ -201,6 +201,9 @@ def diagram_from(payload):
                           "document")
     if list(shape.objects) != objects:
         raise SchemaError(f"objects {objects!r} are not the shape's")
+    if gens_ep != {g: (shape.gen_dst[g], shape.gen_src[g])
+                   for g in shape.gens}:
+        raise SchemaError(f"gens {gens_ep!r} are not the shape's")
     if kind == "finite":
         return d
     braidings = payload.get("braidings", [])

@@ -19,6 +19,12 @@ class Group:
         self.elements = tuple(elements)
         self.mul = dict(mul)
         self.identity = identity
+        names = set(self.elements)
+        if identity not in names:
+            raise ParseError(f"not a group: no element {identity!r}")
+        if set(self.mul) != {(a, b) for a in names for b in names} or \
+                not names.issuperset(self.mul.values()):
+            raise ParseError("not a group: mul is not a table on the elements")
         self.inv = {}
         for a in self.elements:
             for b in self.elements:
@@ -193,19 +199,13 @@ class GroupoidAction:
                 gh = gp.mul(g, h) if gp.composable(g, h) else None
                 if gh is None:
                     continue
+                # left: g.(h.y) == (g.h).y; right: (y.g).h == y.(g.h)
+                first, then = (h, g) if self.side == "left" else (g, h)
                 for y in self.carrier:
-                    if self.side == "left":
-                        if (h, y) not in self.act:
-                            continue
-                        lhs = self.act.get((g, self.act[(h, y)]))
-                        rhs = self.act.get((gh, y))
-                    else:
-                        # y.(g.h) == (y.g).h
-                        if (g, y) not in self.act:
-                            continue
-                        lhs = self.act.get((h, self.act[(g, y)]))
-                        rhs = self.act.get((gh, y))
-                    if lhs != rhs:
+                    if (first, y) not in self.act:
+                        continue
+                    if self.act.get((then, self.act[(first, y)])) != \
+                            self.act.get((gh, y)):
                         report.append(
                             f"associativity fails at ({g!r},{h!r},{y!r})")
         return report
@@ -389,9 +389,11 @@ class TransformationGroupoid:
 
     ``elements`` is a finite list of formal elements, ``mul`` their
     product, ``apply(t, x)`` the partial action, and ``oracle(t, u, x)``
-    decides whether there is an idempotent e defined at x with te == ue.
-    The oracle may return None to decline, which raises
-    OracleIncomplete.  ``unit_of(x)`` names an idempotent defined at x.
+    decides whether there is an idempotent e defined at x with te == ue;
+    it must be an equivalence relation on the elements defined at x.
+    Its classes are built lazily, once per point, and a declined query
+    (the oracle returns None) raises OracleIncomplete when they are.
+    ``unit_of(x)`` names an idempotent defined at x.
     """
 
     def __init__(self, elements, mul, apply, oracle, carrier, unit_of):
@@ -402,6 +404,7 @@ class TransformationGroupoid:
         self.oracle = oracle
         self.carrier = tuple(carrier)
         self.unit_of = unit_of
+        self._by_point = {}     # x -> {t defined at x: its class's rep}
 
     def _ask(self, t, u, x):
         ans = self.oracle(t, u, x)
@@ -409,24 +412,34 @@ class TransformationGroupoid:
             raise OracleIncomplete(f"germ query ({t!r},{u!r},{x!r}) declined")
         return ans
 
+    def classes(self, x):
+        """Each element defined at x, mapped to its class's least member."""
+        if x not in self._by_point:
+            cls = {}
+            for t in self.elements:
+                if self.apply(t, x) is not None:
+                    cls[t] = next((u for u in cls if cls[u] is u
+                                   and self._ask(t, u, x)), t)
+            self._by_point[x] = cls
+        return self._by_point[x]
+
     def arrow(self, t, x):
         """Canonical class representative of (t, x)."""
-        if self.apply(t, x) is None:
+        cls = self.classes(x)
+        if t in cls:
+            return (cls[t], x)
+        if t in self._index or self.apply(t, x) is None:
             raise Undefined("{!r} is not defined at {!r}", t, x)
-        best = min((u for u in self.elements
-                    if self.apply(u, x) is not None and self._ask(t, u, x)),
-                   key=lambda u: self._index[u])
-        return (best, x)
+        for u in dict.fromkeys(cls.values()):
+            if self._ask(t, u, x):
+                return (u, x)
+        raise OracleIncomplete(f"the germ of {t!r} at {x!r} is not the germ "
+                               "of an element")
 
     def arrows(self):
-        out = []
-        for t in self.elements:
-            for x in self.carrier:
-                if self.apply(t, x) is not None:
-                    a = self.arrow(t, x)
-                    if a not in out:
-                        out.append(a)
-        return out
+        at = [(x, self.classes(x)) for x in self.carrier]
+        return list(dict.fromkeys((t, x) for t in self.elements
+                                  for x, cls in at if cls.get(t) is t))
 
     def r(self, arrow):
         return self.apply(*arrow)
@@ -445,7 +458,10 @@ class TransformationGroupoid:
 
     def is_unit(self, arrow):
         t, x = arrow
-        return self._ask(t, self.unit_of(x), x)
+        e, cls = self.unit_of(x), self.classes(x)
+        if t in cls and e in cls:
+            return cls[t] == cls[e]
+        return self._ask(t, e, x)
 
 
 def transformation_groupoid(elements, mul, apply, oracle, carrier, unit_of):
@@ -489,20 +505,15 @@ def isg_action_vs_groupoid_action(semigroup, theta_x, carrier_x,
         list(semigroup), lambda a, b: _mul_in(semigroup, theta_x, a, b),
         lambda t, x: theta_x[t](x), oracle, carrier_x, unit_of)
     if action is None:
-        for t in semigroup:
-            for y in carrier_y:
-                dy = theta_y[t](y) is not None
-                dx = theta_x[t](f[y]) is not None
-                if dy != dx:
-                    raise NotEquivariant((t, y))
-                if dy and f[theta_y[t](y)] != theta_x[t](f[y]):
-                    raise NotEquivariant((t, y))
         act = {}
         for t in semigroup:
             for y in carrier_y:
-                if theta_y[t](y) is None:
-                    continue
-                act[(gpd.arrow(t, f[y]), y)] = theta_y[t](y)
+                ty, tx = theta_y[t](y), theta_x[t](f[y])
+                if (ty is None) != (tx is None) or \
+                        ty is not None and f[ty] != tx:
+                    raise NotEquivariant((t, y))
+                if ty is not None:
+                    act[(gpd.arrow(t, f[y]), y)] = ty
         return gpd, act
     theta_y = {t: PartialBijection(
         {y: action[(gpd.arrow(t, f[y]), y)]

@@ -8,15 +8,17 @@ representatives, the Tietze-reduced homomorphism count of
 ``gpdcorr.cgx``, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr``, the document writer of ``gpdcorr.cli``, the
-bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
-one action-groupoid constructor ``FinGroupoid.semidirect`` replaced.
+bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over``, the
+one action-groupoid constructor ``FinGroupoid.semidirect`` and the germ
+classes that ``TransformationGroupoid`` builds once per point replaced.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
 the composition joins fibre pairs along every middle arrow, the pair
-arrows are compared with every arrow kept so far), so they are slow but
-obviously right; the tests compare the library against them, answer for
-answer and in the same order.
+arrows are compared with every arrow kept so far, a germ class is found
+by asking the oracle about every element on every call), so they are
+slow but obviously right; the tests compare the library against them,
+answer for answer and in the same order.
 """
 
 import json
@@ -25,7 +27,8 @@ from itertools import permutations, product
 from gpdcorr.corr import Correspondence
 from gpdcorr.diagram import (actions_on, invariant_check,
                              validate_action)
-from gpdcorr.errors import DepthInsufficient, Mismatch, ParseError, Undefined
+from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
+                            ParseError, Undefined)
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import FinGroupoid
 from gpdcorr.model import (_invariance_witness, _map_values, _orbits, _table,
@@ -958,3 +961,65 @@ def groupoid_semidirect(gpd, carrier, anchor, act):
     ident = {w: (gpd.unit(anchor[w]), w) for w in carrier}
     inv = {(g, w): (gpd.invert(g), act[(g, w)]) for (g, w) in arrows}
     return FinGroupoid(tuple(carrier), arrows, comp, ident, inv)
+
+
+class TransformationGroupoid:
+    """Arrows [t, x] of an element calculus with a germ oracle, per call.
+
+    ``arrow(t, x)`` asks the oracle about t and every element defined at
+    x and names the class by its least-index member; ``arrows`` dedupes
+    the arrows of every (t, x) by a list scan.
+    """
+
+    def __init__(self, elements, mul, apply, oracle, carrier, unit_of):
+        self.elements = list(elements)
+        self._index = {t: i for i, t in enumerate(self.elements)}
+        self.mul = mul
+        self.apply = apply
+        self.oracle = oracle
+        self.carrier = tuple(carrier)
+        self.unit_of = unit_of
+
+    def _ask(self, t, u, x):
+        ans = self.oracle(t, u, x)
+        if ans is None:
+            raise OracleIncomplete(f"germ query ({t!r},{u!r},{x!r}) declined")
+        return ans
+
+    def arrow(self, t, x):
+        """Canonical class representative of (t, x)."""
+        if self.apply(t, x) is None:
+            raise Undefined("{!r} is not defined at {!r}", t, x)
+        best = min((u for u in self.elements
+                    if self.apply(u, x) is not None and self._ask(t, u, x)),
+                   key=lambda u: self._index[u])
+        return (best, x)
+
+    def arrows(self):
+        out = []
+        for t in self.elements:
+            for x in self.carrier:
+                if self.apply(t, x) is not None:
+                    a = self.arrow(t, x)
+                    if a not in out:
+                        out.append(a)
+        return out
+
+    def r(self, arrow):
+        return self.apply(*arrow)
+
+    def s(self, arrow):
+        return arrow[1]
+
+    def compose(self, a2, a1):
+        (u, y), (t, x) = a2, a1
+        if y != self.apply(t, x):
+            raise Undefined("arrows {!r} and {!r} are not composable", a2, a1)
+        ut = self.mul(u, t)
+        if ut not in self._index:
+            raise OracleIncomplete(f"product {u!r}.{t!r} left the universe")
+        return self.arrow(ut, x)
+
+    def is_unit(self, arrow):
+        t, x = arrow
+        return self._ask(t, self.unit_of(x), x)

@@ -213,6 +213,33 @@ def test_validate_sees_a_break_below_the_first_level(tmp_path, make, want,
     assert run_cli("validate", path, flags=flags) == want
 
 
+def _replace_endpoint(endpoints):
+    endpoints[1][1] = "zz"
+
+
+def _drop_endpoint(endpoints):
+    del endpoints[1][0]
+
+
+@pytest.mark.parametrize("change, gens", [
+    (_replace_endpoint, "('*', 'zz')"), (_drop_endpoint, "('*',)")],
+    ids=["replaced", "dropped"])
+@pytest.mark.parametrize("make, others", [
+    (lambda: point_diagram(2), ""),
+    (z2_commutative_diagram, ", 'b': ('*', '*')")], ids=["point", "comm"])
+def test_diagram_gens_must_be_the_shapes(tmp_path, make, others, change,
+                                         gens):
+    # the first generator's (target, source) pair, as diagram_payload
+    # writes it, no longer matches the shape read from the document
+    payload = cli.diagram_payload(make())
+    first = payload["gens"][0]
+    change(first[1])
+    path = write_doc(tmp_path, "d.json", "diagram", payload)
+    want = f"error: gens {{{first[0]!r}: {gens}{others}}} are not the " \
+        "shape's\n"
+    assert run_cli("validate", path) == (2, "", want)
+
+
 def test_validate_correspondence_checks_its_groupoids(tmp_path):
     # a composite of two arrows that do not compose: the actions never
     # use it, so only the groupoid check sees it
@@ -448,6 +475,13 @@ def not_a_group_payload():
     return payload
 
 
+def group_without_identity_payload():
+    """e1 with "1" dropped from its group, though the table still uses it."""
+    payload = cli.selfsimilar_payload(e1())
+    payload["group"]["elements"].remove("1")
+    return payload
+
+
 def on_docs(command, docs, *rest):
     """argv for command on documents written at test time; docs are
     (kind, payload maker) pairs, passed in order before the rest."""
@@ -461,6 +495,8 @@ def on_docs(command, docs, *rest):
 @pytest.mark.parametrize("argv, message", [
     (on_docs("validate", [("selfsimilar", not_a_group_payload)]),
      "not a group: missing inverses"),
+    (on_docs("validate", [("selfsimilar", group_without_identity_payload)]),
+     "not a group: no element '1'"),
     (on_docs("selfsim",
              [("selfsimilar", lambda: cli.selfsimilar_payload(e1()))],
              "germ", "e:1:0", "e:a:e", "1|1"), "z outside a domain"),
@@ -469,7 +505,8 @@ def on_docs(command, docs, *rest):
             space_correspondences()["r00-s00"])),
         ("correspondence", lambda: cli.correspondence_payload(
             iterate(e1(), 1)))]), "middle groupoids differ"),
-], ids=["not-a-group", "germ-outside-domain", "middle-groupoids-differ"])
+], ids=["not-a-group", "group-without-identity", "germ-outside-domain",
+        "middle-groupoids-differ"])
 def test_bad_input_is_a_usage_error_under_O(tmp_path, argv, message):
     argv = argv(tmp_path)
     for flags in ((), ("-O",)):

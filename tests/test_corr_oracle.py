@@ -121,6 +121,46 @@ def test_compose_is_associative_up_to_the_associator(chain):
         right.ract
 
 
+def relabel(c, f, order):
+    """c with each point x renamed f[x], its carrier listed in ``order``."""
+    return Correspondence(
+        c.left, c.right, order, {f[x]: r for x, r in c.rmap.items()},
+        {f[x]: s for x, s in c.smap.items()},
+        {(h, f[x]): f[y] for (h, x), y in c.lact.items()},
+        {(f[x], g): f[y] for (x, g), y in c.ract.items()})
+
+
+def induced(c, c_new, f1, f2):
+    """The map c -> c_new of two composites, from maps of their factors:
+    the class of (x, y) goes to the class of (f1[x], f2[y])."""
+    return {i: c_new.cls[(f1[x], f2[y])] for i, (x, y) in c.pairs.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(hom_chains(), st.data())
+def test_associator_is_natural_in_relabelling(chain, data):
+    fs, relabelled = [], []
+    for c in chain:
+        names = data.draw(st.permutations(range(len(c))))
+        f = {x: ("p", k) for x, k in zip(c.carrier, names)}
+        order = data.draw(st.permutations(sorted(f.values())))
+        fs.append(f)
+        relabelled.append(relabel(c, f, order))
+    f1, f2, f3 = fs
+    left, right, iso = associator(*chain)
+    left2, right2, iso2 = associator(*relabelled)
+    c12, c12_new = compose(*chain[:2]), compose(*relabelled[:2])
+    c23, c23_new = compose(*chain[1:]), compose(*relabelled[1:])
+    f12 = induced(c12, c12_new, f1, f2)
+    f23 = induced(c23, c23_new, f2, f3)
+    on_left = induced(left, left2, f12, f3)
+    on_right = induced(right, right2, f1, f23)
+    assert sorted(on_left.values()) == list(left2.carrier)
+    assert sorted(on_right.values()) == list(right2.carrier)
+    assert {i: iso2[on_left[i]] for i in left.carrier} == \
+        {i: on_right[iso[i]] for i in left.carrier}
+
+
 def test_non_free_right_action_is_refused():
     c = z2_fixed_point()
     with pytest.raises(ParseError, match="not free"):

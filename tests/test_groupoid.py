@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gpdcorr import cli
 from gpdcorr.diagram import _left_actions
-from gpdcorr.errors import NotEquivariant
+from gpdcorr.errors import NotEquivariant, ParseError
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import (
     FinGroupoid, Group, GroupoidAction, PartialBijection, check_basic,
@@ -25,6 +25,36 @@ def right_mult_action(group):
     gpd = FinGroupoid.from_group(group)
     act = {(g, y): group.op(y, g) for g in group for y in group}
     return GroupoidAction(gpd, group.elements, {y: "*" for y in group}, act)
+
+
+Z2 = Group.cyclic(2).mul
+
+
+@pytest.mark.parametrize("elements, mul, message", [
+    (("a",), {("a", "a"): "a"}, "no element '1'"),
+    (("1", "a"), {k: v for k, v in Z2.items() if k != ("a", "a")},
+     "mul is not a table on the elements"),
+    (("1", "a"), {**Z2, ("a", "a"): "b"},
+     "mul is not a table on the elements"),
+    (("1",), Z2, "mul is not a table on the elements")],
+    ids=["identity", "missing-product", "product-outside", "extra-product"])
+def test_group_refuses_a_table_off_its_elements(elements, mul, message):
+    with pytest.raises(ParseError, match=f"^not a group: {message}$"):
+        Group(elements, mul)
+
+
+@pytest.mark.parametrize("side, pair", [("left", "('a2','a',1)"),
+                                        ("right", "('a','a2',1)")])
+def test_validate_reports_associativity_on_each_side(side, pair):
+    # a takes 1 to 0 and a2 is missing at 1: a left action fails at
+    # a2.(a.1), a right one at (1.a).a2
+    gpd = FinGroupoid.from_group(Group.cyclic(3))
+    act = {("1", 0): 0, ("1", 1): 1, ("a", 0): 0, ("a", 1): 0, ("a2", 0): 0}
+    action = GroupoidAction(gpd, (0, 1), {0: "*", 1: "*"}, act, side=side)
+    assert action.validate() == [
+        "domain of action wrong at ('a2',1)",
+        "associativity fails at ('a','a',1)",
+        f"associativity fails at {pair}"]
 
 
 def test_groupoid_constructors_valid():
@@ -363,6 +393,29 @@ CHECKS = [
      "                             lambda x: 'e')\n"
      "tg.compose(('e', 1), ('e', 0))",
      "Undefined: arrows ('e', 1) and ('e', 0) are not composable"),
+    ("tg = transformation_groupoid(['e', 'f'], lambda t, u: t, APPLY,\n"
+     "                             lambda t, u, x: None, (0,),\n"
+     "                             lambda x: 'e')\n"
+     "tg.arrow('e', 0)",
+     "OracleIncomplete: germ query ('f','e',0) declined"),
+    ("tg = transformation_groupoid(['e'], lambda t, u: 'f', APPLY,\n"
+     "                             pointwise_oracle(APPLY), (0,),\n"
+     "                             lambda x: 'e')\n"
+     "tg.compose(('e', 0), ('e', 0))",
+     "OracleIncomplete: product 'e'.'e' left the universe"),
+    # an element outside the universe, defined at 0, whose germ there is
+    # the germ of an element, and one whose germ is no element's
+    ("tg = transformation_groupoid(['e'], lambda t, u: t, APPLY,\n"
+     "                             pointwise_oracle(APPLY), (0,),\n"
+     "                             lambda x: 'e')\n"
+     "if tg.arrow('f', 0) != ('e', 0):\n"
+     "    raise GpdError(repr(tg.arrow('f', 0)))",
+     "no error"),
+    ("tg = transformation_groupoid(['e'], lambda t, u: t, APPLY,\n"
+     "                             lambda t, u, x: t == u, (0,),\n"
+     "                             lambda x: 'e')\n"
+     "tg.arrow('f', 0)",
+     "OracleIncomplete: the germ of 'f' at 0 is not the germ of an element"),
 ]
 PRELUDE = ("from gpdcorr.errors import GpdError\n"
            "from gpdcorr.groupoid import (\n"
