@@ -204,6 +204,9 @@ def diagram_from(payload):
     if gens_ep != {g: (shape.gen_dst[g], shape.gen_src[g])
                    for g in shape.gens}:
         raise SchemaError(f"gens {gens_ep!r} are not the shape's")
+    if set(groupoids) != set(objects):
+        raise SchemaError(f"groupoids on {list(groupoids)!r} are not on the "
+                          "shape's objects")
     if kind == "finite":
         return d
     braidings = payload.get("braidings", [])

@@ -25,9 +25,12 @@ chosen: per non-unit arrow for ``_left_actions``, and per generator for
 ``presentation_actions``, which serves ``PresentationModel`` and
 ``cgx.count_homs``.  ``_actions_with_frame`` is a product over
 per-object groupoid actions and per-generator alpha tables.
+``enumerate_actions`` searches only frames with nondecreasing (part,
+anchor) ranks and dedupes within the buckets of a relabelling invariant.
 """
 
-from itertools import permutations, product
+from itertools import (chain, combinations_with_replacement, groupby,
+                       permutations, product)
 
 from .corr import (Correspondence, classify, compose, from_group_hom,
                    identity_correspondence, inner_product,
@@ -736,10 +739,8 @@ def invariant_check(a, f):
 
 
 def actions_isomorphic(a1, a2):
-    if len(a1.carrier) != len(a2.carrier):
-        return False
-    return next(_propagated_maps(a1.table(), a2.table(), injective=True),
-                None) is not None
+    return len(a1.carrier) == len(a2.carrier) and next(_propagated_maps(
+        a1.table(), a2.table(), injective=True), None) is not None
 
 
 def _left_actions(gpd, ys, anchor):
@@ -893,25 +894,61 @@ def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
 
 def enumerate_actions(d, n):
     """All actions of the diagram on carriers of size <= n, one per
-    isomorphism class."""
-    out = []
+    isomorphism class: the first of each class in ``actions_on`` order.
+
+    A relabelling carries a class onto every permutation of its frame, and
+    the first of those in that order is the one whose (part, anchor) ranks
+    never decrease along the carrier, so only such frames are searched.  A
+    table is compared exactly only with the kept tables of its _iso_key.
+    """
+    out, kept, ids = [], {}, {}
     for k in range(n + 1):
-        for a in actions_on(d, list(range(k))):
-            if not any(actions_isomorphic(a, b) for b in out):
+        for a in actions_on(d, list(range(k)), ordered=True):
+            t = a.table()
+            bucket = kept.setdefault(_iso_key(t, ids), [])
+            if all(next(_propagated_maps(t, u, injective=True), None) is None
+                   for u in bucket):
+                bucket.append(t)
                 out.append(a)
     return out
 
 
-def actions_on(d, carrier):
-    """Every action on the labelled carrier, over every part and anchor."""
-    objects = list(d.shape.objects)
-    for parts in product(objects, repeat=len(carrier)):
-        part = dict(zip(carrier, parts))
-        anchor_choices = [sorted(d.gr[part[y]].objects, key=repr)
-                          for y in carrier]
-        for anchors in product(*anchor_choices):
-            anchor = dict(zip(carrier, anchors))
-            yield from _actions_with_frame(d, carrier, part, anchor)
+def _iso_key(table, ids):
+    """A relabelling invariant of an action table: for each root, the
+    frames and (label, index) moves of its forward closure, the points
+    indexed in the order the moves reach them; sorted.  ``ids`` numbers
+    the frames and labels, and the tables compared must share it."""
+    frame, moves = table
+    steps = {y: sorted((ids.setdefault(label, len(ids)), z)
+                       for label, z in moves[y].items()) for y in frame}
+    sigs = []
+    for root in frame:
+        index, order = {root: 0}, [root]
+        for y in order:         # grows as the moves reach new points
+            for _, z in steps[y]:
+                if z not in index:
+                    index[z] = len(order)
+                    order.append(z)
+        sigs.append(tuple((ids.setdefault(frame[y], len(ids)),
+                           tuple((label, index[z]) for label, z in steps[y]))
+                          for y in order))
+    return tuple(sorted(sigs))
+
+
+def actions_on(d, carrier, ordered=False):
+    """Every action on the labelled carrier, over every part and anchor,
+    in lexicographic order of the parts (ranked as in ``d.shape.objects``)
+    and then of the anchors (ranked by repr).  With ``ordered``, only the
+    frames whose (part, anchor) ranks never decrease along the carrier."""
+    choose = combinations_with_replacement if ordered else \
+        (lambda xs, k: product(xs, repeat=k))
+    for parts in choose(list(d.shape.objects), len(carrier)):
+        blocks = [choose(sorted(d.gr[x].objects, key=repr), len(list(ys)))
+                  for x, ys in groupby(parts)]
+        for anchors in product(*blocks):
+            yield from _actions_with_frame(
+                d, carrier, dict(zip(carrier, parts)),
+                dict(zip(carrier, chain.from_iterable(anchors))))
 
 
 def _actions_with_frame(d, carrier, part, anchor):

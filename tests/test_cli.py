@@ -240,6 +240,33 @@ def test_diagram_gens_must_be_the_shapes(tmp_path, make, others, change,
     assert run_cli("validate", path) == (2, "", want)
 
 
+def _rename_groupoid(groupoids):
+    groupoids[0][0] = "zz"
+
+
+def _drop_groupoids(groupoids):
+    groupoids.clear()
+
+
+def _add_groupoid(groupoids):
+    groupoids.append(["zz", groupoids[0][1]])
+
+
+@pytest.mark.parametrize("change, keys", [
+    (_rename_groupoid, ["zz"]), (_drop_groupoids, []),
+    (_add_groupoid, ["*", "zz"])], ids=["renamed", "empty", "added"])
+def test_diagram_groupoids_must_be_on_the_shapes_objects(tmp_path, change,
+                                                         keys):
+    # each of these documents used to validate: a groupoid that is not
+    # on a shape object was ignored, and a missing one was taken from
+    # the generators
+    payload = cli.diagram_payload(point_diagram(2))
+    change(payload["groupoids"])
+    path = write_doc(tmp_path, "d.json", "diagram", payload)
+    want = f"error: groupoids on {keys!r} are not on the shape's objects\n"
+    assert run_cli("validate", path) == (2, "", want)
+
+
 def test_validate_correspondence_checks_its_groupoids(tmp_path):
     # a composite of two arrows that do not compose: the actions never
     # use it, so only the groupoid check sees it

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gpdcorr.diagram
 import gpdcorr.model
 import oracles
 from corpus import space_correspondences
 from gpdcorr.cgx import (GroupPresentation, count_homs, fundamental_group,
                          isotropy_at_infinity, presentation_model)
-from gpdcorr.diagram import (FAction, _equivariant_bijections, _left_actions,
+from gpdcorr.corr import space_correspondence
+from gpdcorr.diagram import (FAction, _equivariant_bijections, _iso_key,
+                             _left_actions, _propagated_maps,
                              action_from_theta, actions_isomorphic, actions_on,
                              discrete_diagram, enumerate_actions,
                              equivariant_maps, from_generators,
@@ -27,6 +30,7 @@ from gpdcorr.model import (_invariance_witness, model_discrete_shape,
                            model_group_shape, verify_model)
 
 from test_cgx import CORPUS as COMPLEXES
+from test_corr_oracle import cyclic_hom_corr, hom_exponents
 from test_diagram import broken_graph_diagram, point_diagram, swap_diagram
 from test_model import graded_diagram, zpres
 
@@ -193,10 +197,60 @@ def test_equivariant_maps_match_oracle(name):
             oracles.actions_isomorphic(a1, a2)
 
 
-def test_enumerate_actions_matches_oracle_dedupe():
-    d = swap_diagram()
-    got = enumerate_actions(d, 5)
-    want = oracles.enumerate_actions(d, 5)
+def edge_diagram():
+    """The tight one-edge path diagram: two shape objects, each with a
+    groupoid on two objects."""
+    shape = PresentedShape.path_category(("L", "R"), {"e": ("L", "R")},
+                                         length_bound=2)
+    edge = space_correspondence(("a", "b"), ("m", "w"), {0: "a", 1: "b"},
+                                {0: "m", 1: "w"}, carrier=(0, 1))
+    return from_generators(shape, {"e": edge})
+
+
+def enumerated():
+    """name -> (diagram, largest carrier size) for the dedupe checks."""
+    out = dict(CASES)
+    out.update({
+        # product order and the order of the ranks disagree here: the
+        # frame (x, b), (x, b) comes before (x, a), (y, *)
+        "disc-ab-z2": (discrete_diagram(
+            {"x": FinGroupoid.space(("a", "b")),
+             "y": FinGroupoid.from_group(Group.cyclic(2))}), 3),
+        "edge": (edge_diagram(), 4),
+        "emn-2-3": (make_emn(2, 3), 4),
+        "graded-1": (graded_diagram("1"), 4),
+        "graded-a": (graded_diagram("a"), 4),
+        "point": (point_diagram(2), 4),
+        "swap": (swap_diagram(), 5)})
+    for order in (3, 4):
+        for j in hom_exponents(order, order):
+            out[f"endo-z{order}-a^{j}"] = (
+                one_generator(cyclic_hom_corr(order, order, j)), 3)
+    return out
+
+
+ENUMERATED = enumerated()
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
+def test_enumerate_actions_matches_oracle_dedupe(name):
+    # the same labelled representatives as the pairwise dedupe over
+    # every frame, in the same order
+    d, n = ENUMERATED[name]
+    got = enumerate_actions(d, n)
+    want = oracles.enumerate_actions(d, n)
+    assert [as_data(a) for a in got] == [as_data(a) for a in want]
+
+
+@pytest.mark.parametrize("name", ["disc-ab-z2", "edge", "graded-a", "swap"])
+def test_enumerate_actions_in_one_bucket_matches_oracle(monkeypatch, name):
+    # the key only narrows the exact search: with every table of a size
+    # in one bucket, that search alone tells the classes apart
+    monkeypatch.setattr(gpdcorr.diagram, "_iso_key",
+                        lambda table, ids: len(table[0]))
+    d, n = ENUMERATED[name]
+    got = enumerate_actions(d, n)
+    want = oracles.enumerate_actions(d, n)
     assert [as_data(a) for a in got] == [as_data(a) for a in want]
 
 
@@ -225,19 +279,41 @@ def pools():
 POOLS = pools()
 
 
+def draw_relabelled(data, a):
+    """a with its points renamed and reordered as hypothesis draws."""
+    k = len(a.carrier)
+    names = dict(zip(a.carrier, (f"p{i}" for i in
+                                 data.draw(st.permutations(range(k))))))
+    return relabel(a, names, data.draw(st.permutations(range(k))))
+
+
 @given(st.data())
 def test_relabelled_action_is_isomorphic(data):
     acts = POOLS[data.draw(st.sampled_from(sorted(POOLS)))]
     a = data.draw(st.sampled_from(acts))
-    k = len(a.carrier)
-    names = dict(zip(a.carrier, (f"p{i}" for i in
-                                 data.draw(st.permutations(range(k))))))
-    r = relabel(a, names, data.draw(st.permutations(range(k))))
+    r = draw_relabelled(data, a)
     assert actions_isomorphic(a, r) and actions_isomorphic(r, a)
     others = [b for b in acts if not oracles.actions_isomorphic(a, b)]
     b = data.draw(st.sampled_from(others))
     assert actions_isomorphic(r, b) == oracles.actions_isomorphic(r, b)
     assert not actions_isomorphic(r, b)
+
+
+@given(st.data())
+def test_iso_key_is_invariant_and_the_bucket_search_is_exact(data):
+    acts = POOLS[data.draw(st.sampled_from(sorted(POOLS)))]
+    a, b = data.draw(st.sampled_from(acts)), data.draw(st.sampled_from(acts))
+    r = draw_relabelled(data, a)
+    ids = {}
+    key = _iso_key(r.table(), ids)
+    assert key == _iso_key(a.table(), ids)
+    # enumerate_actions keeps b apart from r exactly when they are not
+    # isomorphic: their keys differ, or the exact search in their
+    # bucket finds no isomorphism
+    same = key == _iso_key(b.table(), ids) and next(
+        _propagated_maps(r.table(), b.table(), injective=True),
+        None) is not None
+    assert same == oracles.actions_isomorphic(r, b)
 
 
 class Swapped:
