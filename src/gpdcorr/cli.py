@@ -165,9 +165,7 @@ def diagram_payload(d):
                "bound": d.bound,
                "groupoids": [[_enc(x), groupoid_payload(gp)]
                              for x, gp in sorted(d.gr.items(), key=repr)]}
-    gens = getattr(d, "gen_data", None)
-    if gens is None:
-        gens = {g[2][0]: d.X(g) for g in d.gen_arrows()}
+    gens = d.gen_data or {g[2][0]: d.X(g) for g in d.gen_arrows()}
     payload["generators"] = [[_enc(a), correspondence_payload(c)]
                              for a, c in sorted(gens.items(), key=repr)]
     if d.sigma:

@@ -29,13 +29,14 @@ per-object groupoid actions and per-generator alpha tables.
 anchor) ranks and dedupes within the buckets of a relabelling invariant.
 """
 
+from collections import Counter
 from itertools import (chain, combinations_with_replacement, groupby,
                        permutations, product)
 
 from .corr import (Correspondence, classify, compose, from_group_hom,
                    identity_correspondence, inner_product,
                    validate_correspondence)
-from .errors import ConditionFailed, HexagonViolation
+from .errors import ConditionFailed, HexagonViolation, ParseError
 from .fincat import COMM, PresentedShape, canonical_classes
 from .groupoid import FinGroupoid, PartialBijection
 
@@ -50,6 +51,7 @@ class Diagram:
         self.bound = bound if bound is not None else shape.length_bound
         self.sigma = sigma
         self.selfsim = None
+        self.gen_data = None    # generator id -> X(g), from from_generators
 
     def arrows(self, bound=None):
         return self.shape.arrows(self.bound if bound is None else bound)
@@ -209,6 +211,7 @@ def _check_hexagons(shape, gens, sigma):
     gs = sorted(shape.gens)
     for i, a in enumerate(gs):
         for b in gs[i + 1:]:
+            _check_braiding(gens[a], gens[b], sigma[(a, b)], (a, b))
             for (xa, xb), (yb, ya) in sigma[(a, b)].items():
                 back = _swap(gens, sigma, b, a, yb, ya)
                 if not _same_pair_class(gens[a], gens[b], back, (xa, xb)):
@@ -217,6 +220,22 @@ def _check_hexagons(shape, gens, sigma):
         for j, b in enumerate(gs[i + 1:], i + 1):
             for c in gs[j + 1:]:
                 _check_one_hexagon(gens, sigma, a, b, c)
+
+
+def _check_braiding(ca, cb, table, ab):
+    """Raise ParseError unless the braiding takes every composable pair of
+    X_a.X_b, and nothing else, to a composable pair of X_b.X_a."""
+    def pair(c1, c2, p):
+        try:
+            return (isinstance(p, tuple) and len(p) == 2 and p[0] in c1._index
+                    and p[1] in c2._index
+                    and c1.smap.get(p[0]) == c2.rmap.get(p[1]))
+        except TypeError:       # an unhashable name is no point
+            return False
+    over = Counter(cb.rmap.get(x) for x in cb.carrier)
+    if len(table) < sum(over[ca.smap.get(x)] for x in ca.carrier) or not all(
+            pair(ca, cb, p) and pair(cb, ca, q) for p, q in table.items()):
+        raise ParseError(f"braiding {ab!r} is not on the composable pairs")
 
 
 def _same_pair_class(c1, c2, p, q):
@@ -300,6 +319,8 @@ def validate_diagram(d, bound=None):
     bound = bound if bound is not None else d.bound
     arrows = [g for g in d.arrows(bound)]
     invalid = set()             # arrows whose X(g) compose cannot take
+    report += [f"generator {a!r}: {line}" for a, c in (
+        d.gen_data or {}).items() for line in validate_correspondence(c)]
     for g in arrows:
         for line in validate_correspondence(d.X(g)):
             report.append(f"X({g!r}): {line}")

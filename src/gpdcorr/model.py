@@ -21,7 +21,7 @@ on one action per isomorphism class when that is exact.
 """
 
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, groupby, product
 
 from .corr import Correspondence, classify, morita_check
 from .diagram import (FAction, _left_actions, _propagated_maps, actions_on,
@@ -268,14 +268,22 @@ def verify_model(d, model, n):
     are q^-1.f.p for the maps f between those, on both sides, and orbits
     pull back alike, so the full scan's first failure is at
     representatives and is the one reported.  Else the full scan runs.
+
+    Before that scan, a connected stage checks that each representative
+    has the same orbits on both sides and restricts to each orbit,
+    renumbered in order, as a model action and its translation, then
+    compares maps only between connected representatives; if it fails,
+    the scan runs.  That suffices: a map out of an orbit lands in one
+    orbit, so Hom(A, B) is prod_i sum_j Hom(A_i, B_j) over the orbits on
+    each side, conjugate to maps between connected ones (tom Dieck).
     """
-    per_size = {}
+    per_size, translate = {}, {}
     for k in range(n + 1):
         carrier = list(range(k))
         fas = list(actions_on(d, carrier))
         fsigs = {_frozen(a.table()) for a in fas}
         uas = model.enumerate_on(carrier)
-        tables, tsigs = [], set()
+        tables, translate[k] = [], {}
         for ua in uas:
             fa = model.to_faction(ua)
             report = validate_action(d, fa)
@@ -283,7 +291,8 @@ def verify_model(d, model, n):
                 raise Mismatch(
                     f"translated action invalid at size {k}: {report[0]}")
             tables.append((_table(ua), fa.table()))
-            tsigs.add(_frozen(tables[-1][1]))
+            translate[k][_frozen(tables[-1][0])] = _frozen(tables[-1][1])
+        tsigs = set(translate[k].values())
         if len(tsigs) != len(uas):
             raise Mismatch(f"translation not injective at size {k}")
         if tsigs != fsigs:
@@ -292,11 +301,35 @@ def verify_model(d, model, n):
                 f"vs {len(fas)} diagram actions")
         per_size[k] = tables
     reps = {k: _representatives(t) for k, t in per_size.items()}
-    return _natural(per_size if None in reps.values() else reps)
+    scan = per_size if None in reps.values() else reps
+    parts = {k: [(_orbits(u), _orbits(f)) for u, f in tables]
+             for k, tables in scan.items()}
+    if scan is reps and _connected(translate, reps, parts):
+        return True
+    return _natural(scan, parts)
 
 
-def _natural(per_size):
-    """The naturality loops of verify_model over the tables per size."""
+def _connected(translate, reps, parts):
+    """Whether verify_model's connected stage passes; translate maps
+    frozen model tables to frozen diagram tables, per size."""
+    connected = []
+    for k, tables in reps.items():
+        for (u, f), (c1, c2) in zip(tables, parts[k]):
+            if c1 != c2:
+                return False
+            orbits = [list(o) for _, o in
+                      groupby(sorted(range(k), key=c1.get), c1.get)]
+            if any(translate[len(o)].get(_frozen(u, o)) != _frozen(f, o)
+                   for o in orbits):
+                return False
+            if len(orbits) <= 1:
+                connected.append((k, u, f))
+    return all(_map_values(u1, u2, k1) == _map_values(f1, f2, k1)
+               for k1, u1, f1 in connected for _, u2, f2 in connected)
+
+
+def _natural(per_size, parts):
+    """The naturality loops of verify_model, given the orbit partitions."""
     for k1 in per_size:
         for k2 in per_size:
             for u1, f1 in per_size[k1]:
@@ -307,8 +340,7 @@ def _natural(per_size):
                         raise Mismatch(
                             f"naturality fails for {f!r} between sizes "
                             f"{k1} and {k2}")
-        for u1, f1 in per_size[k1]:
-            c1, c2 = _orbits(u1), _orbits(f1)
+        for c1, c2 in parts[k1]:
             if c1 != c2:
                 f = _invariance_witness(k1, c1, c2)
                 raise Mismatch(f"invariant maps differ for {f!r} at size {k1}")
@@ -349,11 +381,14 @@ def _table(ua):
     return anchor, moves
 
 
-def _frozen(table):
-    """An action table as a hashable value, free of its carrier order."""
+def _frozen(table, points=None):
+    """An action table as a hashable value, free of its carrier order;
+    with ``points``, its restriction to them, renumbered along the list."""
     frame, moves = table
-    return frozenset(frame.items()), frozenset(
-        (y, label, z) for y in moves for label, z in moves[y].items())
+    new = {y: i for i, y in enumerate(points)} if points else dict(
+        zip(frame, frame))
+    return frozenset((new[y], frame[y]) for y in new), frozenset(
+        (new[y], label, new[z]) for y in new for label, z in moves[y].items())
 
 
 def _map_values(t1, t2, k):

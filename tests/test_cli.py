@@ -704,13 +704,15 @@ def test_compose_refuses_an_invalid_correspondence(tmp_path, flags, extra,
 @pytest.mark.parametrize("flags, extra", [
     ((), ()), ((), ("--json",)), (("-O",), ())], ids=["plain", "json", "O"])
 def test_validate_diagram_with_a_non_free_generator(tmp_path, flags, extra):
-    # the coherence checks do not compose X(g) that failed validation
+    # the coherence checks do not compose X(g) that failed validation;
+    # the parsed generator is reported first, under its name
     shape = PresentedShape.free_monoid(("t",), length_bound=2)
     d = from_generators(shape, {"t": z2_fixed_point()})
     path = write_doc(tmp_path, "fixed.json", "diagram",
                      cli.diagram_payload(d))
     code, out, err = run_cli("validate", path, *extra, flags=flags)
-    report = [f"X(('*', '*', ('t',))): right action not basic, "
+    report = ["generator 't': right action not basic, witness ('x', 'a')",
+              f"X(('*', '*', ('t',))): right action not basic, "
               f"witness (('x',), 'a')",
               f"X(('*', '*', ('t', 't'))): right action not basic, "
               f"witness (('x', 'x'), 'a')"]

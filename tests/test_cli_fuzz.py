@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -121,4 +122,38 @@ def test_broken_document_keeps_the_exit_contract(case):
 @given(broken_documents(depth=3, drop_items=False))
 def test_broken_envelope_is_refused(case):
     code, err = run(case[1])
+    assert code in (1, 2, 3) and "Traceback" not in err
+
+
+def broken_at(doc, path, change):
+    """A copy of doc with the node at path dropped or replaced."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if change == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = change
+    return doc
+
+
+NAMED = {"point": DOCS[5], "commutative": DOCS[7]}
+BRAIDING = ("payload", "braidings", 0, 1)
+# every single-node break that validate once accepted: the point diagram's
+# generator loses its carrier point, and an entry of the commutative
+# diagram's braiding is dropped or a component of its value is not a
+# point ({} in the first two entries always failed, as unhashable)
+ACCEPTED = [("point", ("payload", "generators", 0, 1, "carrier", 0), "drop")] \
+    + [("commutative", BRAIDING + (i,), "drop") for i in range(4)] \
+    + [("commutative", BRAIDING + (i, 1, 1, j), value)
+       for i in range(4) for j in (0, 1) for value in (7, None, {})
+       if i >= 2 or value != {}]
+
+
+@pytest.mark.parametrize("name, path, change", ACCEPTED, ids=[
+    "-".join(map(str, (name,) + path[1:] + (change,)))
+    for name, path, change in ACCEPTED])
+def test_once_accepted_break_is_refused(name, path, change):
+    code, err = run(broken_at(NAMED[name], path, change))
     assert code in (1, 2, 3) and "Traceback" not in err

@@ -9,7 +9,7 @@ from gpdcorr.diagram import (
     identity_transformation, invariant_check, singleton_thetas,
     validate_action, validate_diagram, validate_modification,
     validate_transformation)
-from gpdcorr.errors import ConditionFailed, HexagonViolation
+from gpdcorr.errors import ConditionFailed, HexagonViolation, ParseError
 from gpdcorr.fincat import FinCategory, PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group, PartialBijection
 from gpdcorr.selfsim import iterate
@@ -151,6 +151,26 @@ def z2_commutative_diagram():
     sigma = {("a", "b"): {(x, y): (y, x) for x in z2 for y in z2}}
     return from_generators(PresentedShape.free_commutative(("a", "b")), gens,
                            braidings=sigma)
+
+
+@pytest.mark.parametrize("key, value", [
+    (("a", "1"), None),             # a composable pair left out
+    (("a", "1"), ("1", 7)),         # a value that names no point
+    (("a", "1"), ("1",)),           # a value that is no pair
+    (("a", "x"), ("1", "a")),       # a key that names no point
+], ids=["partial", "value", "short", "key"])
+def test_braiding_takes_composable_pairs_to_composable_pairs(key, value):
+    z2 = Group.cyclic(2)
+    gens = {k: from_group_hom(z2, z2, {g: g for g in z2})
+            for k in ("a", "b")}
+    sigma = {(x, y): (y, x) for x in z2 for y in z2}
+    if value is None:
+        del sigma[key]
+    else:
+        sigma[key] = value
+    with pytest.raises(ParseError):
+        from_generators(PresentedShape.free_commutative(("a", "b")), gens,
+                        braidings={("a", "b"): sigma})
 
 
 def test_commutative_diagram_over_a_group_braids_through_classes():

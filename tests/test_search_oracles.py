@@ -354,6 +354,36 @@ class Exchanged:
         return self.model.to_faction(ua)
 
 
+class Flipped:
+    """A model of a two-part discrete diagram whose translation moves
+    every point that an action fixes to the other part; with ``beside``,
+    only in actions that move a point too.  Either is a bijection on
+    actions that keeps the orbits, but not natural: maps onto a fixed
+    point differ.  Without ``beside`` every restriction to an orbit is
+    translated alike and only connected actions of different sizes show
+    it; with it the restriction to a fixed point beside a moved one is
+    not the fixed point's translation."""
+
+    def __init__(self, model, beside):
+        self.model, self.beside = model, beside
+
+    def enumerate_on(self, carrier):
+        return self.model.enumerate_on(carrier)
+
+    def to_faction(self, ua):
+        anchor, act = ua
+        moved = {y for (_, y), z in act.items() if z != y}
+        if self.beside and not moved:
+            return self.model.to_faction(ua)
+        other = dict(zip(self.model.tags, reversed(self.model.tags)))
+        want = {y: a if y in moved else (other[a[0]], a[1])
+                for y, a in anchor.items()}
+        twin = next(v for v in self.enumerate_on(list(anchor))
+                    if v[0] == want and all(v[1].get(key) == z for key, z
+                                            in act.items() if key[1] in moved))
+        return self.model.to_faction(twin)
+
+
 def models():
     """name -> (diagram, model); every model is checked up to size 3,
     and against the all-pairs oracle up to size 4."""
@@ -375,7 +405,15 @@ def models():
            # two actions on three points that are not the first of their
            # class: every representative passes, the full scan fails
            "crossed-disc-z2": (disc_z2, Exchanged(
-               model_discrete_shape(disc_z2), 3, 2, 3))}
+               model_discrete_shape(disc_z2), 3, 2, 3)),
+           # the free Z/2 orbit maps onto a fixed point only on the
+           # model side: connected actions of sizes 2 and 1
+           "fixed-flipped-disc-z2-z3": (disc, Flipped(
+               model_discrete_shape(disc), False)),
+           # connected actions are translated as by the plain model, so
+           # only the restriction of x2 + x1 to its fixed point fails
+           "beside-flipped-disc-z2-z3": (disc, Flipped(
+               model_discrete_shape(disc), True))}
     for make in COMPLEXES:
         out["cgx-" + make.__name__] = presentation_model(make())
     return out
@@ -427,23 +465,31 @@ def test_verify_model_matches_all_pairs_oracle(name, n):
 
 
 @pytest.mark.parametrize("name, scans", [
-    ("disc-z2-z3", ["representatives"]),
-    ("exchanged-disc-z2", ["representatives"]),
+    ("disc-z2-z3", ["connected"]),
+    ("exchanged-disc-z2", ["connected", "representatives"]),
     ("crossed-disc-z2", ["all"]),
-    ("swapped-disc-z2-z3", ["all"]), ("swapped-zpres", ["all"])])
+    ("swapped-disc-z2-z3", ["all"]), ("swapped-zpres", ["all"]),
+    ("fixed-flipped-disc-z2-z3", ["connected", "representatives"]),
+    ("beside-flipped-disc-z2-z3", ["connected", "representatives"])])
 def test_verify_model_falls_back_to_the_full_scan(monkeypatch, name, scans):
     # a model whose isomorphisms differ from the diagram's is scanned in
-    # full; one whose representatives fail is not scanned again, and its
-    # witness is still the full scan's
+    # full; one that fails the connected stage hands over to the scan of
+    # representatives, and its witness is still the full scan's
     d, model = MODELS[name]
     labelled = {k: len(model.enumerate_on(list(range(k)))) for k in range(4)}
-    natural, seen = gpdcorr.model._natural, []
+    natural, connected = gpdcorr.model._natural, gpdcorr.model._connected
+    seen = []
 
-    def spy(per_size):
+    def spy_connected(*args):
+        seen.append("connected")
+        return connected(*args)
+
+    def spy(per_size, parts):
         full = {k: len(tables) for k, tables in per_size.items()} == labelled
         seen.append("all" if full else "representatives")
-        return natural(per_size)
+        return natural(per_size, parts)
 
+    monkeypatch.setattr(gpdcorr.model, "_connected", spy_connected)
     monkeypatch.setattr(gpdcorr.model, "_natural", spy)
     assert verdict(verify_model, d, model) == \
         verdict(oracles.verify_model_all_pairs, d, model)
