@@ -291,7 +291,7 @@ def _write(value, nl):
 def parse_document(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(str(exc))
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise SchemaError("missing format_version")
@@ -304,8 +304,11 @@ def parse_document(text):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_document(handle.read())
+    except OSError as exc:
+        raise ParseError(str(exc))
 
 
 def value_of(kind, payload):
@@ -676,7 +679,7 @@ def main(argv=None):
         return 2 if exc.code not in (0,) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, SchemaError, FileNotFoundError, NotSupported) as exc:
+    except (ParseError, SchemaError, NotSupported) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (BoundExceeded, DepthInsufficient) as exc:

@@ -149,77 +149,93 @@ def from_generators(shape, gens, groupoids=None, braidings=None, bound=None):
     d = Diagram(shape, gr, {}, {}, bound=bound,
                 sigma=dict(braidings) if braidings else None)
     d.gen_data = dict(gens)
+    words = _Words(gens, d.sigma or {})
     if shape.kind == COMM and len(shape.gens) > 1:
-        _check_hexagons(shape, gens, d.sigma or {})
-    words = [w for w in shape.arrows(bound)]
-    tuple_cache = {}
-    for w in words:
-        if shape.is_identity_arrow(w):
-            continue
-        tp = _Tuples([gens[a] for a in w[2]])
-        tuple_cache[w] = tp
-        d.corr[w] = _as_tuple_corr(tp)
-    for g in words:
-        for h in words:
+        _check_hexagons(shape, words)
+    arrows = shape.arrows(bound)
+    for w in arrows:
+        if not shape.is_identity_arrow(w):
+            d.corr[w] = _as_tuple_corr(words.tuples(w[2]))
+    for g in arrows:
+        for h in arrows:
             if shape.is_identity_arrow(g) or shape.is_identity_arrow(h):
                 continue
             gh = shape.compose(g, h)
             if gh is None or shape.length(gh) > bound:
                 continue
-            table = {}
+            table, canon = {}, words.tuples(gh[2]).canon
             for xi in d.corr[g].carrier:
                 for eta in d.corr[h].carrier:
                     if d.corr[g].smap[xi] != d.corr[h].rmap[eta]:
                         continue
                     raw = xi + eta
                     if shape.kind == COMM:
-                        raw = _sort_letters(gens, d.sigma or {},
-                                            g[2] + h[2], raw)
-                    table[(xi, eta)] = tuple_cache[gh].canon[raw]
+                        raw = _sort_letters(words, g[2] + h[2], raw)
+                    table[(xi, eta)] = canon[raw]
             d.mu[(g, h)] = table
     return d
 
 
-def _swap(gens, sigma, a, b, xa, xb):
-    """One braiding step: (x_a, x_b) over letters (a, b) -> over (b, a)."""
-    if a == b:
-        return xb, xa
-    if a < b:
-        return sigma[(a, b)][(xa, xb)]
-    # invert the stored direction: find an entry landing in the pair class
-    for (ya, yb), z in sigma[(b, a)].items():
-        if _same_pair_class(gens[a], gens[b], z, (xa, xb)):
-            return ya, yb
-    raise KeyError(f"braiding has no entry covering {(xa, xb)!r}")
+class _Words:
+    """The canonical tuples over words of generator letters, each built
+    once, and the braiding steps between adjacent letters."""
+
+    def __init__(self, gens, sigma):
+        self.gens, self.sigma = gens, sigma
+        self.built, self.first = {}, {}
+
+    def tuples(self, word):
+        if word not in self.built:
+            self.built[word] = _Tuples([self.gens[a] for a in word])
+        return self.built[word]
+
+    def swap(self, a, b, xa, xb):
+        """One braiding step: (x_a, x_b) over letters a != b -> over (b, a).
+
+        For a > b it inverts sigma[(b, a)]: the first entry whose value
+        lies in the pair class of (x_a, x_b), through an index of those
+        values by class built once per braiding.
+        """
+        if a < b:
+            return self.sigma[(a, b)][(xa, xb)]
+        canon = self.tuples((a, b)).canon
+        if (a, b) not in self.first:        # reversed: the first entry wins
+            self.first[(a, b)] = {canon[value]: key for key, value in
+                                  reversed(self.sigma[(b, a)].items())}
+        key = self.first[(a, b)].get(canon.get((xa, xb)))
+        if key is None:
+            raise KeyError(f"braiding has no entry covering {(xa, xb)!r}")
+        return key
 
 
-def _sort_letters(gens, sigma, letters, raw):
+def _sort_letters(words, letters, raw):
     letters, raw = list(letters), list(raw)
     changed = True
     while changed:
         changed = False
         for i in range(len(letters) - 1):
             if letters[i] > letters[i + 1]:
-                raw[i], raw[i + 1] = _swap(gens, sigma, letters[i],
-                                           letters[i + 1], raw[i], raw[i + 1])
+                raw[i], raw[i + 1] = words.swap(letters[i], letters[i + 1],
+                                                raw[i], raw[i + 1])
                 letters[i], letters[i + 1] = letters[i + 1], letters[i]
                 changed = True
     return tuple(raw)
 
 
-def _check_hexagons(shape, gens, sigma):
+def _check_hexagons(shape, words):
+    gens, sigma = words.gens, words.sigma
     gs = sorted(shape.gens)
     for i, a in enumerate(gs):
         for b in gs[i + 1:]:
             _check_braiding(gens[a], gens[b], sigma[(a, b)], (a, b))
+            canon = words.tuples((a, b)).canon
             for (xa, xb), (yb, ya) in sigma[(a, b)].items():
-                back = _swap(gens, sigma, b, a, yb, ya)
-                if not _same_pair_class(gens[a], gens[b], back, (xa, xb)):
+                if canon[words.swap(b, a, yb, ya)] != canon[(xa, xb)]:
                     raise HexagonViolation((a, b, "not inverse to itself"))
     for i, a in enumerate(gs):
         for j, b in enumerate(gs[i + 1:], i + 1):
             for c in gs[j + 1:]:
-                _check_one_hexagon(gens, sigma, a, b, c)
+                _check_one_hexagon(words, a, b, c)
 
 
 def _check_braiding(ca, cb, table, ab):
@@ -238,21 +254,10 @@ def _check_braiding(ca, cb, table, ab):
         raise ParseError(f"braiding {ab!r} is not on the composable pairs")
 
 
-def _same_pair_class(c1, c2, p, q):
-    if p == q:
-        return True
-    mid = c1.right
-    for g in mid.arrow_ids():
-        if c1.ract.get((p[0], g)) == q[0] and \
-                c2.lact.get((mid.invert(g), p[1])) == q[1]:
-            return True
-    return False
-
-
-def _check_one_hexagon(gens, sigma, a, b, c):
+def _check_one_hexagon(words, a, b, c):
     """Both routes X_a X_b X_c -> X_c X_b X_a must agree on all triples."""
-    ca, cb, cc = gens[a], gens[b], gens[c]
-    canon = _Tuples([cc, cb, ca]).canon
+    ca, cb, cc = (words.gens[x] for x in (a, b, c))
+    canon = words.tuples((c, b, a)).canon
     for xa in ca.carrier:
         for xb in cb.carrier:
             if ca.smap[xa] != cb.rmap[xb]:
@@ -261,14 +266,14 @@ def _check_one_hexagon(gens, sigma, a, b, c):
                 if cb.smap[xb] != cc.rmap[xc]:
                     continue
                 # route 1: swap (b,c), then (a,c), then (a,b)
-                yc1, yb1 = _swap(gens, sigma, b, c, xb, xc)
-                zc, za = _swap(gens, sigma, a, c, xa, yc1)
-                zb, za2 = _swap(gens, sigma, a, b, za, yb1)
+                yc1, yb1 = words.swap(b, c, xb, xc)
+                zc, za = words.swap(a, c, xa, yc1)
+                zb, za2 = words.swap(a, b, za, yb1)
                 route1 = (zc, zb, za2)
                 # route 2: swap (a,b), then (a,c) in the middle, then (b,c)
-                wb, wa = _swap(gens, sigma, a, b, xa, xb)
-                wc, wa2 = _swap(gens, sigma, a, c, wa, xc)
-                wc2, wb2 = _swap(gens, sigma, b, c, wb, wc)
+                wb, wa = words.swap(a, b, xa, xb)
+                wc, wa2 = words.swap(a, c, wa, xc)
+                wc2, wb2 = words.swap(b, c, wb, wc)
                 route2 = (wc2, wb2, wa2)
                 if canon[route1] != canon[route2]:
                     raise HexagonViolation((a, b, c))

@@ -10,14 +10,15 @@ handled through eventually periodic points; on those the pair
 construction gives a groupoid with decidable arrow equality, graded by
 the groupoid completion of the shape.
 
-A model is two methods: ``enumerate_on(carrier)`` lists its actions on
-a labelled carrier, each as ``(anchor, act)`` with ``act[(label, y)] ==
-z``, and ``to_faction`` translates one into a diagram action on the same
-carrier.  verify_model checks the defining bijection on all labelled
-carriers up to a size bound, and its naturality by comparing the two
-sides' equivariant maps between every two actions (found by the search
-of gpdcorr.diagram) and orbit partitions, which fix the invariant maps,
-on one action per isomorphism class when that is exact.
+A model lists its actions on a labelled carrier with ``enumerate_on``,
+each as ``(anchor, act)`` with ``act[(label, y)] == z``.  Its ``binding``
+sends each model arrow to ("gact", x, gamma), an arrow of the groupoid at
+the shape object x, or to ("alph", g, xi), an element of X_g, and its
+``object_map`` sends each model object to a (shape object, unit); one
+translator turns an action into a diagram action through them.
+verify_model checks the defining bijection on all labelled carriers up
+to a size bound, and naturality on one action per isomorphism class, or
+on every labelled action when that stage fails.
 """
 
 from collections import Counter
@@ -45,26 +46,23 @@ class DisjointUnionModel:
         self.tags = sorted(d.shape.objects, key=repr)
         self.groupoid = FinGroupoid.disjoint_union(
             [d.gr[x] for x in self.tags], tags=self.tags)
+        self.binding = {a: ("gact",) + a for a in self.groupoid.arrow_ids()}
+        self.object_map = {o: o for o in self.groupoid.objects}
 
     def enumerate_on(self, carrier):
         return _groupoid_actions_on(self.groupoid, carrier)
 
     def to_faction(self, ua):
-        anchor, act = ua
-        part = {y: anchor[y][0] for y in anchor}
-        fanchor = {y: anchor[y][1] for y in anchor}
-        gact = {(g, y): z for (((tag, g), y), z) in act.items()}
-        alph = {g: {} for g in self.d.gen_arrows()}
-        return FAction(self.d, sorted(anchor, key=repr), part, fanchor,
-                       gact, alph)
+        return _translate(self, ua)
 
 
 class GradedGroupoidModel:
     """Model of a group-shape diagram: the graded groupoid L.
 
     L is the disjoint union of the correspondences with multiplication
-    through mu; the grade of an arrow (c, xi) is the shape arrow c.
-    Every piece must be a Morita equivalence.
+    through mu; the grade of an arrow (c, xi) is the shape arrow c, a
+    unit or a generator, and the arrow acts as xi in X_c.  Every piece
+    must be a Morita equivalence.
     """
 
     def __init__(self, d):
@@ -75,12 +73,14 @@ class GradedGroupoidModel:
             if not morita_check(d.X(g)):
                 raise NotEquivalence(g)
         base = d.gr[self.obj]
-        self.shape_arrows = shape.arrows(1)
-        arrows = {}
-        for c in self.shape_arrows:
+        unit_arrow = shape.identity(self.obj)
+        arrows, self.binding = {}, {}
+        for c in shape.arrows(1):
             xc = d.X(c)
             for xi in xc.carrier:
                 arrows[(c, xi)] = (xc.smap[xi], xc.rmap[xi])
+                self.binding[(c, xi)] = ("gact", self.obj, xi) \
+                    if c == unit_arrow else ("alph", c, xi)
         comp = {}
         for (c, xi) in arrows:
             for (e, eta) in arrows:
@@ -88,7 +88,6 @@ class GradedGroupoidModel:
                     continue
                 ce = shape.compose(c, e)
                 comp[((c, xi), (e, eta))] = (ce, d.mu_apply(c, e, xi, eta))
-        unit_arrow = shape.identity(self.obj)
         ident = {x: (unit_arrow, base.unit(x)) for x in base.objects}
         inv = {}
         for a, (s, r) in arrows.items():
@@ -96,22 +95,13 @@ class GradedGroupoidModel:
                 if comp.get((a, b)) == ident[r] and comp.get((b, a)) == ident[s]:
                     inv[a] = b
         self.groupoid = FinGroupoid(base.objects, arrows, comp, ident, inv)
-        self.grading = {a: a[0] for a in arrows}
+        self.object_map = {x: (self.obj, x) for x in base.objects}
 
     def enumerate_on(self, carrier):
         return _groupoid_actions_on(self.groupoid, carrier)
 
     def to_faction(self, ua):
-        anchor, act = ua
-        d = self.d
-        part = {y: self.obj for y in anchor}
-        unit_arrow = d.shape.identity(self.obj)
-        gact = {(xi, y): z for (((c, xi), y), z) in act.items()
-                if c == unit_arrow}
-        alph = {g: {(xi, y): z for (((c, xi), y), z) in act.items() if c == g}
-                for g in d.gen_arrows()}
-        return FAction(d, sorted(anchor, key=repr), part, dict(anchor),
-                       gact, alph)
+        return _translate(self, ua)
 
 
 def _groupoid_actions_on(gpd, carrier):
@@ -129,11 +119,9 @@ class PresentationModel:
 
     ``gens`` maps generator name -> (dst, src) over ``objects``;
     ``relators`` are words of (name, +-1) pairs that must act as the
-    identity.  ``binding`` translates each generator into diagram data:
-    ("alph", g, xi) makes it act as the carrier element xi of X_g, and
-    ("gact", x, gamma) as the groupoid arrow gamma at the object x.
-    ``object_map`` sends a presentation object to the pair (shape
-    object, groupoid unit) anchoring its points.
+    identity.  ``binding`` and ``object_map`` are as for every model
+    (see the module docstring); by default the presentation objects are
+    the units of the one shape object.
     """
 
     def __init__(self, d, objects, gens, relators, binding, object_map=None):
@@ -158,46 +146,52 @@ class PresentationModel:
         return out
 
     def to_faction(self, ua):
-        anchor, act = ua
-        d = self.d
-        part, fanchor, gact = {}, {}, {}
-        for y in anchor:
-            x, u = self.object_map[anchor[y]]
-            part[y], fanchor[y] = x, u
-            gact[(d.gr[x].unit(u), y)] = y
-        alph = {g: {} for g in d.gen_arrows()}
-        for (name, y), z in act.items():
-            kind = self.binding[name]
-            if kind[0] == "alph":
-                _, g, xi = kind
-                alph[g][(xi, y)] = z
-            else:
-                _, x, gamma = kind
-                gact[(gamma, y)] = z
-        # the bound slices only seed the tables; the rest of each
-        # correspondence is reached through the two groupoid actions
-        for g, table in alph.items():
-            c = d.X(g)
-            changed = True
-            while changed:
-                changed = False
-                for (xi, y), z in list(table.items()):
-                    for gamma in c.right.arrow_ids():
-                        # alpha(xi.gamma, y') == alpha(xi, gamma.y')
-                        if (xi, gamma) in c.ract:
-                            for (gamma2, y2), yv in gact.items():
-                                if gamma2 == gamma and yv == y:
-                                    key = (c.ract[(xi, gamma)], y2)
-                                    if key not in table:
-                                        table[key] = z
-                                        changed = True
-                    for gamma in c.left.arrow_ids():
-                        if (gamma, xi) in c.lact and (gamma, z) in gact:
-                            key = (c.lact[(gamma, xi)], y)
-                            if key not in table:
-                                table[key] = gact[(gamma, z)]
-                                changed = True
-        return FAction(d, sorted(anchor, key=repr), part, fanchor, gact, alph)
+        return _translate(self, ua)
+
+
+def _translate(model, ua):
+    """The diagram action that a model action (anchor, act) binds to."""
+    anchor, act = ua
+    d = model.d
+    part, fanchor, gact = {}, {}, {}
+    for y in anchor:
+        x, u = model.object_map[anchor[y]]
+        part[y], fanchor[y] = x, u
+        gact[(d.gr[x].unit(u), y)] = y
+    alph = {g: {} for g in d.gen_arrows()}
+    for (name, y), z in act.items():
+        bound = model.binding[name]
+        if bound[0] == "alph":
+            alph[bound[1]][(bound[2], y)] = z
+        else:
+            gact[(bound[2], y)] = z
+    # the bound slices only seed the tables; the rest of each
+    # correspondence is reached through the two groupoid actions, each
+    # entry visited once, in the order it was added
+    preimages = {}
+    for (gamma, y), z in gact.items():
+        preimages.setdefault((gamma, z), []).append(y)
+    for g, table in alph.items():
+        c = d.X(g)
+        right, left = c.right.arrow_ids(), c.left.arrow_ids()
+        entries = list(table.items())
+        for (xi, y), z in entries:
+            for gamma in right:
+                # alpha(xi.gamma, y') == alpha(xi, gamma.y')
+                if (xi, gamma) in c.ract:
+                    for y2 in preimages.get((gamma, y), ()):
+                        key = (c.ract[(xi, gamma)], y2)
+                        if key not in table:
+                            table[key] = z
+                            entries.append((key, z))
+            for gamma in left:
+                if (gamma, xi) in c.lact and (gamma, z) in gact:
+                    key = (c.lact[(gamma, xi)], y)
+                    if key not in table:
+                        table[key] = gact[(gamma, z)]
+                        entries.append((key, table[key]))
+    return FAction(d, sorted(anchor, key=repr), part, fanchor, gact, alph)
+
 
 def model_discrete_shape(d):
     if d.gen_arrows():
@@ -261,21 +255,16 @@ def verify_model(d, model, n):
     witness is the first map, in lexicographic order of its values, on
     which the two sides disagree.
 
-    Naturality is checked on the first action of each isomorphism class
-    when every other action's isomorphism onto its representative on
-    the diagram side is one on the model side too.  That is exact: if p
-    and q take u and v onto their representatives, the maps from u to v
-    are q^-1.f.p for the maps f between those, on both sides, and orbits
-    pull back alike, so the full scan's first failure is at
-    representatives and is the one reported.  Else the full scan runs.
-
-    Before that scan, a connected stage checks that each representative
+    The connected stage decides first.  It takes the first action of
+    each isomorphism class, if every other action's isomorphism onto it
+    on the diagram side is one on the model side too, checks that each
     has the same orbits on both sides and restricts to each orbit,
-    renumbered in order, as a model action and its translation, then
-    compares maps only between connected representatives; if it fails,
-    the scan runs.  That suffices: a map out of an orbit lands in one
-    orbit, so Hom(A, B) is prod_i sum_j Hom(A_i, B_j) over the orbits on
-    each side, conjugate to maps between connected ones (tom Dieck).
+    renumbered in order, as a model action and its translation, and
+    compares maps only between connected ones.  That suffices: maps and
+    orbits pull back along the isomorphisms alike, and a map out of an
+    orbit lands in one orbit, so Hom(A, B) is prod_i sum_j Hom(A_i, B_j)
+    over the orbits on each side (tom Dieck).  If any part fails, the
+    scan of every pair of labelled actions reports its first failure.
     """
     per_size, translate = {}, {}
     for k in range(n + 1):
@@ -301,21 +290,19 @@ def verify_model(d, model, n):
                 f"vs {len(fas)} diagram actions")
         per_size[k] = tables
     reps = {k: _representatives(t) for k, t in per_size.items()}
-    scan = per_size if None in reps.values() else reps
-    parts = {k: [(_orbits(u), _orbits(f)) for u, f in tables]
-             for k, tables in scan.items()}
-    if scan is reps and _connected(translate, reps, parts):
+    if None not in reps.values() and _connected(translate, reps):
         return True
-    return _natural(scan, parts)
+    return _natural(per_size)
 
 
-def _connected(translate, reps, parts):
+def _connected(translate, reps):
     """Whether verify_model's connected stage passes; translate maps
     frozen model tables to frozen diagram tables, per size."""
     connected = []
     for k, tables in reps.items():
-        for (u, f), (c1, c2) in zip(tables, parts[k]):
-            if c1 != c2:
+        for u, f in tables:
+            c1 = _orbits(u)
+            if c1 != _orbits(f):
                 return False
             orbits = [list(o) for _, o in
                       groupby(sorted(range(k), key=c1.get), c1.get)]
@@ -328,8 +315,9 @@ def _connected(translate, reps, parts):
                for k1, u1, f1 in connected for _, u2, f2 in connected)
 
 
-def _natural(per_size, parts):
-    """The naturality loops of verify_model, given the orbit partitions."""
+def _natural(per_size):
+    """The naturality scan of verify_model over every pair of labelled
+    actions, raising Mismatch at its first failure."""
     for k1 in per_size:
         for k2 in per_size:
             for u1, f1 in per_size[k1]:
@@ -340,7 +328,8 @@ def _natural(per_size, parts):
                         raise Mismatch(
                             f"naturality fails for {f!r} between sizes "
                             f"{k1} and {k2}")
-        for c1, c2 in parts[k1]:
+        for u1, f1 in per_size[k1]:
+            c1, c2 = _orbits(u1), _orbits(f1)
             if c1 != c2:
                 f = _invariance_witness(k1, c1, c2)
                 raise Mismatch(f"invariant maps differ for {f!r} at size {k1}")

@@ -17,22 +17,25 @@ call per tree node, the self-similar walk re-checks every path it joins,
 the composition joins fibre pairs along every middle arrow, the pair
 arrows are compared with every arrow kept so far, a germ class is found
 by asking the oracle about every element on every call), so they are
-slow but obviously right; the tests compare the library against them,
-answer for answer and in the same order.
+slow but obviously right.  The per-class translators of the finite
+models, which one binding-driven translator replaced, are kept here as
+well.  The tests compare the library against them, answer for answer
+and in the same order.
 """
 
 import json
 from itertools import permutations, product
 
 from gpdcorr.corr import Correspondence
-from gpdcorr.diagram import (actions_on, invariant_check,
+from gpdcorr.diagram import (FAction, actions_on, invariant_check,
                              validate_action)
 from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
                             ParseError, Undefined)
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import FinGroupoid
-from gpdcorr.model import (_invariance_witness, _map_values, _orbits, _table,
-                           pair_from_nf)
+from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
+                           PresentationModel, _invariance_witness,
+                           _map_values, _orbits, _table, pair_from_nf)
 from gpdcorr.selfsim import EvPeriodicWord, Path, nf
 
 
@@ -236,6 +239,79 @@ def equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
                 yield from place(i + 1, nxt)
 
     yield from place(0, {})
+
+
+# -- the per-class translators of the finite models ---------------------------
+
+def disjoint_union_to_faction(model, ua):
+    anchor, act = ua
+    part = {y: anchor[y][0] for y in anchor}
+    fanchor = {y: anchor[y][1] for y in anchor}
+    gact = {(g, y): z for (((tag, g), y), z) in act.items()}
+    alph = {g: {} for g in model.d.gen_arrows()}
+    return FAction(model.d, sorted(anchor, key=repr), part, fanchor,
+                   gact, alph)
+
+
+def graded_to_faction(model, ua):
+    anchor, act = ua
+    d = model.d
+    part = {y: model.obj for y in anchor}
+    unit_arrow = d.shape.identity(model.obj)
+    gact = {(xi, y): z for (((c, xi), y), z) in act.items()
+            if c == unit_arrow}
+    alph = {g: {(xi, y): z for (((c, xi), y), z) in act.items() if c == g}
+            for g in d.gen_arrows()}
+    return FAction(d, sorted(anchor, key=repr), part, dict(anchor),
+                   gact, alph)
+
+
+def presentation_to_faction(model, ua):
+    """Seeds the alpha tables from the bound slices and closes them under
+    the two groupoid actions, in full passes until one adds nothing,
+    scanning all of gact for every preimage."""
+    anchor, act = ua
+    d = model.d
+    part, fanchor, gact = {}, {}, {}
+    for y in anchor:
+        x, u = model.object_map[anchor[y]]
+        part[y], fanchor[y] = x, u
+        gact[(d.gr[x].unit(u), y)] = y
+    alph = {g: {} for g in d.gen_arrows()}
+    for (name, y), z in act.items():
+        kind = model.binding[name]
+        if kind[0] == "alph":
+            _, g, xi = kind
+            alph[g][(xi, y)] = z
+        else:
+            _, x, gamma = kind
+            gact[(gamma, y)] = z
+    for g, table in alph.items():
+        c = d.X(g)
+        changed = True
+        while changed:
+            changed = False
+            for (xi, y), z in list(table.items()):
+                for gamma in c.right.arrow_ids():
+                    if (xi, gamma) in c.ract:
+                        for (gamma2, y2), yv in gact.items():
+                            if gamma2 == gamma and yv == y:
+                                key = (c.ract[(xi, gamma)], y2)
+                                if key not in table:
+                                    table[key] = z
+                                    changed = True
+                for gamma in c.left.arrow_ids():
+                    if (gamma, xi) in c.lact and (gamma, z) in gact:
+                        key = (c.lact[(gamma, xi)], y)
+                        if key not in table:
+                            table[key] = gact[(gamma, z)]
+                            changed = True
+    return FAction(d, sorted(anchor, key=repr), part, fanchor, gact, alph)
+
+
+TO_FACTION = {DisjointUnionModel: disjoint_union_to_faction,
+              GradedGroupoidModel: graded_to_faction,
+              PresentationModel: presentation_to_faction}
 
 
 def _signature(a):

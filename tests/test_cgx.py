@@ -79,13 +79,13 @@ def idempotent_loop_cat():
         {"*": "1"})
 
 
-def cx_loop():
+def cx_loop(order=2):
     cat = idempotent_loop_cat()
-    z2 = Group.cyclic(2)
-    homs = {a: {g: g for g in z2} for a in cat.arrow_ids()}
+    group = Group.cyclic(order)
+    homs = {a: {g: g for g in group} for a in cat.arrow_ids()}
     twists = {(a, b): "1" for a in cat.arrow_ids() for b in cat.arrow_ids()
               if cat.composable(a, b)}
-    return ComplexOfGroups(cat, {"*": z2}, homs, twists)
+    return ComplexOfGroups(cat, {"*": group}, homs, twists)
 
 
 CORPUS = [cx_single_arrow, cx_free_product, cx_twist, cx_loop]

@@ -291,6 +291,25 @@ def test_validate_unknown_kind(tmp_path):
     assert "unknown kind" in err
 
 
+def test_unreadable_path_is_a_usage_error(tmp_path):
+    # a directory is no document; a missing file keeps its OSError text
+    assert_usage_error(*run_cli("validate", str(tmp_path)))
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli("validate", missing)
+    assert_usage_error(code, out, err)
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+def test_deeply_nested_document_is_a_usage_error(tmp_path):
+    # json.loads gives up on deep nesting with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"format_version": "1", "kind": "groupoid", "payload": '
+                    + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+    code, out, err = run_cli("validate", str(path))
+    assert_usage_error(code, out, err)
+    assert "maximum recursion depth exceeded" in err
+
+
 def test_compose_correspondences(tmp_path):
     c = iterate(e1(), 1)
     p1 = write_doc(tmp_path, "c1.json", "correspondence",

@@ -26,10 +26,11 @@ from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.mn import make_emn
-from gpdcorr.model import (_invariance_witness, model_discrete_shape,
-                           model_group_shape, verify_model)
+from gpdcorr.model import (_invariance_witness, _translate,
+                           model_discrete_shape, model_group_shape,
+                           verify_model)
 
-from test_cgx import CORPUS as COMPLEXES
+from test_cgx import CORPUS as COMPLEXES, cx_loop
 from test_corr_oracle import cyclic_hom_corr, hom_exponents
 from test_diagram import broken_graph_diagram, point_diagram, swap_diagram
 from test_model import graded_diagram, zpres
@@ -398,8 +399,8 @@ def models():
            "swapped-disc-z2-z3": (disc, Swapped(model_discrete_shape(disc))),
            "swapped-zpres": (point, Swapped(zpres(point))),
            # the trivial and the free Z/2 action on two points: the
-           # exchange commutes with relabelling, so only representatives
-           # are checked, and they fail
+           # exchange commutes with relabelling, so the connected stage
+           # runs on representatives, and fails
            "exchanged-disc-z2": (disc_z2, Exchanged(
                model_discrete_shape(disc_z2), 2, 0, 1)),
            # two actions on three points that are not the first of their
@@ -464,17 +465,42 @@ def test_verify_model_matches_all_pairs_oracle(name, n):
         verdict(oracles.verify_model_all_pairs, d, model, n)
 
 
+def faction_items(a):
+    """An FAction item for item, in the order of its dicts."""
+    return (a.diagram, a.carrier, list(a.part.items()),
+            list(a.anchor.items()), list(a.gact.items()),
+            [(g, list(t.items())) for g, t in a.alph.items()])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["cgx-cx_loop-z3"])
+def test_translate_matches_the_per_class_translators(name):
+    # the test models wrap a finite model and enumerate its actions; over
+    # Z/3 the closure adds alpha entries in an order that Z/2 cannot show
+    if name in MODELS:
+        model = MODELS[name][1]
+        model = getattr(model, "model", model)
+    else:
+        model = presentation_model(cx_loop(3))[1]
+    translate = oracles.TO_FACTION[type(model)]
+    for k in range(5):
+        for ua in model.enumerate_on(list(range(k))):
+            assert faction_items(_translate(model, ua)) == \
+                faction_items(translate(model, ua))
+
+
 @pytest.mark.parametrize("name, scans", [
     ("disc-z2-z3", ["connected"]),
-    ("exchanged-disc-z2", ["connected", "representatives"]),
+    ("exchanged-disc-z2", ["connected", "all"]),
     ("crossed-disc-z2", ["all"]),
     ("swapped-disc-z2-z3", ["all"]), ("swapped-zpres", ["all"]),
-    ("fixed-flipped-disc-z2-z3", ["connected", "representatives"]),
-    ("beside-flipped-disc-z2-z3", ["connected", "representatives"])])
+    ("fixed-flipped-disc-z2-z3", ["connected", "all"]),
+    ("beside-flipped-disc-z2-z3", ["connected", "all"])] + [
+    (name, ["connected"]) for name in ["graded-a", "zpres"] + [
+        "cgx-" + make.__name__ for make in COMPLEXES]])
 def test_verify_model_falls_back_to_the_full_scan(monkeypatch, name, scans):
-    # a model whose isomorphisms differ from the diagram's is scanned in
-    # full; one that fails the connected stage hands over to the scan of
-    # representatives, and its witness is still the full scan's
+    # a model whose isomorphisms differ from the diagram's, or that fails
+    # the connected stage, is scanned in full; a model that verifies
+    # passes the connected stage alone
     d, model = MODELS[name]
     labelled = {k: len(model.enumerate_on(list(range(k)))) for k in range(4)}
     natural, connected = gpdcorr.model._natural, gpdcorr.model._connected
@@ -484,10 +510,10 @@ def test_verify_model_falls_back_to_the_full_scan(monkeypatch, name, scans):
         seen.append("connected")
         return connected(*args)
 
-    def spy(per_size, parts):
-        full = {k: len(tables) for k, tables in per_size.items()} == labelled
-        seen.append("all" if full else "representatives")
-        return natural(per_size, parts)
+    def spy(per_size):
+        assert {k: len(t) for k, t in per_size.items()} == labelled
+        seen.append("all")
+        return natural(per_size)
 
     monkeypatch.setattr(gpdcorr.model, "_connected", spy_connected)
     monkeypatch.setattr(gpdcorr.model, "_natural", spy)
