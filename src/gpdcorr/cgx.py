@@ -3,10 +3,12 @@
 A complex of groups is a tight diagram of groups: a group per object,
 a homomorphism phi_g from the range group to the source group per
 arrow, and twisting elements u_{g,h} satisfying a cocycle identity.
-The fundamental group and the groupoid-model presentation are produced
-as presentations; all verification goes through canonical string forms
-and homomorphism counting into symmetric groups, never through element
-enumeration of the presented groups.
+``model_presentation`` is the one presentation builder: the groupoid
+model by generators with endpoints and relators.  The fundamental group
+is that presentation with the endpoints forgotten, or the isotropy at
+the cone point of ``cone_extend`` (Bridson-Haefliger III.C).  All
+verification goes through canonical string forms and homomorphism
+counting into symmetric groups, never through element enumeration.
 
 Presentation symbols are ("arr", g) for non-unit shape arrows and
 ("elt", x, gamma) for non-identity group elements; unit-arrow
@@ -175,7 +177,7 @@ def _elt(x, gamma, group):
     return ((("elt", x, gamma), 1),)
 
 
-def _relators_of(c, arrow_symbol):
+def _relators_of(c):
     """The four relator families, with unit generators eliminated."""
     cat = c.shape
     rels = []
@@ -194,8 +196,8 @@ def _relators_of(c, arrow_symbol):
         for gamma in gx:
             if gamma == gx.identity:
                 continue
-            word = ((arrow_symbol(g), 1),) + _elt(y, c.homs[g][gamma], gy) + \
-                ((arrow_symbol(g), -1),) + _invert(_elt(x, gamma, gx))
+            word = ((("arr", g), 1),) + _elt(y, c.homs[g][gamma], gy) + \
+                ((("arr", g), -1),) + _invert(_elt(x, gamma, gx))
             rels.append(word)
     for g in c.nonunit_arrows():
         for h in c.nonunit_arrows():
@@ -203,41 +205,30 @@ def _relators_of(c, arrow_symbol):
                 continue
             gh = cat.mul(g, h)
             gs = c.groups[cat.src(h)]
-            ghw = () if cat.is_identity(gh) else ((arrow_symbol(gh), 1),)
-            word = ((arrow_symbol(g), 1), (arrow_symbol(h), 1)) + \
+            ghw = () if cat.is_identity(gh) else ((("arr", gh), 1),)
+            word = ((("arr", g), 1), (("arr", h), 1)) + \
                 _invert(_elt(cat.src(h), c.twists[(g, h)], gs)) + _invert(ghw)
             rels.append(word)
     return rels
 
 
-def _generators_of(c, arrow_symbol):
-    gens = [arrow_symbol(g) for g in c.nonunit_arrows()]
-    for x in c.shape.objects:
-        gens.extend(("elt", x, gamma) for gamma in c.groups[x]
-                    if gamma != c.groups[x].identity)
-    return gens
-
-
 def fundamental_group(c):
-    """The presented fundamental group of a complex of groups."""
-    sym = lambda g: ("arr", g)
-    return canonical_presentation(_generators_of(c, sym),
-                                  _relators_of(c, sym))
+    """The presented fundamental group: the model presentation with the
+    endpoints of its generators forgotten."""
+    pres = model_presentation(c)
+    return canonical_presentation(pres.generators, pres.relators)
 
 
 def model_presentation(c):
     """The groupoid-model presentation: generators with endpoints."""
     cat = c.shape
-    sym = lambda g: ("arr", g)
-    generators = {}
-    for g in c.nonunit_arrows():
-        generators[sym(g)] = (cat.dst(g), cat.src(g))
+    generators = {("arr", g): (cat.dst(g), cat.src(g))
+                  for g in c.nonunit_arrows()}
     for x in cat.objects:
         for gamma in c.groups[x]:
             if gamma != c.groups[x].identity:
                 generators[("elt", x, gamma)] = (x, x)
-    return GroupoidPresentation(cat.objects, generators,
-                                _relators_of(c, sym))
+    return GroupoidPresentation(cat.objects, generators, _relators_of(c))
 
 
 def cone_extend(c):
@@ -282,48 +273,19 @@ def isotropy_at_infinity(c):
 
     Arrows into the cone point conjugate every generator to a loop
     there; the substitution (g, inf) -> h_{r(g)} . (g, 0) eliminates the
-    slanted arrows and the h_x themselves become trivial.  The result
-    must equal the fundamental group after renaming.
+    slanted arrows and the h_x become trivial, so one substitution takes
+    (g, inf) and (g, 0) to g.  The result must equal the fundamental group.
     """
-    ext = cone_extend(c)
-    pres = model_presentation(ext)
+    pres = model_presentation(cone_extend(c))
     cat = c.shape
-
-    def rewrite_letter(sym, power):
-        if sym[0] == "arr":
-            tag, g = sym[1]
-            if tag == "inf":
-                if cat.is_identity(g):
-                    return ()       # an h_x letter becomes trivial
-                word = ((("arr", ("inf", cat.identity(cat.dst(g)))), 1),
-                        (("arr", ("0", g)), 1))
-                return word if power == 1 else _invert(word)
-        return ((sym, power),)
-
-    def tform(word):
-        expanded = []
-        for sym, power in word:
-            expanded.extend(rewrite_letter(sym, power))
-        out = []
-        for sym, power in expanded:
-            if sym[0] == "arr":
-                tag, g = sym[1]
-                if tag == "inf" and cat.is_identity(g):
-                    continue        # h_x conjugators vanish
-                out.append((("arr", g), power))
-            else:
-                out.append((sym, power))
-        return tuple(out)
-
-    gens = []
-    for sym in pres.generators:
-        if sym[0] == "arr":
-            tag, g = sym[1]
-            if tag == "0" and not cat.is_identity(g):
-                gens.append(("arr", g))
-        else:
-            gens.append(sym)
-    return canonical_presentation(gens, [tform(r) for r in pres.relators])
+    solutions = {}
+    for g in cat.arrow_ids():
+        word = () if cat.is_identity(g) else ((("arr", g), 1),)
+        solutions[("arr", ("inf", g))] = solutions[("arr", ("0", g))] = word
+    gens = {s for sym in pres.generators
+            for s, _ in _substitute(((sym, 1),), solutions)}
+    return canonical_presentation(
+        gens, [_substitute(r, solutions) for r in pres.relators])
 
 
 def count_homs(p, n):
@@ -379,17 +341,19 @@ def _tietze_reduce(generators, relators):
         solution = _invert(rest) if power > 0 else rest
         rels.remove(r)
         gens.remove(s)
-        rels = [w for w in (cyclic_reduce(_substitute(w, s, solution))
+        rels = [w for w in (cyclic_reduce(_substitute(w, {s: solution}))
                             for w in rels) if w]
 
 
-def _substitute(word, s, solution):
+def _substitute(word, solutions):
+    """Replace each letter whose symbol has a solution by that word."""
     out = []
     for (sym, power) in word:
-        if sym != s:
+        if sym not in solutions:
             out.append((sym, power))
         else:
-            out.extend(solution if power > 0 else _invert(solution))
+            out.extend(solutions[sym] if power > 0
+                       else _invert(solutions[sym]))
     return tuple(out)
 
 
@@ -469,10 +433,6 @@ def homotopy_check(c1, c2, m1, m2, ws):
     return report
 
 
-def diagram_of_complex(c):
-    return from_complex(c.shape, c.groups, c.homs, c.twists)
-
-
 def presentation_model(c):
     """The model presentation bound to the tight diagram of the complex.
 
@@ -482,7 +442,7 @@ def presentation_model(c):
     """
     from .model import PresentationModel
     cat = c.shape
-    d = diagram_of_complex(c)
+    d = from_complex(c.shape, c.groups, c.homs, c.twists)
     pres = model_presentation(c)
     arrow_of = {g[2][0]: g for g in d.shape.generator_arrows()}
     binding = {}

@@ -107,15 +107,33 @@ def disjoint_union_lift(c):
 
 
 def validate_correspondence(c):
-    """Report violations of the correspondence axioms."""
+    """Report violations of the correspondence axioms.
+
+    The axioms read every action key as a pair and look up r and s at
+    every carrier point and at every point of an action entry; where one
+    of these fails, the report ends before them.
+    """
     report = [f"{side} groupoid: {line}"
               for side, gpd in (("left", c.left), ("right", c.right))
               for line in validate_groupoid(gpd)]
-    named = [("r", x) for x in c.rmap] + [("s", x) for x in c.smap] + [
-        ("lact", z) for (_, x), y in c.lact.items() for z in (x, y)] + [
+    broken = [f"{x!r} has no {name} value" for x in c.carrier
+              for name, m in (("r", c.rmap), ("s", c.smap)) if x not in m]
+    broken += [f"lact key {k!r} is not a (left arrow, carrier point) pair"
+               for k in c.lact if not (isinstance(k, tuple) and len(k) == 2)]
+    broken += [f"ract key {k!r} is not a (carrier point, right arrow) pair"
+               for k in c.ract if not (isinstance(k, tuple) and len(k) == 2)]
+    broken += [f"{name} value {y!r} at {k!r} is not a point"
+               for name, table in (("lact", c.lact), ("ract", c.ract))
+               for k, y in table.items() if not _hashable(y)]
+    if broken:
+        return report + broken
+    points = [("lact", z) for (_, x), y in c.lact.items() for z in (x, y)] + [
         ("ract", z) for (x, _), y in c.ract.items() for z in (x, y)]
+    named = [("r", x) for x in c.rmap] + [("s", x) for x in c.smap] + points
     report += [f"{name} names {x!r}, which is not in the carrier"
                for name, x in dict.fromkeys(named) if x not in c._index]
+    if any(z not in c.rmap or z not in c.smap for _, z in points):
+        return report
     for x in c.carrier:
         if c.rmap[x] not in c.left.objects:
             report.append(f"r({x!r}) is not an object of the left groupoid")
@@ -132,7 +150,7 @@ def validate_correspondence(c):
             report.append(f"r({x!r}.{g!r}) != r({x!r})")
     for (h, x), y in c.lact.items():
         for g in c.right.arrow_ids():
-            if (y, g) in c.ract:
+            if (y, g) in c.ract and (x, g) in c.ract:
                 other = c.lact.get((h, c.ract[(x, g)]))
                 if other != c.ract[(y, g)]:
                     report.append(
@@ -141,6 +159,14 @@ def validate_correspondence(c):
     if not ok:
         report.append(f"right action not basic, witness {witness!r}")
     return report
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def inner_product(c, x1, x2):

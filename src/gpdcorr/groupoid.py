@@ -330,20 +330,26 @@ class GermGroupoid:
     arrows form an equivalence relation on the carrier and the groupoid
     is effective by construction.  Arrow identity is the canonical
     (src, dst, minimal label) triple.
+
+    A walk along generators and their inverses is defined at its start
+    and is there the germ of its composite, so the germs are the pairs
+    of points in one component of the generators' graphs: no closure
+    of the pseudogroup is built.
     """
 
     def __init__(self, gens, carrier):
         if not isinstance(gens, dict):
             gens = {f"g{i}": f for i, f in enumerate(gens)}
         self.carrier = tuple(carrier)
-        self.closure = pseudogroup_closure(gens)
         self.labels = {}
         for label, f in sorted(gens.items()):
             for y, z in f.mapping.items():
                 self.labels.setdefault((y, z), label)
-        germs = {(y, y) for y in carrier}
-        for f in self.closure:
-            germs.update(f.mapping.items())
+        points = [*self.carrier, *(y for edge in self.labels for y in edge)]
+        components = {}
+        for y, rep in canonical_classes(points, self.labels, repr).items():
+            components.setdefault(rep, []).append(y)
+        germs = {(y, z) for ys in components.values() for y in ys for z in ys}
         self.germs = sorted(germs, key=repr)
         self._germ_set = germs
 

@@ -5,12 +5,14 @@ These are the earlier implementations that the propagating searches in
 actions and presentation actions), the table comparisons of
 ``verify_model`` and its naturality check on isomorphism-class
 representatives, the Tietze-reduced homomorphism count of
-``gpdcorr.cgx``, the factorised configuration space of ``gpdcorr.mn``,
+``gpdcorr.cgx`` and its presentations built from ``model_presentation``
+alone, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr``, the document writer of ``gpdcorr.cli``, the
 bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over``, the
-one action-groupoid constructor ``FinGroupoid.semidirect`` and the germ
-classes that ``TransformationGroupoid`` builds once per point replaced.
+one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
+classes that ``TransformationGroupoid`` builds once per point and the
+components that give ``GermGroupoid`` its germs replaced.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
@@ -26,13 +28,15 @@ and in the same order.
 import json
 from itertools import permutations, product
 
+from gpdcorr.cgx import (GroupoidPresentation, _elt, _invert,
+                         canonical_presentation, cone_extend)
 from gpdcorr.corr import Correspondence
 from gpdcorr.diagram import (FAction, actions_on, invariant_check,
                              validate_action)
 from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
                             ParseError, Undefined)
 from gpdcorr.fincat import canonical_classes
-from gpdcorr.groupoid import FinGroupoid
+from gpdcorr.groupoid import FinGroupoid, pseudogroup_closure
 from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
                            PresentationModel, _invariance_witness,
                            _map_values, _orbits, _table, pair_from_nf)
@@ -447,6 +451,115 @@ def invariance_witness(k, c1, c2):
                 all(f[y] == f[c2[y]] for y in f):
             return f
     return None
+
+
+def _relators_of(c, arrow_symbol):
+    """The four relator families, with unit generators eliminated."""
+    cat = c.shape
+    rels = []
+    for x in cat.objects:
+        gx = c.groups[x]
+        for a in gx:
+            for b in gx:
+                if a == gx.identity or b == gx.identity:
+                    continue
+                word = _elt(x, a, gx) + _elt(x, b, gx) + \
+                    _invert(_elt(x, gx.op(a, b), gx))
+                rels.append(word)
+    for g in c.nonunit_arrows():
+        x, y = cat.dst(g), cat.src(g)
+        gx, gy = c.groups[x], c.groups[y]
+        for gamma in gx:
+            if gamma == gx.identity:
+                continue
+            word = ((arrow_symbol(g), 1),) + _elt(y, c.homs[g][gamma], gy) + \
+                ((arrow_symbol(g), -1),) + _invert(_elt(x, gamma, gx))
+            rels.append(word)
+    for g in c.nonunit_arrows():
+        for h in c.nonunit_arrows():
+            if not cat.composable(g, h):
+                continue
+            gh = cat.mul(g, h)
+            gs = c.groups[cat.src(h)]
+            ghw = () if cat.is_identity(gh) else ((arrow_symbol(gh), 1),)
+            word = ((arrow_symbol(g), 1), (arrow_symbol(h), 1)) + \
+                _invert(_elt(cat.src(h), c.twists[(g, h)], gs)) + _invert(ghw)
+            rels.append(word)
+    return rels
+
+
+def _generators_of(c, arrow_symbol):
+    gens = [arrow_symbol(g) for g in c.nonunit_arrows()]
+    for x in c.shape.objects:
+        gens.extend(("elt", x, gamma) for gamma in c.groups[x]
+                    if gamma != c.groups[x].identity)
+    return gens
+
+
+def fundamental_group(c):
+    """The presented fundamental group, from its own generator list."""
+    sym = lambda g: ("arr", g)
+    return canonical_presentation(_generators_of(c, sym),
+                                  _relators_of(c, sym))
+
+
+def model_presentation(c):
+    """The groupoid-model presentation: generators with endpoints."""
+    cat = c.shape
+    sym = lambda g: ("arr", g)
+    generators = {}
+    for g in c.nonunit_arrows():
+        generators[sym(g)] = (cat.dst(g), cat.src(g))
+    for x in cat.objects:
+        for gamma in c.groups[x]:
+            if gamma != c.groups[x].identity:
+                generators[("elt", x, gamma)] = (x, x)
+    return GroupoidPresentation(cat.objects, generators,
+                                _relators_of(c, sym))
+
+
+def isotropy_at_infinity(c):
+    """The cone model's isotropy, by expanding every slanted arrow
+    (g, inf) -> h_{r(g)} . (g, 0) and then dropping the h_x."""
+    ext = cone_extend(c)
+    pres = model_presentation(ext)
+    cat = c.shape
+
+    def rewrite_letter(sym, power):
+        if sym[0] == "arr":
+            tag, g = sym[1]
+            if tag == "inf":
+                if cat.is_identity(g):
+                    return ()       # an h_x letter becomes trivial
+                word = ((("arr", ("inf", cat.identity(cat.dst(g)))), 1),
+                        (("arr", ("0", g)), 1))
+                return word if power == 1 else _invert(word)
+        return ((sym, power),)
+
+    def tform(word):
+        expanded = []
+        for sym, power in word:
+            expanded.extend(rewrite_letter(sym, power))
+        out = []
+        for sym, power in expanded:
+            if sym[0] == "arr":
+                tag, g = sym[1]
+                if tag == "inf" and cat.is_identity(g):
+                    continue        # h_x conjugators vanish
+                out.append((("arr", g), power))
+            else:
+                out.append((sym, power))
+        return tuple(out)
+
+    gens = []
+    for sym in pres.generators:
+        if sym[0] == "arr":
+            tag, g = sym[1]
+            if tag == "0" and not cat.is_identity(g):
+                gens.append(("arr", g))
+        else:
+            gens.append(sym)
+    return canonical_presentation(gens, [tform(r) for r in pres.relators])
 
 
 def count_homs(p, n):
@@ -1037,6 +1150,16 @@ def groupoid_semidirect(gpd, carrier, anchor, act):
     ident = {w: (gpd.unit(anchor[w]), w) for w in carrier}
     inv = {(g, w): (gpd.invert(g), act[(g, w)]) for (g, w) in arrows}
     return FinGroupoid(tuple(carrier), arrows, comp, ident, inv)
+
+
+def germs(gens, carrier):
+    """The germs of a pseudogroup: the pairs (y, f(y)) of every member f
+    of its closure under composition and inverse, and (y, y) on the
+    carrier."""
+    out = {(y, y) for y in carrier}
+    for f in pseudogroup_closure(gens):
+        out.update(f.mapping.items())
+    return sorted(out, key=repr)
 
 
 class TransformationGroupoid:

@@ -1,3 +1,4 @@
+import oracles
 from gpdcorr import cli
 from gpdcorr.cgx import (
     ComplexOfGroups, compose_morphisms, cone_extend, count_homs,
@@ -284,3 +285,22 @@ def test_homotopy_identity_and_defect():
     # identity vs twisted morphisms are not homotopic through w == 1
     report = homotopy_check(c, c, m, (psis, twisted), ws)
     assert report != []
+
+
+def test_presentations_match_oracles():
+    # model_presentation is the one builder; the oracles keep the separate
+    # generator list and the two-pass isotropy rewrite it replaced.  The
+    # isotropy runs on the complexes only: it cone-extends them itself, and
+    # a second cone would repeat the object "inf".
+    complexes = [maker() for maker in CORPUS] + [cx_loop(3)]
+    for c in complexes + [cone_extend(c) for c in complexes]:
+        got, want = model_presentation(c), oracles.model_presentation(c)
+        assert (got.objects, tuple(got.generators.items()), got.relators) \
+            == (want.objects, tuple(want.generators.items()), want.relators)
+        got, want = fundamental_group(c), oracles.fundamental_group(c)
+        assert (got.generators, got.relators) == \
+            (want.generators, want.relators)
+    for c in complexes:
+        got, want = isotropy_at_infinity(c), oracles.isotropy_at_infinity(c)
+        assert (got.generators, got.relators) == \
+            (want.generators, want.relators)

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from corpus import e1
 from gpdcorr import cli
+from gpdcorr.corr import validate_correspondence
 from gpdcorr.diagram import discrete_diagram
-from gpdcorr.groupoid import FinGroupoid, Group
+from gpdcorr.errors import GpdError
+from gpdcorr.groupoid import FinGroupoid, Group, validate_groupoid
 
 from test_cgx import cx_single_arrow
 from test_diagram import (point_diagram, swap_action, swap_diagram,
@@ -162,6 +164,50 @@ def test_every_single_node_break_is_refused(tmp_path):
         if code not in (1, 2, 3) or "Traceback" in err.getvalue():
             accepted.append((at, change, code))
     assert accepted == []
+
+
+# what main reports as malformed input
+MALFORMED = (GpdError, LookupError, TypeError, ValueError)
+
+
+def correspondences(doc):
+    """The correspondences that validate checks in a document: none when
+    it does not parse, and only those whose groupoids validate."""
+    try:
+        kind, payload = cli.parse_document(json.dumps(doc))
+        value = cli.value_of(kind, payload)
+    except MALFORMED:
+        return
+    if kind == "correspondence":
+        candidates = [value]
+    elif kind in ("diagram", "action"):
+        d = value[0] if kind == "action" else value
+        candidates = list((d.gen_data or {}).values())
+        for g in d.arrows(d.bound):
+            try:
+                candidates.append(d.X(g))
+            except MALFORMED:
+                pass
+    else:
+        return
+    for c in candidates:
+        try:
+            if validate_groupoid(c.left) or validate_groupoid(c.right):
+                continue
+        except MALFORMED:
+            continue
+        yield c
+
+
+def test_every_parsed_correspondence_break_gets_a_report():
+    # broken action tables, r or s maps and carriers are reported, not
+    # raised on; broken groupoids are left to their own validator
+    checked = 0
+    for doc, at, change in single_node_breaks():
+        for c in correspondences(broken_at(doc, at, change)):
+            assert isinstance(validate_correspondence(c), list), (at, change)
+            checked += 1
+    assert checked > 1000
 
 
 NAMED = {"point": DOCS[5], "commutative": DOCS[7]}

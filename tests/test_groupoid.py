@@ -252,6 +252,27 @@ def test_equal_graphs_have_equal_germs():
     assert gg.arrow(1, 2) == (1, 2, "f")
 
 
+@st.composite
+def partial_bijections(draw):
+    """At most two partial bijections of at most four points, and a
+    carrier that need not hold every point they move."""
+    points = range(draw(st.integers(1, 4)))
+    gens = {}
+    for i in range(draw(st.integers(0, 2))):
+        dom = draw(st.lists(st.sampled_from(points), unique=True))
+        image = draw(st.permutations(points))[:len(dom)]
+        gens[f"g{i}"] = PartialBijection(dict(zip(dom, image)))
+    return gens, tuple(points)[:draw(st.integers(0, len(points)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_bijections())
+def test_germs_from_components_match_the_closure(case):
+    gens, carrier = case
+    gg = germ_groupoid(gens, carrier)
+    assert gg.germs == oracles.germs(gens, carrier)
+
+
 def test_transformation_groupoid_with_pointwise_oracle_is_germ_groupoid():
     sigma = PartialBijection({1: 2, 2: 1})
     gens = {"s": sigma, "e": PartialBijection.identity((1, 2))}
