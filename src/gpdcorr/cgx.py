@@ -18,6 +18,7 @@ generators are eliminated eagerly.
 from math import factorial
 
 from .diagram import from_complex, presentation_actions
+from .errors import NotSupported
 from .fincat import FinCategory, canonical_classes, validate_category
 from .groupoid import Group
 
@@ -232,8 +233,15 @@ def model_presentation(c):
 
 
 def cone_extend(c):
-    """Extend over the cone shape: a new terminal object with arrows h_x."""
+    """Extend over the cone shape: a new terminal object with arrows h_x.
+
+    The cone point is the object "inf", so a complex that already has an
+    object of that name (a cone extension, say) is refused.
+    """
     cat = c.shape
+    if "inf" in cat.objects:
+        raise NotSupported("cannot cone-extend: the complex already has "
+                           "an object 'inf'")
     objects = tuple(cat.objects) + ("inf",)
     arrows, comp, ident = {}, {}, {}
     for g, (s, d) in cat.arrows.items():

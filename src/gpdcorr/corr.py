@@ -7,9 +7,15 @@ makes that quotient a lookup: each point of the first factor is its
 orbit representative times exactly one middle arrow, and that
 transversal carries every fibre pair to the one member of its class
 whose first factor is a representative.  Composed carriers are
-canonically relabelled as integer ranges with a stored provenance map
-so that iterated composites stay comparable and serialisable.
+canonically relabelled as integer ranges, one block of consecutive
+points per representative and one point in it per member of its fibre
+in the second factor, with a stored provenance map so that iterated
+composites stay comparable and serialisable.  In that layout the class
+map and both actions of a composite are permutations of fibre indices,
+each computed once per arrow and fibre and copied block by block.
 """
+
+from itertools import repeat
 
 from .errors import NotCoOrbital, ParseError
 from .fincat import canonical_classes
@@ -186,10 +192,15 @@ def compose(c1, c2):
     exactly one middle arrow t[x], where p(x) is the first point of the
     orbit of x in carrier order, and the class of a fibre pair (x, y)
     holds exactly one pair whose first factor is an orbit representative:
-    (p(x), t[x].y), its least pair in carrier order.  These pairs,
-    listed by x and then by y in carrier order, become the points
-    0, 1, ... of the composite; ``pairs`` maps each point to its pair and
-    ``cls`` maps every fibre pair to its point.
+    (p(x), t[x].y), its least pair in carrier order.  The representatives
+    x, in carrier order, each own a block of consecutive points of the
+    composite, the j-th for (x, y) with y the j-th point of the r-fibre
+    of s(x) in Y; ``pairs`` maps each point to its pair and ``cls`` maps
+    every fibre pair to its point.  t[x] carries the fibre of x onto the
+    block of p(x) by one permutation per (middle arrow, fibre), which
+    gives the row of points of x; h.(x, y) is read off the row of h.x,
+    and an arrow of G moves the second factor by one index map per
+    (arrow, fibre).
 
     Raises ParseError when the middle groupoids differ, when two arrows
     take an orbit representative of X to the same point (the action is
@@ -207,59 +218,63 @@ def compose(c1, c2):
                 raise ParseError(f"right action is not free: {t[v]!r} and "
                                  f"{g!r} both take {x!r} to {v!r}")
             t[v] = g
-    fibre = {}                  # r-fibres of Y: y -> its index in the fibre
+    index = {}                  # r-fibres of Y: r -> {y: its index}
     for y in c2.carrier:
-        ys = fibre.setdefault(c2.rmap[y], {})
+        ys = index.setdefault(c2.rmap[y], {})
         ys[y] = len(ys)
-    base = {}                   # each rep's first point
-    pairs, rmap, smap = {}, {}, {}
-    by_range, by_source = {}, {}
+    fibre = {v: tuple(ys) for v, ys in index.items()}
+    block, pairs, rmap, smap = {}, {}, {}, {}   # block: rep -> its points
     for x in c1.carrier:
-        if c1.p(x) != x:
-            continue
-        base[x] = len(pairs)
-        r = c1.rmap[x]
-        for y in fibre.get(c1.smap[x], ()):
-            i = len(pairs)
-            pairs[i] = (x, y)
-            rmap[i] = r
-            smap[i] = s = c2.smap[y]
-            by_range.setdefault(r, []).append((i, x, y))
-            by_source.setdefault(s, []).append((i, x, y))
-    cls = {}
+        if c1.p(x) == x:
+            ys = fibre.get(c1.smap[x], ())
+            ids = block[x] = tuple(range(len(pairs), len(pairs) + len(ys)))
+            pairs.update(zip(ids, zip(repeat(x), ys)))
+            rmap.update(zip(ids, repeat(c1.rmap[x])))
+            smap.update(zip(ids, map(c2.smap.__getitem__, ys)))
+    perm, row, cls = {}, {}, {}  # row[x][j]: the point of (x, fibre[j])
     for x in c1.carrier:
-        px = c1.p(x)
-        tx = t.get(x)
+        px, tx, sx = c1.p(x), t.get(x), c1.smap[x]
         if tx is None:
             raise ParseError(f"{x!r} is not one arrow away from its orbit "
                              f"representative {px!r}")
-        b, index = base[px], fibre.get(c1.smap[px], {})
-        try:
-            for y in fibre.get(c1.smap[x], ()):
-                cls[(x, y)] = b + index[c2.lact.get((tx, y))]
-        except KeyError:
-            raise ParseError(f"{tx!r}.{y!r} is not a point of the second "
-                             f"factor over {c1.smap[px]!r}") from None
+        ys, key = fibre.get(sx, ()), (tx, sx, c1.smap[px])
+        if key not in perm:
+            into, perm[key] = index.get(key[2], {}), []
+            for y in ys:
+                ty = c2.lact.get((tx, y))
+                if ty not in into:
+                    raise ParseError(f"{tx!r}.{y!r} is not a point of the "
+                                     f"second factor over {key[2]!r}")
+                perm[key].append(into[ty])
+        row[x] = list(map(block[px].__getitem__, perm[key]))
+        cls.update(zip(zip(repeat(x), ys), row[x]))
+    blocks = [(x, ids, c1.smap[x]) for x, ids in block.items() if ids]
     lact = {}
-    src = c1.left.src
-    try:
-        for h in c1.left.arrow_ids():
-            for i, x, y in by_range.get(src(h), ()):
-                hx = c1.lact.get((h, x))
-                if hx is not None:
-                    lact[(h, i)] = cls[(hx, y)]
-    except KeyError:
-        raise ParseError(f"s({h!r}.{x!r}) != s({x!r})") from None
-    ract = {}
-    dst = c2.right.dst
-    try:
-        for g in c2.right.arrow_ids():
-            for i, x, y in by_source.get(dst(g), ()):
-                yg = c2.ract.get((y, g))
-                if yg is not None:
-                    ract[(i, g)] = cls[(x, yg)]
-    except KeyError:
-        raise ParseError(f"r({y!r}.{g!r}) != r({y!r})") from None
+    for h in c1.left.arrow_ids():
+        sh = c1.left.src(h)
+        for x, ids, sx in blocks:
+            hx = c1.lact.get((h, x)) if c1.rmap[x] == sh else None
+            if hx is not None:
+                if hx not in row or c1.smap[hx] != sx:
+                    raise ParseError(f"s({h!r}.{x!r}) != s({x!r})")
+                lact.update(zip(zip(repeat(h), ids), row[hx]))
+    places, ract = {}, {}       # (g, r) -> (js, ks): fibre[j].g == fibre[k]
+    for g in c2.right.arrow_ids():
+        dg = c2.right.dst(g)
+        for x, ids, sx in blocks:
+            if (g, sx) not in places:
+                at, js, ks = index[sx], [], []
+                for j, y in enumerate(fibre[sx]):
+                    yg = c2.ract.get((y, g))
+                    if yg is not None and c2.smap[y] == dg:
+                        if yg not in at:
+                            raise ParseError(f"r({y!r}.{g!r}) != r({y!r})")
+                        js.append(j)
+                        ks.append(at[yg])
+                places[(g, sx)] = js, ks
+            js, ks = places[(g, sx)]
+            ract.update(zip(zip(map(ids.__getitem__, js), repeat(g)),
+                            map(row[x].__getitem__, ks)))
     return Correspondence(c1.left, c2.right, range(len(pairs)), rmap, smap,
                           lact, ract, pairs=pairs, cls=cls)
 

@@ -10,7 +10,12 @@ periodic tail is pruned by pigeonhole on the pair of residual group
 elements.
 
 Paths are pairs Path(rv, edges); the range vertex is stored explicitly
-so that empty paths at different vertices stay distinct.
+so that empty paths at different vertices stay distinct.  The data
+keeps one table ``step[(g, e)] = (g.e, g|_e)``, so a group element walks
+an edge tuple with one lookup per letter.  The product of normal forms
+and the action on finite paths decide whether one word starts another,
+range vertex included, by one comparison, and build a path only for
+the answer.
 
 Input is checked at the boundary: ``SelfSimilarData`` refuses tables
 that are not total, and ``path``, ``ev`` and ``nf`` are the checked
@@ -54,6 +59,7 @@ class SelfSimilarData:
             for k in keys:
                 if k not in table or table[k] not in values:
                     raise ParseError(f"{name} has no valid entry for {k!r}")
+        self.step = {k: (self.eact[k], self.cocycle[k]) for k in ge}
         self.edges_at = {v: [] for v in self.vertices}
         for e in sorted(self.edges, key=repr):
             self.edges_at[self.er[e]].append(e)
@@ -132,11 +138,16 @@ class SelfSimilarData:
 
     def act_path(self, g, p):
         """g . (e1...en) and the residual restriction g|_(e1...en)."""
-        h, out = g, []
-        for e in p.edges:
-            out.append(self.eact[(h, e)])
-            h = self.cocycle[(h, e)]
-        return Path(self.vact[(g, p.rv)], tuple(out)), h
+        edges, h = self.act_edges(g, p.edges)
+        return Path(self.vact[(g, p.rv)], edges), h
+
+    def act_edges(self, g, edges):
+        """act_path on the edge tuple alone, one step lookup per letter."""
+        step, out = self.step, []
+        for e in edges:
+            e, g = step[g, e]
+            out.append(e)
+        return tuple(out), g
 
     # -- eventually periodic points ------------------------------------------
 
@@ -189,14 +200,14 @@ class SelfSimilarData:
 
     def group_act_ev(self, g, z):
         """g . z for an eventually periodic z; again eventually periodic."""
-        out_pre, h = self.act_path(g, Path(z.rv, z.pre))
-        per, blocks, seen = Path(self.er[z.per[0]], z.per), [], {}
+        out_pre, h = self.act_edges(g, z.pre)
+        blocks, seen = [], {}
         while h not in seen:
             seen[h] = len(blocks)
-            block, h = self.act_path(h, per)
-            blocks.append(block.edges)
+            block, h = self.act_edges(h, z.per)
+            blocks.append(block)
         j = seen[h]
-        return self.ev_canon(out_pre.edges + sum(blocks[:j], ()),
+        return self.ev_canon(out_pre + sum(blocks[:j], ()),
                              sum(blocks[j:], ()))
 
 
@@ -209,19 +220,22 @@ class NormalForm:
     The constructor trusts that compatibility; ``nf`` checks it.
     """
 
+    __slots__ = ("data", "zero", "w1", "g", "w2", "_key")
+
     def __init__(self, data, w1=None, g=None, w2=None, zero=False):
         self.data = data
         self.zero = zero
         self.w1, self.g, self.w2 = w1, g, w2
+        self._key = ("0",) if zero else (w1, g, w2)
 
     def key(self):
-        return ("0",) if self.zero else (self.w1, self.g, self.w2)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, NormalForm) and self.key() == other.key()
+        return isinstance(other, NormalForm) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         if self.zero:
@@ -258,33 +272,23 @@ def nf_unit(data, v=None):
     return NormalForm(data, p, data.group.identity, p)
 
 
-def _split(data, long, short):
-    """The path x with long == short . x, or None."""
-    if long.rv != short.rv or long.edges[:len(short.edges)] != short.edges:
-        return None
-    return Path(data.ps(short), long.edges[len(short.edges):])
-
-
 def nf_mul(t1, t2):
-    """The three-case product of normal forms."""
+    """The three-case product: zero unless t1.w2 or t2.w1 starts the other."""
     data = t1.data
     if data is not t2.data:
         raise ParseError("operands over different data")
     if t1.zero or t2.zero:
-        return nf_zero(data)
-    G = data.group
-    x = _split(data, t2.w1, t1.w2)
-    if x is not None:
-        gx, res = data.act_path(t1.g, x)
-        w1 = Path(t1.w1.rv, t1.w1.edges + gx.edges)
+        return data._zero
+    G, (rv1, u1), (rv2, u2) = data.group, t1.w2, t2.w1
+    if (rv2, u2[:len(u1)]) == t1.w2:
+        gx, res = data.act_edges(t1.g, u2[len(u1):])
+        w1 = Path(t1.w1.rv, t1.w1.edges + gx)
         return NormalForm(data, w1, G.op(res, t2.g), t2.w2)
-    x = _split(data, t1.w2, t2.w1)
-    if x is not None:
-        g2inv = G.inv[t2.g]
-        g2x, res = data.act_path(g2inv, x)
-        w2 = Path(t2.w2.rv, t2.w2.edges + g2x.edges)
+    if (rv1, u1[:len(u2)]) == t2.w1:
+        g2x, res = data.act_edges(G.inv[t2.g], u1[len(u2):])
+        w2 = Path(t2.w2.rv, t2.w2.edges + g2x)
         return NormalForm(data, t1.w1, G.op(t1.g, G.inv[res]), w2)
-    return nf_zero(data)
+    return data._zero
 
 
 def nf_star(t):
@@ -298,8 +302,8 @@ def nf_restrict(t, x):
     data = t.data
     if data.ps(t.w2) != data.pr(x):
         raise Undefined("{!r} does not start at the source of {!r}", x, t)
-    gx, res = data.act_path(t.g, x)
-    w1 = Path(t.w1.rv, t.w1.edges + gx.edges)
+    gx, res = data.act_edges(t.g, x.edges)
+    w1 = Path(t.w1.rv, t.w1.edges + gx)
     w2 = Path(t.w2.rv, t.w2.edges + x.edges)
     return NormalForm(data, w1, res, w2)
 
@@ -310,11 +314,11 @@ def act_on_word(t, z):
     if t.zero:
         raise Undefined("the zero element has empty domain")
     if isinstance(z, Path):
-        x = _split(data, z, t.w2)
-        if x is None:
+        n = len(t.w2.edges)
+        if (z.rv, z.edges[:n]) != t.w2:
             raise Undefined("{!r} does not start with {!r}", z, t.w2)
-        gx, _ = data.act_path(t.g, x)
-        return Path(t.w1.rv, t.w1.edges + gx.edges)
+        gx, _ = data.act_edges(t.g, z.edges[n:])
+        return Path(t.w1.rv, t.w1.edges + gx)
     if not data.ev_starts_with(z, t.w2):
         raise Undefined("{!r} does not start with {!r}", z, t.w2)
     tail = data.ev_drop(z, len(t.w2.edges))
@@ -409,14 +413,13 @@ def slice_intersections(t1, t2, depth=None):
     data = t1.data
     if t1.zero or t2.zero:
         return []
-    x = _split(data, t2.w2, t1.w2)
-    if x is not None:
-        t1 = nf_restrict(t1, x)
+    (rv1, u1), (rv2, u2) = t1.w2, t2.w2
+    if (rv2, u2[:len(u1)]) == t1.w2:
+        t1 = nf_restrict(t1, Path(data.ps(t1.w2), u2[len(u1):]))
+    elif (rv1, u1[:len(u2)]) == t2.w2:
+        t2 = nf_restrict(t2, Path(data.ps(t2.w2), u1[len(u2):]))
     else:
-        x = _split(data, t1.w2, t2.w2)
-        if x is None:
-            return []
-        t2 = nf_restrict(t2, x)
+        return []
     if len(t1.w1.edges) != len(t2.w1.edges):
         return []
 

@@ -8,7 +8,8 @@ representatives, the Tietze-reduced homomorphism count of
 ``gpdcorr.cgx`` and its presentations built from ``model_presentation``
 alone, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
-of ``gpdcorr.corr``, the document writer of ``gpdcorr.cli``, the
+of ``gpdcorr.corr`` and the block composition that followed it, the
+document writer of ``gpdcorr.cli``, the
 bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
 classes that ``TransformationGroupoid`` builds once per point and the
@@ -16,7 +17,8 @@ components that give ``GermGroupoid`` its germs replaced.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
-the composition joins fibre pairs along every middle arrow, the pair
+the composition joins fibre pairs along every middle arrow or reads
+them one at a time off the transversal, the pair
 arrows are compared with every arrow kept so far, a germ class is found
 by asking the oracle about every element on every call), so they are
 slow but obviously right.  The per-class translators of the finite
@@ -721,6 +723,92 @@ def compose(c1, c2):
                 ract[(i, g)] = cls[(x, c2.ract[(y, g)])]
     return Correspondence(c1.left, c2.right, carrier, rmap, smap, lact, ract,
                           pairs=pairs, cls=cls)
+
+
+def transversal_compose(c1, c2):
+    """(X x_s,r Y) / G read off the transversal of the free right action,
+    one fibre pair at a time, with its error texts.
+
+    The right G-action on X must be free.  Then each x is p(x).t[x] for
+    exactly one middle arrow t[x], where p(x) is the first point of the
+    orbit of x in carrier order, and the class of a fibre pair (x, y)
+    holds exactly one pair whose first factor is an orbit representative:
+    (p(x), t[x].y), its least pair in carrier order.  These pairs,
+    listed by x and then by y in carrier order, become the points
+    0, 1, ... of the composite; ``pairs`` maps each point to its pair and
+    ``cls`` maps every fibre pair to its point.
+
+    Raises ParseError when the middle groupoids differ, when two arrows
+    take an orbit representative of X to the same point (the action is
+    not free), when an orbit member is not one arrow away from its
+    representative and when an action leads out of the fibre product
+    (an entry is missing or moves the anchor it must keep).
+    """
+    if c1.right is not c2.left and \
+            c1.right.arrows != c2.left.arrows:
+        raise ParseError("middle groupoids differ")
+    t = {}                      # x -> the middle arrow with x == p(x).t[x]
+    for (x, g), v in c1.ract.items():
+        if c1.p(x) == x:
+            if v in t:
+                raise ParseError(f"right action is not free: {t[v]!r} and "
+                                 f"{g!r} both take {x!r} to {v!r}")
+            t[v] = g
+    fibre = {}                  # r-fibres of Y: y -> its index in the fibre
+    for y in c2.carrier:
+        ys = fibre.setdefault(c2.rmap[y], {})
+        ys[y] = len(ys)
+    base = {}                   # each rep's first point
+    pairs, rmap, smap = {}, {}, {}
+    by_range, by_source = {}, {}
+    for x in c1.carrier:
+        if c1.p(x) != x:
+            continue
+        base[x] = len(pairs)
+        r = c1.rmap[x]
+        for y in fibre.get(c1.smap[x], ()):
+            i = len(pairs)
+            pairs[i] = (x, y)
+            rmap[i] = r
+            smap[i] = s = c2.smap[y]
+            by_range.setdefault(r, []).append((i, x, y))
+            by_source.setdefault(s, []).append((i, x, y))
+    cls = {}
+    for x in c1.carrier:
+        px = c1.p(x)
+        tx = t.get(x)
+        if tx is None:
+            raise ParseError(f"{x!r} is not one arrow away from its orbit "
+                             f"representative {px!r}")
+        b, index = base[px], fibre.get(c1.smap[px], {})
+        try:
+            for y in fibre.get(c1.smap[x], ()):
+                cls[(x, y)] = b + index[c2.lact.get((tx, y))]
+        except KeyError:
+            raise ParseError(f"{tx!r}.{y!r} is not a point of the second "
+                             f"factor over {c1.smap[px]!r}") from None
+    lact = {}
+    src = c1.left.src
+    try:
+        for h in c1.left.arrow_ids():
+            for i, x, y in by_range.get(src(h), ()):
+                hx = c1.lact.get((h, x))
+                if hx is not None:
+                    lact[(h, i)] = cls[(hx, y)]
+    except KeyError:
+        raise ParseError(f"s({h!r}.{x!r}) != s({x!r})") from None
+    ract = {}
+    dst = c2.right.dst
+    try:
+        for g in c2.right.arrow_ids():
+            for i, x, y in by_source.get(dst(g), ()):
+                yg = c2.ract.get((y, g))
+                if yg is not None:
+                    ract[(i, g)] = cls[(x, yg)]
+    except KeyError:
+        raise ParseError(f"r({y!r}.{g!r}) != r({y!r})") from None
+    return Correspondence(c1.left, c2.right, range(len(pairs)), rmap, smap,
+                          lact, ract, pairs=pairs, cls=cls)
 
 
 def _node_type(word):

@@ -1,3 +1,5 @@
+import pytest
+
 import oracles
 from gpdcorr import cli
 from gpdcorr.cgx import (
@@ -6,6 +8,7 @@ from gpdcorr.cgx import (
     model_presentation, morphism_check, presentation_model, validate_cgx,
     GroupPresentation)
 from gpdcorr.diagram import validate_diagram
+from gpdcorr.errors import NotSupported
 from gpdcorr.fincat import FinCategory
 from gpdcorr.groupoid import Group
 from gpdcorr.model import verify_model
@@ -216,6 +219,14 @@ def test_cone_extend_corpus_validates():
         assert report == []
 
 
+def test_second_cone_is_refused():
+    # a second cone point would repeat the object "inf"
+    c = cone_extend(cx_single_arrow())
+    for op in (cone_extend, isotropy_at_infinity):
+        with pytest.raises(NotSupported, match="an object 'inf'"):
+            op(c)
+
+
 def test_cone_model_presentation_is_transitive():
     # every object is connected to the cone point by h_x
     c = cx_free_product()
@@ -291,7 +302,7 @@ def test_presentations_match_oracles():
     # model_presentation is the one builder; the oracles keep the separate
     # generator list and the two-pass isotropy rewrite it replaced.  The
     # isotropy runs on the complexes only: it cone-extends them itself, and
-    # a second cone would repeat the object "inf".
+    # refuses a second cone.
     complexes = [maker() for maker in CORPUS] + [cx_loop(3)]
     for c in complexes + [cone_extend(c) for c in complexes]:
         got, want = model_presentation(c), oracles.model_presentation(c)

@@ -6,6 +6,7 @@ import pytest
 
 from corpus import e1, e2, ep_graph, space_correspondences, z2_fixed_point
 from gpdcorr import cli
+from gpdcorr.cgx import cone_extend
 from gpdcorr.corr import (identity_correspondence, space_correspondence,
                           validate_correspondence)
 from gpdcorr.diagram import discrete_diagram, from_generators
@@ -648,6 +649,15 @@ def test_cgx_commands(tmp_path):
     code, out1, _ = run_cli("cgx", path, "pi1")
     code, out2, _ = run_cli("cgx", path, "isotropy")
     assert out1 == out2
+
+
+def test_cgx_isotropy_of_a_cone_is_a_usage_error(tmp_path):
+    path = write_doc(tmp_path, "cone.json", "complex_of_groups",
+                     cli.complex_payload(cone_extend(cx_single_arrow())))
+    code, out, err = run_cli("cgx", path, "isotropy")
+    assert_usage_error(code, out, err)
+    assert err == ("error: cannot cone-extend: the complex already has an "
+                   "object 'inf'\n")
 
 
 def test_cli_outputs_deterministic(tmp_path):
