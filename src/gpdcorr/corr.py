@@ -18,7 +18,7 @@ each computed once per arrow and fibre and copied block by block.
 from itertools import repeat
 
 from .errors import NotCoOrbital, ParseError
-from .fincat import canonical_classes
+from .fincat import _hashable, canonical_classes
 from .groupoid import (FinGroupoid, GroupoidAction, check_basic,
                        validate_groupoid)
 
@@ -165,14 +165,6 @@ def validate_correspondence(c):
     if not ok:
         report.append(f"right action not basic, witness {witness!r}")
     return report
-
-
-def _hashable(value):
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
 
 
 def inner_product(c, x1, x2):

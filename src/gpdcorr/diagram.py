@@ -26,7 +26,8 @@ chosen: per non-unit arrow for ``_left_actions``, and per generator for
 ``cgx.count_homs``.  ``_actions_with_frame`` is a product over
 per-object groupoid actions and per-generator alpha tables.
 ``enumerate_actions`` searches only frames with nondecreasing (part,
-anchor) ranks and dedupes within the buckets of a relabelling invariant.
+anchor) ranks and keeps the first of each class by ``first_of_class``,
+bucketed by a relabelling invariant, as ``verify_model`` does.
 """
 
 from collections import Counter
@@ -37,7 +38,7 @@ from .corr import (Correspondence, classify, compose, from_group_hom,
                    identity_correspondence, inner_product,
                    validate_correspondence)
 from .errors import ConditionFailed, HexagonViolation, ParseError
-from .fincat import COMM, PresentedShape, canonical_classes
+from .fincat import COMM, PresentedShape, canonical_classes, first_of_class
 from .groupoid import FinGroupoid, PartialBijection
 
 
@@ -927,16 +928,17 @@ def enumerate_actions(d, n):
     never decrease along the carrier, so only such frames are searched.  A
     table is compared exactly only with the kept tables of its _iso_key.
     """
-    out, kept, ids = [], {}, {}
-    for k in range(n + 1):
-        for a in actions_on(d, list(range(k)), ordered=True):
-            t = a.table()
-            bucket = kept.setdefault(_iso_key(t, ids), [])
-            if all(next(_propagated_maps(t, u, injective=True), None) is None
-                   for u in bucket):
-                bucket.append(t)
-                out.append(a)
-    return out
+    return [a for (a, _), seen in _table_classes(
+        (a, a.table()) for k in range(n + 1)
+        for a in actions_on(d, list(range(k)), ordered=True)) if seen is None]
+
+
+def _table_classes(pairs):
+    """first_of_class on (item, action table) pairs by the class of the
+    table, witnessed by an isomorphism and bucketed by its _iso_key."""
+    ids = {}
+    return first_of_class(pairs, lambda p, q: next(_propagated_maps(
+        p[1], q[1], injective=True), None), lambda p: _iso_key(p[1], ids))
 
 
 def _iso_key(table, ids):

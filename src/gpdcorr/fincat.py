@@ -43,6 +43,24 @@ def canonical_classes(items, links, key):
     return {x: find(x) for x in parent}
 
 
+def first_of_class(items, same, key):
+    """Yield each item with None if it opens its class, else with (first,
+    witness): the earliest kept item of its ``key`` bucket for which the
+    witness ``same(item, first)`` is not None.  ``same`` must decide an
+    equivalence and ``key`` be constant on its classes."""
+    kept = {}
+    for item in items:
+        bucket = kept.setdefault(key(item), [])
+        for first in bucket:
+            witness = same(item, first)
+            if witness is not None:
+                yield item, (first, witness)
+                break
+        else:
+            bucket.append(item)
+            yield item, None
+
+
 class FinCategory:
     """A finite category given by an explicit composition table.
 
@@ -88,8 +106,15 @@ class FinCategory:
 
 
 def validate_category(cat):
-    """Check the category axioms and report every violation found."""
-    report = []
+    """Check the category axioms and report every violation found.
+
+    The axioms hash every object, identity and composite and read every
+    arrow record as a (source, target) pair; where one of these fails,
+    the report names it and ends before them.
+    """
+    report = _unreadable(cat)
+    if report:
+        return report
     arrows = cat.arrow_ids()
     objects = set(cat.objects)
     report += [f"{end} {x!r} of {g!r} is not an object" for g in arrows
@@ -148,6 +173,31 @@ def validate_category(cat):
                         f"associativity fails on ({g!r},{h!r},{k!r}): "
                         f"(gh)k = {lhs!r}, g(hk) = {rhs!r}")
     return report
+
+
+def _unreadable(cat):
+    """The parts of a category that validate_category cannot read."""
+    report = [f"object {x!r} is not hashable"
+              for x in cat.objects if not _hashable(x)]
+    report += [f"arrow {g!r} has the record {e!r}, not a (source, target) "
+               "pair" for g, e in cat.arrows.items()
+               if not (isinstance(e, tuple) and len(e) == 2 and _hashable(e))]
+    report += [f"identity {i!r} of {x!r} is not hashable"
+               for x, i in cat.identities.items() if not _hashable(i)]
+    report += [f"compose key {k!r} is not a pair of arrows"
+               for k in cat.compose
+               if not (isinstance(k, tuple) and len(k) == 2)]
+    report += [f"composite {k!r} of {gh!r} is not hashable"
+               for gh, k in cat.compose.items() if not _hashable(k)]
+    return report
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 FREE = "free"
@@ -270,16 +320,11 @@ class PresentedShape:
         if self.kind in (GROUP, FINITE):
             out.extend(sorted(self.generator_arrows(), key=repr))
             return out
-        layer = list(out)
+        layer = set(out)
         for _ in range(bound):
-            nxt = []
-            for a in layer:
-                for g in self.generator_arrows():
-                    c = self.compose(a, g)
-                    if c is not None and c not in nxt:
-                        nxt.append(c)
-            layer = sorted(set(nxt), key=repr)
-            out.extend(a for a in layer if a not in out)
+            layer = {self.compose(a, g) for a in layer
+                     for g in self.generator_arrows()} - {None}
+            out.extend(layer)
         return sorted(set(out), key=lambda a: (len(a[2]), repr(a)))
 
     def materialize(self, bound=None):

@@ -9,7 +9,8 @@ an oracle supplied by the caller.
 """
 
 from .errors import NotEquivariant, OracleIncomplete, ParseError, Undefined
-from .fincat import FinCategory, canonical_classes, validate_category
+from .fincat import (FinCategory, _hashable, _unreadable, canonical_classes,
+                     first_of_class, validate_category)
 
 
 class Group:
@@ -129,7 +130,23 @@ class FinGroupoid(FinCategory):
 
 
 def validate_groupoid(gpd):
+    """Check the category axioms and the inverse laws.
+
+    The inverse laws hash every inverse and look up the units at both
+    ends of every arrow that has one; where that fails, or the category
+    cannot be read, the report ends before them.
+    """
     report = validate_category(gpd)
+    if _unreadable(gpd):
+        return report
+    broken = [f"inverse {gi!r} of {g!r} is not hashable"
+              for g, gi in gpd.inv.items() if not _hashable(gi)]
+    broken += [f"{end} {x!r} of {g!r} has no unit" for g in gpd.arrow_ids()
+               if gpd.inv.get(g) is not None
+               for end, x in zip(("source", "target"), gpd.arrows[g])
+               if x not in gpd.identities]
+    if broken:
+        return report + broken
     for g in gpd.arrow_ids():
         gi = gpd.inv.get(g)
         if gi is None:
@@ -421,12 +438,11 @@ class TransformationGroupoid:
     def classes(self, x):
         """Each element defined at x, mapped to its class's least member."""
         if x not in self._by_point:
-            cls = {}
-            for t in self.elements:
-                if self.apply(t, x) is not None:
-                    cls[t] = next((u for u in cls if cls[u] is u
-                                   and self._ask(t, u, x)), t)
-            self._by_point[x] = cls
+            classes = first_of_class(
+                (t for t in self.elements if self.apply(t, x) is not None),
+                lambda t, u: self._ask(t, u, x) or None, lambda t: x)
+            self._by_point[x] = {t: seen[0] if seen else t
+                                 for t, seen in classes}
         return self._by_point[x]
 
     def arrow(self, t, x):

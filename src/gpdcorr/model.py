@@ -18,20 +18,22 @@ the shape object x, or to ("alph", g, xi), an element of X_g, and its
 translator turns an action into a diagram action through them.
 verify_model checks the defining bijection on all labelled carriers up
 to a size bound, and naturality on one action per isomorphism class, or
-on every labelled action when that stage fails.
+on every labelled action when that stage fails; ``first_of_class`` picks
+its representatives, and the pair arrows of ``arrows_over``.
 """
 
 from collections import Counter
 from itertools import chain, groupby, product
 
 from .corr import Correspondence, classify, morita_check
-from .diagram import (FAction, _left_actions, _propagated_maps, actions_on,
-                      enumerate_actions, equivariant_maps, from_generators,
-                      presentation_actions, validate_action)
+from .diagram import (FAction, _left_actions, _propagated_maps,
+                      _table_classes, actions_on, enumerate_actions,
+                      equivariant_maps, from_generators, presentation_actions,
+                      validate_action)
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight, Undefined)
 from .fincat import (FREE, GROUP, IS_ORE, PresentedShape, canonical_classes,
-                     ore_check)
+                     first_of_class, ore_check)
 from .groupoid import FinGroupoid, Group
 from .selfsim import Path, SelfSimilarData, act_on_word, nf
 
@@ -340,15 +342,13 @@ def _representatives(tables):
     """The first action of each isomorphism class of the diagram side;
     None if the isomorphism found onto it does not carry both tables."""
     reps = []
-    for u, f in tables:
-        for ru, rf in reps:
-            p = next(_propagated_maps(f, rf, injective=True), None)
-            if p is not None:
-                if not (_carries(p, u, ru) and _carries(p, f, rf)):
-                    return None
-                break
-        else:
+    for (u, f), seen in _table_classes(tables):
+        if seen is None:
             reps.append((u, f))
+        else:
+            (ru, rf), p = seen
+            if not (_carries(p, u, ru) and _carries(p, f, rf)):
+                return None
     return reps
 
 
@@ -512,21 +512,14 @@ class OreUniversal:
                     w = data.es[nxt[w]]
                 if w in nxt or (edges and w in seen):
                     j = seen[w]
-                    z = data.ev_canon(tuple(edges[:j]), tuple(edges[j:]))
-                    if z not in out:
-                        out.append(z)
-            return out
-        for np_ in range(pre_len + 1):
-            for pre in data.paths(np_):
-                for k in range(1, per_len + 1):
-                    for per in data.paths(k):
-                        if data.ps(pre) != data.pr(per) or \
-                                data.ps(per) != data.pr(per):
-                            continue
-                        z = data.ev_canon(pre.edges, per.edges)
-                        if z not in out:
-                            out.append(z)
-        return out
+                    out.append(data.ev_canon(tuple(edges[:j]),
+                                             tuple(edges[j:])))
+            return list(dict.fromkeys(out))
+        return list(dict.fromkeys(
+            data.ev_canon(pre.edges, per.edges)
+            for np_ in range(pre_len + 1) for pre in data.paths(np_)
+            for k in range(1, per_len + 1) for per in data.paths(k)
+            if data.ps(pre) == data.pr(per) == data.ps(per)))
 
     def thread(self, z, n):
         """The level-n entry of the thread of a point: its n-prefix."""
@@ -774,25 +767,15 @@ class SelfSimPairModel:
     def arrows_over(self, points, word_len=2):
         """All distinct arrows with legs of the given length, as reps."""
         data = self.data
-        out, classes = [], {}
         paths = [w for n in range(word_len + 1) for w in data.paths(n)]
-        for z in points:
-            for w1 in paths:
-                for g in data.group:
-                    for w2 in paths:
-                        if data.ps(w1) != data.vact[(g, data.ps(w2))]:
-                            continue
-                        t = nf(data, w1.edges, g, w2.edges,
-                               rv1=w1.rv, rv2=w2.rv)
-                        if not data.ev_starts_with(z, t.w2):
-                            continue
-                        p = pair_from_nf(data, t, z)
-                        kept = classes.setdefault(
-                            (p.normalised().source(), p.grade()), [])
-                        if not any(self.equal(p, q) for q in kept):
-                            kept.append(p)
-                            out.append(p)
-        return out
+        forms = [nf(data, w1.edges, g, w2.edges, rv1=w1.rv, rv2=w2.rv)
+                 for w1 in paths for g in data.group for w2 in paths
+                 if data.ps(w1) == data.vact[(g, data.ps(w2))]]
+        pairs = (pair_from_nf(data, t, z) for z in points for t in forms
+                 if data.ev_starts_with(z, t.w2))
+        return [p for p, seen in first_of_class(
+            pairs, lambda p, q: self.equal(p, q) or None,
+            lambda p: (p.normalised().source(), p.grade())) if seen is None]
 
     def grading_functor(self, completion):
         """The map to the groupoid completion: grade as a zigzag class."""

@@ -10,7 +10,8 @@ alone, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr`` and the block composition that followed it, the
 document writer of ``gpdcorr.cli``, the
-bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over``, the
+bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
+bucketed representatives of ``verify_model``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
 classes that ``TransformationGroupoid`` builds once per point and the
 components that give ``GermGroupoid`` its germs replaced.
@@ -33,14 +34,14 @@ from itertools import permutations, product
 from gpdcorr.cgx import (GroupoidPresentation, _elt, _invert,
                          canonical_presentation, cone_extend)
 from gpdcorr.corr import Correspondence
-from gpdcorr.diagram import (FAction, actions_on, invariant_check,
-                             validate_action)
+from gpdcorr.diagram import (FAction, _propagated_maps, actions_on,
+                             invariant_check, validate_action)
 from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
                             ParseError, Undefined)
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import FinGroupoid, pseudogroup_closure
 from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
-                           PresentationModel, _invariance_witness,
+                           PresentationModel, _carries, _invariance_witness,
                            _map_values, _orbits, _table, pair_from_nf)
 from gpdcorr.selfsim import EvPeriodicWord, Path, nf
 
@@ -372,6 +373,23 @@ def verify_model(d, model, n):
                     raise Mismatch(
                         f"invariant maps differ for {f!r} at size {k1}")
     return True
+
+
+def representatives(tables):
+    """The first action of each isomorphism class of the diagram side,
+    each compared with every representative kept so far; None if the
+    isomorphism found onto it does not carry both tables."""
+    reps = []
+    for u, f in tables:
+        for ru, rf in reps:
+            p = next(_propagated_maps(f, rf, injective=True), None)
+            if p is not None:
+                if not (_carries(p, u, ru) and _carries(p, f, rf)):
+                    return None
+                break
+        else:
+            reps.append((u, f))
+    return reps
 
 
 def verify_model_all_pairs(d, model, n):

@@ -22,6 +22,7 @@ from gpdcorr import cli
 from gpdcorr.corr import validate_correspondence
 from gpdcorr.diagram import discrete_diagram
 from gpdcorr.errors import GpdError
+from gpdcorr.fincat import validate_category
 from gpdcorr.groupoid import FinGroupoid, Group, validate_groupoid
 
 from test_cgx import cx_single_arrow
@@ -149,11 +150,16 @@ def single_node_breaks():
                     yield doc, path, change
 
 
+# breaks that validate answers with "malformed input" (exit 2) instead of
+# a report; the bound keeps reports from slipping back to exit 2
+MALFORMED_BOUND = 549
+
+
 def test_every_single_node_break_is_refused(tmp_path):
     # 11,475 breaks: run's temporary directory and indented writer per
     # break would take as long as validate itself
     path = str(tmp_path / "doc.json")
-    accepted = []
+    accepted, malformed = [], 0
     for doc, at, change in single_node_breaks():
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(broken_at(doc, at, change)))
@@ -163,7 +169,9 @@ def test_every_single_node_break_is_refused(tmp_path):
             code = cli.main(["validate", path])
         if code not in (1, 2, 3) or "Traceback" in err.getvalue():
             accepted.append((at, change, code))
+        malformed += "malformed input" in err.getvalue()
     assert accepted == []
+    assert malformed <= MALFORMED_BOUND
 
 
 # what main reports as malformed input
@@ -206,6 +214,39 @@ def test_every_parsed_correspondence_break_gets_a_report():
     for doc, at, change in single_node_breaks():
         for c in correspondences(broken_at(doc, at, change)):
             assert isinstance(validate_correspondence(c), list), (at, change)
+            checked += 1
+    assert checked > 1000
+
+
+def categories(doc):
+    """The categories and groupoids that a document parses into: its
+    own, and the two sides of its correspondences and the groupoids of
+    its diagram."""
+    try:
+        kind, payload = cli.parse_document(json.dumps(doc))
+        value = cli.value_of(kind, payload)
+    except MALFORMED:
+        return []
+    if kind in ("category", "groupoid"):
+        return [value]
+    if kind == "correspondence":
+        return [value.left, value.right]
+    if kind in ("diagram", "action"):
+        d = value[0] if kind == "action" else value
+        return list(d.gr.values()) + [gpd for c in (d.gen_data or {}).values()
+                                      for gpd in (c.left, c.right)]
+    return []
+
+
+def test_every_parsed_groupoid_break_gets_a_report():
+    # unreadable arrow records, objects, identities, composites and
+    # inverses are reported, not raised on
+    checked = 0
+    for doc, at, change in single_node_breaks():
+        for cat in categories(broken_at(doc, at, change)):
+            validate = validate_groupoid if isinstance(cat, FinGroupoid) \
+                else validate_category
+            assert isinstance(validate(cat), list), (at, change)
             checked += 1
     assert checked > 1000
 

@@ -1,6 +1,9 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from gpdcorr.fincat import (
-    FinCategory, PresentedShape, groupoid_completion, ore_check,
-    slice_category, validate_category, IS_ORE, NOT_ORE)
+    FinCategory, PresentedShape, first_of_class, groupoid_completion,
+    ore_check, slice_category, validate_category, IS_ORE, NOT_ORE)
 
 
 def idempotent_monoid():
@@ -175,3 +178,41 @@ def test_completion_free_commutative_two_generators():
     shape = PresentedShape.free_commutative(("a", "b"), length_bound=2)
     zz = groupoid_completion(shape, bound=2)
     assert len(zz.classes) == 19
+
+
+@st.composite
+def partitions(draw):
+    """Items in a drawn order, the class of each, and buckets that are
+    unions of classes."""
+    n = draw(st.integers(0, 12))
+    items = draw(st.permutations(range(n)))
+    cls = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    bucket = draw(st.lists(st.integers(0, 2), min_size=6, max_size=6))
+    return items, cls, bucket
+
+
+@given(partitions())
+def test_first_of_class_matches_a_pairwise_scan(case):
+    items, cls, bucket = case
+
+    def witness(a, b):
+        # falsy, but not None: a match all the same
+        return (0, "", ())[(a + b) % 3] if cls[a] == cls[b] else None
+
+    def key(a):
+        return bucket[cls[a]]
+
+    calls = []
+
+    def same(a, b):
+        calls.append((a, b))
+        return witness(a, b)
+
+    kept, want = [], []
+    for a in items:
+        first = next((b for b in kept if witness(a, b) is not None), None)
+        if first is None:
+            kept.append(a)
+        want.append((a, None if first is None else (first, witness(a, first))))
+    assert list(first_of_class(items, same, key)) == want
+    assert all(key(a) == key(b) for a, b in calls)

@@ -26,9 +26,9 @@ from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.mn import make_emn
-from gpdcorr.model import (_invariance_witness, _translate,
-                           model_discrete_shape, model_group_shape,
-                           verify_model)
+from gpdcorr.model import (_invariance_witness, _representatives, _table,
+                           _translate, model_discrete_shape,
+                           model_group_shape, verify_model)
 
 from test_cgx import CORPUS as COMPLEXES, cx_loop
 from test_corr_oracle import cyclic_hom_corr, hom_exponents
@@ -463,6 +463,17 @@ def test_verify_model_matches_all_pairs_oracle(name, n):
     d, model = MODELS[name]
     assert verdict(verify_model, d, model, n) == \
         verdict(oracles.verify_model_all_pairs, d, model, n)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_representatives_match_the_unbucketed_oracle(name):
+    # the same representatives, or None, as comparing every labelled
+    # action with every representative kept so far
+    _, model = MODELS[name]
+    for k in range(5):
+        tables = [(_table(ua), model.to_faction(ua).table())
+                  for ua in model.enumerate_on(list(range(k)))]
+        assert _representatives(tables) == oracles.representatives(tables)
 
 
 def faction_items(a):
