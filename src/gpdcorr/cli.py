@@ -2,8 +2,14 @@
 
 Documents are JSON with a fixed key order per kind, so serialisation is
 byte-stable: finite maps are arrays of pairs, tuples are encoded as
-arrays and decoded back.  Every command is deterministic; --seed is
-accepted for interface stability but nothing here is randomised.
+arrays and decoded back.  Each kind's layout is written once, in
+LAYOUTS, as its ordered fields (key, encoding, reader).  Two walkers
+read it: payload_of (and the *_payload names) builds a document's JSON
+value for dumps, and write_document writes the same text straight from
+the library object without building that value; the *_from readers take
+a document back field by field in the same order.  Every command is
+deterministic; --seed is accepted for interface stability but nothing
+here is randomised.
 
 Exit codes: 0 ok, 1 violation found, 2 usage or parse error, 3 bound
 exceeded.
@@ -12,7 +18,9 @@ exceeded.
 import argparse
 import json
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
+from operator import attrgetter, itemgetter
 
 from . import cgx as cgxmod
 from . import mn as mnmod
@@ -59,121 +67,128 @@ def _array(value):
     return value
 
 
+def _key_repr(item):
+    return repr(item[0])
+
+
 def _pairs(mapping):
     return [[_enc(k), _enc(v)] for k, v in
-            sorted(mapping.items(), key=lambda kv: repr(kv[0]))]
+            sorted(mapping.items(), key=_key_repr)]
 
 
 def _unpairs(pairs):
     return {_dec(k): _dec(v) for k, v in _array(pairs)}
 
 
-def category_payload(cat):
-    return {"objects": [_enc(x) for x in cat.objects],
-            "arrows": _pairs(cat.arrows),
-            "compose": _pairs(cat.compose),
-            "identities": _pairs(cat.identities)}
+# -- document layouts ----------------------------------------------------------
+# A kind's layout is its fields in order: (key, encoding) reads the value's
+# attribute key, (key, encoding, reader) reads reader(value), and a reader
+# that returns OMIT drops its field.  Encodings: RAW (as is), ENC (_enc),
+# LIST (_enc of each item), PAIRS (_pairs), a kind (a nested document) and
+# (BY_KEY, encoding), [[_enc(k), encoded v]] over the (k, v) items sorted by
+# repr.  payload_of builds a document's JSON value, write_document its text.
+
+RAW, ENC, LIST, PAIRS, BY_KEY = "raw", "enc", "list", "pairs", "by key"
+OMIT = object()
+
+LAYOUTS = {
+    "category": [("objects", LIST), ("arrows", PAIRS), ("compose", PAIRS),
+                 ("identities", PAIRS)],
+    "groupoid": [("category", "category", lambda gpd: gpd), ("inv", PAIRS)],
+    "correspondence": [("left", "groupoid"), ("right", "groupoid"),
+                       ("carrier", LIST), ("r", PAIRS, attrgetter("rmap")),
+                       ("s", PAIRS, attrgetter("smap")), ("lact", PAIRS),
+                       ("ract", PAIRS)],
+    "group": [("elements", LIST), ("mul", PAIRS), ("identity", ENC)],
+    "selfsimilar": [("group", "group"), ("vertices", LIST), ("edges", LIST),
+                    ("er", PAIRS), ("es", PAIRS), ("vact", PAIRS),
+                    ("eact", PAIRS), ("cocycle", PAIRS)],
+    "complex_of_groups": [("shape", "category"), ("groups", (BY_KEY, "group")),
+                          ("homs", (BY_KEY, PAIRS)), ("twists", PAIRS)],
+    "diagram": [
+        ("shape_kind", RAW, attrgetter("shape.kind")),
+        ("objects", LIST, attrgetter("shape.objects")),
+        ("gens", PAIRS, lambda d: {g: (d.shape.gen_dst[g], d.shape.gen_src[g])
+                                   for g in d.shape.gens}),
+        ("bound", RAW), ("groupoids", (BY_KEY, "groupoid"), attrgetter("gr")),
+        ("generators", (BY_KEY, "correspondence"), lambda d: d.gen_data or {
+            g[2][0]: d.X(g) for g in d.gen_arrows()}),
+        ("braidings", (BY_KEY, PAIRS), lambda d: d.sigma or OMIT),
+        ("selfsimilar", "selfsimilar",
+         lambda d: OMIT if d.selfsim is None else d.selfsim)],
+    # an action document is written from the pair (diagram, action)
+    "action": [("diagram", "diagram", itemgetter(0)),
+               ("carrier", LIST, lambda da: da[1].carrier),
+               ("part", PAIRS, lambda da: da[1].part),
+               ("anchor", PAIRS, lambda da: da[1].anchor),
+               ("gact", PAIRS, lambda da: da[1].gact),
+               ("alph", (BY_KEY, PAIRS), lambda da: da[1].alph)],
+}
 
 
-def _category_fields(payload):
-    return ([_dec(x) for x in _array(payload["objects"])],
-            _unpairs(payload["arrows"]), _unpairs(payload["compose"]),
-            _unpairs(payload["identities"]))
+def _fields(kind, value):
+    for key, how, *read in LAYOUTS[kind]:
+        x = read[0](value) if read else getattr(value, key)
+        if x is not OMIT:
+            yield key, how, x
 
 
-def category_from(payload):
-    return FinCategory(*_category_fields(payload))
+def payload_of(kind, value):
+    """The payload of value's document: what dumps writes for it."""
+    return {key: _build(how, x) for key, how, x in _fields(kind, value)}
 
 
-def groupoid_payload(gpd):
-    return {"category": category_payload(gpd), "inv": _pairs(gpd.inv)}
+def _build(how, x):
+    if how in LAYOUTS:
+        return payload_of(how, x)
+    if type(how) is tuple:
+        return [[_enc(k), _build(how[1], v)]
+                for k, v in sorted(x.items(), key=repr)]
+    return x if how is RAW else _enc(x) if how is ENC else \
+        [_enc(v) for v in x] if how is LIST else _pairs(x)
+
+
+category_payload = partial(payload_of, "category")
+groupoid_payload = partial(payload_of, "groupoid")
+correspondence_payload = partial(payload_of, "correspondence")
+group_payload = partial(payload_of, "group")
+selfsimilar_payload = partial(payload_of, "selfsimilar")
+complex_payload = partial(payload_of, "complex_of_groups")
+diagram_payload = partial(payload_of, "diagram")
+
+
+def action_payload(d, a):
+    return payload_of("action", (d, a))
+
+
+def _values_from(kind, payload):
+    """The values of a kind's fields, read back from its payload in order."""
+    return [_read(how, payload[key]) for key, how, *_ in LAYOUTS[kind]]
+
+
+def _read(how, p):
+    if how in LAYOUTS:
+        return READERS[how](p)
+    if type(how) is tuple:
+        return {_dec(k): _read(how[1], v) for k, v in _array(p)}
+    return p if how is RAW else _dec(p) if how is ENC else \
+        [_dec(x) for x in _array(p)] if how is LIST else _unpairs(p)
 
 
 def groupoid_from(payload):
-    return FinGroupoid(*_category_fields(payload["category"]),
+    return FinGroupoid(*_values_from("category", payload["category"]),
                        _unpairs(payload["inv"]))
 
 
-def correspondence_payload(c):
-    return {"left": groupoid_payload(c.left),
-            "right": groupoid_payload(c.right),
-            "carrier": [_enc(x) for x in c.carrier],
-            "r": _pairs(c.rmap), "s": _pairs(c.smap),
-            "lact": _pairs(c.lact), "ract": _pairs(c.ract)}
+def _from(make, kind):
+    return lambda payload: make(*_values_from(kind, payload))
 
 
-def correspondence_from(payload):
-    return Correspondence(
-        groupoid_from(payload["left"]), groupoid_from(payload["right"]),
-        [_dec(x) for x in _array(payload["carrier"])],
-        _unpairs(payload["r"]), _unpairs(payload["s"]),
-        _unpairs(payload["lact"]), _unpairs(payload["ract"]))
-
-
-def group_payload(g):
-    return {"elements": [_enc(x) for x in g.elements],
-            "mul": _pairs(g.mul), "identity": _enc(g.identity)}
-
-
-def group_from(payload):
-    return Group([_dec(x) for x in _array(payload["elements"])],
-                 _unpairs(payload["mul"]), _dec(payload["identity"]))
-
-
-def selfsimilar_payload(data):
-    return {"group": group_payload(data.group),
-            "vertices": [_enc(v) for v in data.vertices],
-            "edges": [_enc(e) for e in data.edges],
-            "er": _pairs(data.er), "es": _pairs(data.es),
-            "vact": _pairs(data.vact), "eact": _pairs(data.eact),
-            "cocycle": _pairs(data.cocycle)}
-
-
-def selfsimilar_from(payload):
-    return SelfSimilarData(
-        group_from(payload["group"]),
-        [_dec(v) for v in _array(payload["vertices"])],
-        [_dec(e) for e in _array(payload["edges"])],
-        _unpairs(payload["er"]), _unpairs(payload["es"]),
-        _unpairs(payload["vact"]), _unpairs(payload["eact"]),
-        _unpairs(payload["cocycle"]))
-
-
-def complex_payload(c):
-    return {"shape": category_payload(c.shape),
-            "groups": [[_enc(x), group_payload(g)]
-                       for x, g in sorted(c.groups.items(), key=repr)],
-            "homs": [[_enc(g), _pairs(h)]
-                     for g, h in sorted(c.homs.items(), key=repr)],
-            "twists": _pairs(c.twists)}
-
-
-def complex_from(payload):
-    return cgxmod.ComplexOfGroups(
-        category_from(payload["shape"]),
-        {_dec(x): group_from(g) for x, g in _array(payload["groups"])},
-        {_dec(g): _unpairs(h) for g, h in _array(payload["homs"])},
-        _unpairs(payload["twists"]))
-
-
-def diagram_payload(d):
-    shape = d.shape
-    payload = {"shape_kind": shape.kind,
-               "objects": [_enc(x) for x in shape.objects],
-               "gens": _pairs({g: (shape.gen_dst[g], shape.gen_src[g])
-                               for g in shape.gens}),
-               "bound": d.bound,
-               "groupoids": [[_enc(x), groupoid_payload(gp)]
-                             for x, gp in sorted(d.gr.items(), key=repr)]}
-    gens = d.gen_data or {g[2][0]: d.X(g) for g in d.gen_arrows()}
-    payload["generators"] = [[_enc(a), correspondence_payload(c)]
-                             for a, c in sorted(gens.items(), key=repr)]
-    if d.sigma:
-        payload["braidings"] = [[_enc(ab), _pairs(t)]
-                                for ab, t in sorted(d.sigma.items(), key=repr)]
-    if d.selfsim is not None:
-        payload["selfsimilar"] = selfsimilar_payload(d.selfsim)
-    return payload
+category_from = _from(FinCategory, "category")
+correspondence_from = _from(Correspondence, "correspondence")
+group_from = _from(Group, "group")
+selfsimilar_from = _from(SelfSimilarData, "selfsimilar")
+complex_from = _from(cgxmod.ComplexOfGroups, "complex_of_groups")
 
 
 def diagram_from(payload):
@@ -215,22 +230,9 @@ def diagram_from(payload):
     return d
 
 
-def action_payload(d, a):
-    return {"diagram": diagram_payload(d),
-            "carrier": [_enc(y) for y in a.carrier],
-            "part": _pairs(a.part), "anchor": _pairs(a.anchor),
-            "gact": _pairs(a.gact),
-            "alph": [[_enc(g), _pairs(t)]
-                     for g, t in sorted(a.alph.items(), key=repr)]}
-
-
 def action_from(payload):
-    d = diagram_from(payload["diagram"])
-    return d, FAction(d, [_dec(y) for y in _array(payload["carrier"])],
-                      _unpairs(payload["part"]), _unpairs(payload["anchor"]),
-                      _unpairs(payload["gact"]),
-                      {_dec(g): _unpairs(t)
-                       for g, t in _array(payload["alph"])})
+    d, *fields = _values_from("action", payload)
+    return d, FAction(d, *fields)
 
 
 def at_least(name, v, low):
@@ -254,6 +256,7 @@ PAYLOADERS = {"category": category_from, "groupoid": groupoid_from,
               "selfsimilar": selfsimilar_from,
               "mn": lambda payload: mn_params(payload["m"], payload["n"]),
               "action": action_from}
+READERS = {**PAYLOADERS, "group": group_from}
 
 
 def envelope(kind, payload):
@@ -288,6 +291,55 @@ def _write(value, nl):
     return json.dumps(value, indent=1).replace("\n", nl)
 
 
+def write_document(kind, value):
+    """dumps(envelope(kind, payload_of(kind, value))), without the payload."""
+    try:
+        text = _text(kind, value, "\n ")
+    except RecursionError:   # deeper than the walker goes: dumps decides
+        return dumps(envelope(kind, payload_of(kind, value)))
+    return (f'{{\n "format_version": {_escape(FORMAT_VERSION)},\n '
+            f'"kind": {_escape(kind)},\n "payload": {text}\n}}\n')
+
+
+def _text(how, x, nl):
+    """_write(_build(how, x), nl), without _build."""
+    if how is ENC:
+        return _value_text(x, nl)
+    inner = nl + " "
+    deeper = inner + " "
+    if how in LAYOUTS:
+        return "{" + inner + ("," + inner).join(
+            [f"{_escape(key)}: {_text(h, v, inner)}"
+             for key, h, v in _fields(how, x)]) + nl + "}"
+    if how is RAW:
+        return _write(x, nl)
+    if how is LIST:
+        items = [_value_text(v, inner) for v in x]
+    else:
+        write = _value_text if how is PAIRS else partial(_text, how[1])
+        items = [f"[{deeper}{_value_text(k, deeper)},{deeper}"
+                 f"{write(v, deeper)}{inner}]" for k, v in
+                 sorted(x.items(), key=_key_repr if how is PAIRS else repr)]
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items \
+        else "[]"
+
+
+def _value_text(x, nl):
+    """_write(_enc(x), nl), without _enc."""
+    if type(x) is str:
+        return _escape(x)
+    if type(x) is int:
+        return repr(x)
+    if isinstance(x, tuple) and x:
+        inner = nl + " "
+        deeper = inner + " "
+        items = [_escape(v) if type(v) is str else repr(v)
+                 if type(v) is int else _value_text(v, deeper) for v in x]
+        return (f'[{inner}"t",{inner}[{deeper}' + ("," + deeper).join(items)
+                + f"{inner}]{nl}]")
+    return _write(_enc(x), nl)
+
+
 def parse_document(text):
     try:
         doc = json.loads(text)
@@ -298,8 +350,10 @@ def parse_document(text):
     if doc["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {doc['format_version']!r}")
     kind = doc.get("kind")
-    if kind not in PAYLOADERS:
+    if type(kind) is not str or kind not in PAYLOADERS:
         raise SchemaError(f"unknown kind {kind!r}")
+    if "payload" not in doc:
+        raise SchemaError("missing payload")
     return kind, doc["payload"]
 
 
@@ -430,9 +484,7 @@ def cmd_compose(args):
     if refused(args, validate_correspondence(c1)) or \
             refused(args, validate_correspondence(c2)):
         return 1
-    c = compose(c1, c2)
-    sys.stdout.write(dumps(envelope("correspondence",
-                                    correspondence_payload(c))))
+    sys.stdout.write(write_document("correspondence", compose(c1, c2)))
     return 0
 
 
@@ -679,7 +731,7 @@ def main(argv=None):
         return 2 if exc.code not in (0,) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, SchemaError, NotSupported) as exc:
+    except (ParseError, SchemaError, NotSupported, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (BoundExceeded, DepthInsufficient) as exc:

@@ -83,3 +83,36 @@ def z2_fixed_point():
     return Correspondence(gpd, gpd, ("x",), {"x": "*"}, {"x": "*"},
                           {(g, "x"): "x" for g in z2},
                           {("x", g): "x" for g in z2})
+
+
+def documents():
+    """(kind, value) for every kind that ``cli.write_document`` writes:
+    the data above, their iterates and groups, and the complexes, diagrams
+    and actions of the cgx and diagram tests.  An action's value is the
+    pair (diagram, action)."""
+    from gpdcorr.diagram import discrete_diagram, enumerate_actions
+    from gpdcorr.selfsim import iterate
+    from test_cgx import CORPUS
+    from test_diagram import (e1_diagram, point_diagram, swap_action,
+                              swap_correspondence, swap_diagram,
+                              z2_commutative_diagram)
+    z3 = FinGroupoid.from_group(Group.cyclic(3))
+    data = [e1(), e2(), ep_graph(), trivial_alphabet()]
+    corrs = [iterate(x, k) for x in data for k in (1, 2)] + \
+        [*space_correspondences().values(), z2_fixed_point(),
+         swap_correspondence()]
+    diagrams = [point_diagram(2), swap_diagram(2), z2_commutative_diagram(),
+                e1_diagram(2), discrete_diagram({"x": z3, "y": z3})]
+    complexes = [make() for make in CORPUS]
+    swap = swap_diagram(2)
+    actions = [swap_action(swap), *enumerate_actions(swap, 2),
+               *enumerate_actions(z2_commutative_diagram(), 1)]
+    return ([("category", z3), ("groupoid", z3)]
+            + [("category", cx.shape) for cx in complexes]
+            + [("groupoid", side) for c in corrs for side in (c.left, c.right)]
+            + [("correspondence", c) for c in corrs]
+            + [("group", x.group) for x in data]
+            + [("selfsimilar", x) for x in data]
+            + [("complex_of_groups", cx) for cx in complexes]
+            + [("diagram", d) for d in diagrams]
+            + [("action", (a.diagram, a)) for a in actions])

@@ -9,7 +9,8 @@ representatives, the Tietze-reduced homomorphism count of
 alone, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr`` and the block composition that followed it, the
-document writer of ``gpdcorr.cli``, the
+document writer of ``gpdcorr.cli`` and its hand-written payload
+builders, the
 bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
 bucketed representatives of ``verify_model``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
@@ -695,6 +696,104 @@ def check_basic_bruteforce(action):
 def dumps(doc):
     """A CLI document's text, as json's own indenting encoder writes it."""
     return json.dumps(doc, indent=1) + "\n"
+
+
+# The hand-written payload builders that the layouts of gpdcorr.cli
+# replaced, one per kind, with the encoder and pair list they call.
+
+def _enc(value):
+    if type(value) is str or type(value) is int:
+        return value
+    if isinstance(value, tuple):
+        return ["t", [_enc(v) for v in value]]
+    if isinstance(value, (list, frozenset, set)):
+        return ["l", [_enc(v) for v in sorted(value, key=repr)]]
+    return value
+
+
+def _pairs(mapping):
+    return [[_enc(k), _enc(v)] for k, v in
+            sorted(mapping.items(), key=lambda kv: repr(kv[0]))]
+
+
+def category_payload(cat):
+    return {"objects": [_enc(x) for x in cat.objects],
+            "arrows": _pairs(cat.arrows),
+            "compose": _pairs(cat.compose),
+            "identities": _pairs(cat.identities)}
+
+
+def groupoid_payload(gpd):
+    return {"category": category_payload(gpd), "inv": _pairs(gpd.inv)}
+
+
+def correspondence_payload(c):
+    return {"left": groupoid_payload(c.left),
+            "right": groupoid_payload(c.right),
+            "carrier": [_enc(x) for x in c.carrier],
+            "r": _pairs(c.rmap), "s": _pairs(c.smap),
+            "lact": _pairs(c.lact), "ract": _pairs(c.ract)}
+
+
+def group_payload(g):
+    return {"elements": [_enc(x) for x in g.elements],
+            "mul": _pairs(g.mul), "identity": _enc(g.identity)}
+
+
+def selfsimilar_payload(data):
+    return {"group": group_payload(data.group),
+            "vertices": [_enc(v) for v in data.vertices],
+            "edges": [_enc(e) for e in data.edges],
+            "er": _pairs(data.er), "es": _pairs(data.es),
+            "vact": _pairs(data.vact), "eact": _pairs(data.eact),
+            "cocycle": _pairs(data.cocycle)}
+
+
+def complex_payload(c):
+    return {"shape": category_payload(c.shape),
+            "groups": [[_enc(x), group_payload(g)]
+                       for x, g in sorted(c.groups.items(), key=repr)],
+            "homs": [[_enc(g), _pairs(h)]
+                     for g, h in sorted(c.homs.items(), key=repr)],
+            "twists": _pairs(c.twists)}
+
+
+def diagram_payload(d):
+    shape = d.shape
+    payload = {"shape_kind": shape.kind,
+               "objects": [_enc(x) for x in shape.objects],
+               "gens": _pairs({g: (shape.gen_dst[g], shape.gen_src[g])
+                               for g in shape.gens}),
+               "bound": d.bound,
+               "groupoids": [[_enc(x), groupoid_payload(gp)]
+                             for x, gp in sorted(d.gr.items(), key=repr)]}
+    gens = d.gen_data or {g[2][0]: d.X(g) for g in d.gen_arrows()}
+    payload["generators"] = [[_enc(a), correspondence_payload(c)]
+                             for a, c in sorted(gens.items(), key=repr)]
+    if d.sigma:
+        payload["braidings"] = [[_enc(ab), _pairs(t)]
+                                for ab, t in sorted(d.sigma.items(), key=repr)]
+    if d.selfsim is not None:
+        payload["selfsimilar"] = selfsimilar_payload(d.selfsim)
+    return payload
+
+
+def action_payload(d, a):
+    return {"diagram": diagram_payload(d),
+            "carrier": [_enc(y) for y in a.carrier],
+            "part": _pairs(a.part), "anchor": _pairs(a.anchor),
+            "gact": _pairs(a.gact),
+            "alph": [[_enc(g), _pairs(t)]
+                     for g, t in sorted(a.alph.items(), key=repr)]}
+
+
+# the builder of each kind, taking the value that cli.write_document takes
+PAYLOADS = {"category": category_payload, "groupoid": groupoid_payload,
+            "correspondence": correspondence_payload,
+            "group": group_payload, "selfsimilar": selfsimilar_payload,
+            "complex_of_groups": complex_payload,
+            "diagram": diagram_payload,
+            "action": lambda da: action_payload(*da)}
 
 
 def compose(c1, c2):

@@ -152,7 +152,7 @@ def single_node_breaks():
 
 # breaks that validate answers with "malformed input" (exit 2) instead of
 # a report; the bound keeps reports from slipping back to exit 2
-MALFORMED_BOUND = 549
+MALFORMED_BOUND = 519
 
 
 def test_every_single_node_break_is_refused(tmp_path):
@@ -172,6 +172,18 @@ def test_every_single_node_break_is_refused(tmp_path):
         malformed += "malformed input" in err.getvalue()
     assert accepted == []
     assert malformed <= MALFORMED_BOUND
+
+
+def test_every_envelope_break_is_a_schema_error():
+    # a dropped payload and a kind that is an array or an object are
+    # refused by parse_document with a message, not as malformed input
+    for doc in DOCS:
+        for key in ("format_version", "kind", "payload"):
+            for change in OTHERS + ["drop"]:
+                if change == "drop" or kind_of(change) != kind_of(doc[key]):
+                    code, err = run(broken_at(doc, (key,), change))
+                    assert code == 2 and err.startswith("error: ") and \
+                        "malformed input" not in err, (key, change, err)
 
 
 # what main reports as malformed input
