@@ -443,31 +443,23 @@ def refused(args, report):
     return bool(report)
 
 
+# kind -> its validator; a complex's gives (report, flags)
+VALIDATORS = {
+    "category": validate_category, "groupoid": validate_groupoid,
+    "correspondence": validate_correspondence,
+    "diagram": lambda d: validate_diagram(d) + (
+        [] if d.selfsim is None else d.selfsim.validate()),
+    "complex_of_groups": cgxmod.validate_cgx,
+    "selfsimilar": SelfSimilarData.validate,
+    "mn": lambda mn: validate_diagram(mnmod.make_emn(*mn)),
+    "action": lambda da: validate_diagram(da[0]) or validate_action(*da)}
+
+
 def cmd_validate(args):
     kind, payload = load(args.path)
-    value = value_of(kind, payload)
-    flags = {}
-    if kind == "category":
-        report = validate_category(value)
-    elif kind == "groupoid":
-        report = validate_groupoid(value)
-    elif kind == "correspondence":
-        report = validate_correspondence(value)
-    elif kind == "diagram":
-        report = validate_diagram(value)
-        if value.selfsim is not None:
-            report += value.selfsim.validate()
-    elif kind == "complex_of_groups":
-        report, flags = cgxmod.validate_cgx(value)
-    elif kind == "selfsimilar":
-        report = value.validate()
-    elif kind == "mn":
-        report = validate_diagram(mnmod.make_emn(*value))
-    elif kind == "action":
-        d, a = value
-        report = validate_diagram(d) or validate_action(d, a)
-    else:
-        raise SchemaError(f"validate does not handle kind {kind!r}")
+    report, flags = VALIDATORS[kind](value_of(kind, payload)), {}
+    if kind == "complex_of_groups":
+        report, flags = report
     lines = ["OK"] if not report else report
     lines += [f"note: {k} = {v}" for k, v in sorted(flags.items())]
     emit(args, lines, {"ok": not report, "report": report,
@@ -542,7 +534,7 @@ def cmd_model(args):
         return 0
     if shape.kind == "free" and len(shape.gens) == 1:
         om = OreUniversal(d, depth=args.depth)
-        pm = pair_groupoid_model(d, depth=args.depth)
+        pm = pair_groupoid_model(d)
         points = om.points(1, 1)
         arrows = pm.arrows_over(points, word_len=1)
         grades = {}
@@ -586,8 +578,9 @@ def cmd_model(args):
     raise NotSupported(f"no model construction for shape kind {shape.kind!r}")
 
 
-SELFSIM_ARITY = {"effective": 0, "nf-mul": 2, "act": 2, "germ": 3,
-                 "slices": 2}
+# subcommand -> its operands in order: n a normal form, p a point
+SELFSIM_OPERANDS = {"effective": "", "nf-mul": "nn", "act": "np",
+                    "germ": "nnp", "slices": "nn"}
 
 
 def cmd_selfsim(args):
@@ -595,12 +588,16 @@ def cmd_selfsim(args):
     if kind != "selfsimilar":
         raise SchemaError("selfsim expects a selfsimilar document")
     data = value_of(kind, payload)
-    arity = SELFSIM_ARITY.get(args.sub)
-    if arity is not None and len(args.args) != arity:
-        raise ParseError(f"selfsim {args.sub} takes {arity} arguments, "
-                         f"got {len(args.args)}")
+    operands = SELFSIM_OPERANDS.get(args.sub)
+    if operands is not None and len(args.args) != len(operands):
+        raise ParseError(f"selfsim {args.sub} takes {len(operands)} "
+                         f"arguments, got {len(args.args)}")
     if refused(args, data.validate()):
         return 1
+    if operands is None:
+        raise SchemaError(f"unknown selfsim subcommand {args.sub!r}")
+    ops = [(parse_nf if c == "n" else parse_point)(data, text)
+           for c, text in zip(operands, args.args)]
     if args.sub == "effective":
         res = effective_check(data)
         if res.effective:
@@ -608,36 +605,24 @@ def cmd_selfsim(args):
         else:
             emit(args, [f"NOT EFFECTIVE witness={res.witness}"],
                  {"effective": False, "witness": _enc(res.witness)})
-        return 0
-    if args.sub == "nf-mul":
-        t = nf_mul(parse_nf(data, args.args[0]), parse_nf(data, args.args[1]))
+    elif args.sub == "nf-mul":
+        t = nf_mul(*ops)
         emit(args, [show_nf(t)], {"result": show_nf(t)})
-        return 0
-    if args.sub == "act":
-        t = parse_nf(data, args.args[0])
-        z = parse_point(data, args.args[1])
+    elif args.sub == "act":
         try:
-            out = act_on_word(t, z)
+            out = act_on_word(*ops)
         except Undefined:
             emit(args, ["undefined"], {"result": None})
             return 0
         emit(args, [show_point(out)], {"result": show_point(out)})
-        return 0
-    if args.sub == "germ":
-        t1 = parse_nf(data, args.args[0])
-        t2 = parse_nf(data, args.args[1])
-        z = parse_point(data, args.args[2])
-        ans = germ_equal(t1, t2, z)
+    elif args.sub == "germ":
+        ans = germ_equal(*ops)
         emit(args, ["EQUAL" if ans else "DISTINCT"], {"equal": ans})
-        return 0
-    if args.sub == "slices":
-        t1 = parse_nf(data, args.args[0])
-        t2 = parse_nf(data, args.args[1])
-        pieces = slice_intersections(t1, t2, depth=args.depth)
+    else:
+        pieces = slice_intersections(*ops, depth=args.depth)
         lines = [show_nf(s) for s in pieces] or ["EMPTY"]
         emit(args, lines, {"pieces": [show_nf(s) for s in pieces]})
-        return 0
-    raise SchemaError(f"unknown selfsim subcommand {args.sub!r}")
+    return 0
 
 
 def cmd_cgx(args):

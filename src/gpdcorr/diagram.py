@@ -38,7 +38,8 @@ from .corr import (Correspondence, classify, compose, from_group_hom,
                    identity_correspondence, inner_product,
                    validate_correspondence)
 from .errors import ConditionFailed, HexagonViolation, ParseError
-from .fincat import COMM, PresentedShape, canonical_classes, first_of_class
+from .fincat import (COMM, PresentedShape, _hashable, canonical_classes,
+                     first_of_class)
 from .groupoid import FinGroupoid, PartialBijection
 
 
@@ -469,9 +470,19 @@ class FAction:
 
 
 def validate_action(d, a):
-    """Check the definition of a diagram action, within the bound.  A name
-    outside the shape, carrier, groupoids or X(g) ends it before the axioms."""
-    report = []
+    """Check the definition of a diagram action, within the bound.  A table
+    it cannot read, or a name outside the shape, carrier, groupoids or
+    X(g), ends it before the axioms."""
+    report = [f"carrier point {y!r} is not hashable"
+              for y in a.carrier if not _hashable(y)]
+    for name, table in [("gact", a.gact)] + [
+            (f"alpha({g!r})", t) for g, t in a.alph.items()]:
+        report += [f"{name} key {k!r} is not a pair" for k in table
+                   if not (isinstance(k, tuple) and len(k) == 2)]
+        report += [f"{name} value {z!r} is not hashable"
+                   for z in table.values() if not _hashable(z)]
+    if report:
+        return report
     for y in a.carrier:
         if a.part.get(y) not in d.shape.objects:
             report.append(f"{y!r} not assigned to a shape object")
@@ -485,7 +496,7 @@ def validate_action(d, a):
     report += [f"{name} names {y!r}, which is not in the carrier"
                for name, y in dict.fromkeys(named) if y not in points]
     report += [f"gact names {gamma!r}, which is not an arrow of its groupoid"
-               for gamma, y in a.gact if a.part.get(y) in d.gr
+               for gamma, y in a.gact if a.part.get(y) in d.shape.objects
                and gamma not in d.gr[a.part[y]].arrows]
     gens = d.gen_arrows()
     report += [f"alph names {g!r}, which is not a generator arrow"
@@ -583,11 +594,13 @@ def validate_action(d, a):
 
 def _incoherences(d, a):
     """Mixed associativity: each (g, h, xi, eta, y) with xi.(eta.y) !=
-    (xi.eta).y, over composable generator pairs with materialised gh."""
+    (xi.eta).y, over composable generator pairs with materialised gh and
+    both tables (validate_action reports a missing one)."""
     for g in d.gen_arrows():
         for h in d.gen_arrows():
             gh = d.shape.compose(g, h)
-            if gh is None or d.shape.length(gh) > d.bound:
+            if gh is None or d.shape.length(gh) > d.bound or \
+                    not {g, h} <= a.alph.keys():
                 continue
             cg, ch = d.X(g), d.X(h)
             for xi in cg.carrier:

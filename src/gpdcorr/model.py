@@ -6,9 +6,10 @@ with exact finite answers: disjoint unions for discrete shapes, graded
 groupoids for group shapes, and the universal action on the unit spaces
 for tight diagrams.  Free-monoid diagrams are reduced to a letter
 system (a self-similarity over the base), whose universal space is
-handled through eventually periodic points; on those the pair
-construction gives a groupoid with decidable arrow equality, graded by
-the groupoid completion of the shape.
+handled through eventually periodic points.  On those the pair
+construction gives a groupoid graded by the groupoid completion of the
+shape, whose arrows are germs of normal forms, so that the normal-form
+calculus decides their equality and products.
 
 A model lists its actions on a labelled carrier with ``enumerate_on``,
 each as ``(anchor, act)`` with ``act[(label, y)] == z``.  Its ``binding``
@@ -35,121 +36,14 @@ from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
 from .fincat import (FREE, GROUP, IS_ORE, PresentedShape, canonical_classes,
                      first_of_class, ore_check)
 from .groupoid import FinGroupoid, Group
-from .selfsim import Path, SelfSimilarData, act_on_word, nf
+from .selfsim import (NormalForm, SelfSimilarData, act_on_word, germ_equal,
+                      nf, nf_mul)
 
 
 # -- models with translators -------------------------------------------------
 
-class DisjointUnionModel:
-    """Model of a discrete-shape diagram: the disjoint union groupoid."""
-
-    def __init__(self, d):
-        self.d = d
-        self.tags = sorted(d.shape.objects, key=repr)
-        self.groupoid = FinGroupoid.disjoint_union(
-            [d.gr[x] for x in self.tags], tags=self.tags)
-        self.binding = {a: ("gact",) + a for a in self.groupoid.arrow_ids()}
-        self.object_map = {o: o for o in self.groupoid.objects}
-
-    def enumerate_on(self, carrier):
-        return _groupoid_actions_on(self.groupoid, carrier)
-
-    def to_faction(self, ua):
-        return _translate(self, ua)
-
-
-class GradedGroupoidModel:
-    """Model of a group-shape diagram: the graded groupoid L.
-
-    L is the disjoint union of the correspondences with multiplication
-    through mu; the grade of an arrow (c, xi) is the shape arrow c, a
-    unit or a generator, and the arrow acts as xi in X_c.  Every piece
-    must be a Morita equivalence.
-    """
-
-    def __init__(self, d):
-        self.d = d
-        shape = d.shape
-        self.obj = shape.objects[0]
-        for g in d.gen_arrows():
-            if not morita_check(d.X(g)):
-                raise NotEquivalence(g)
-        base = d.gr[self.obj]
-        unit_arrow = shape.identity(self.obj)
-        arrows, self.binding = {}, {}
-        for c in shape.arrows(1):
-            xc = d.X(c)
-            for xi in xc.carrier:
-                arrows[(c, xi)] = (xc.smap[xi], xc.rmap[xi])
-                self.binding[(c, xi)] = ("gact", self.obj, xi) \
-                    if c == unit_arrow else ("alph", c, xi)
-        comp = {}
-        for (c, xi) in arrows:
-            for (e, eta) in arrows:
-                if d.X(c).smap[xi] != d.X(e).rmap[eta]:
-                    continue
-                ce = shape.compose(c, e)
-                comp[((c, xi), (e, eta))] = (ce, d.mu_apply(c, e, xi, eta))
-        ident = {x: (unit_arrow, base.unit(x)) for x in base.objects}
-        inv = {}
-        for a, (s, r) in arrows.items():
-            for b in arrows:
-                if comp.get((a, b)) == ident[r] and comp.get((b, a)) == ident[s]:
-                    inv[a] = b
-        self.groupoid = FinGroupoid(base.objects, arrows, comp, ident, inv)
-        self.object_map = {x: (self.obj, x) for x in base.objects}
-
-    def enumerate_on(self, carrier):
-        return _groupoid_actions_on(self.groupoid, carrier)
-
-    def to_faction(self, ua):
-        return _translate(self, ua)
-
-
-def _groupoid_actions_on(gpd, carrier):
-    out = []
-    objects = sorted(gpd.objects, key=repr)
-    for anchors in product(objects, repeat=len(carrier)):
-        anchor = dict(zip(carrier, anchors))
-        for act in _left_actions(gpd, list(carrier), anchor):
-            out.append((anchor, act))
-    return out
-
-
-class PresentationModel:
-    """A claimed model given by a groupoid presentation.
-
-    ``gens`` maps generator name -> (dst, src) over ``objects``;
-    ``relators`` are words of (name, +-1) pairs that must act as the
-    identity.  ``binding`` and ``object_map`` are as for every model
-    (see the module docstring); by default the presentation objects are
-    the units of the one shape object.
-    """
-
-    def __init__(self, d, objects, gens, relators, binding, object_map=None):
-        self.d = d
-        self.objects = list(objects)
-        self.gens = dict(sorted(gens.items()))    # enumerate_on order
-        self.relators = [tuple(r) for r in relators]
-        self.binding = dict(binding)
-        if object_map is None:
-            obj = d.shape.objects[0]
-            object_map = {o: (obj, o) for o in objects}
-        self.object_map = dict(object_map)
-
-    def enumerate_on(self, carrier):
-        out = []
-        for anchors in product(self.objects, repeat=len(carrier)):
-            anchor = dict(zip(carrier, anchors))
-            fibre = {x: [y for y in carrier if anchor[y] == x]
-                     for x in self.objects}
-            out.extend((dict(anchor), act) for act in presentation_actions(
-                self.gens, self.relators, fibre))
-        return out
-
-    def to_faction(self, ua):
-        return _translate(self, ua)
-
+# Each model class binds enumerate_on and to_faction in its own namespace:
+# bench/gpdbench/trace.py wraps them class by class.
 
 def _translate(model, ua):
     """The diagram action that a model action (anchor, act) binds to."""
@@ -193,6 +87,112 @@ def _translate(model, ua):
                         table[key] = gact[(gamma, z)]
                         entries.append((key, table[key]))
     return FAction(d, sorted(anchor, key=repr), part, fanchor, gact, alph)
+
+
+def _groupoid_actions_on(model, carrier):
+    """The actions of a model's finite groupoid on a labelled carrier."""
+    gpd = model.groupoid
+    out = []
+    objects = sorted(gpd.objects, key=repr)
+    for anchors in product(objects, repeat=len(carrier)):
+        anchor = dict(zip(carrier, anchors))
+        for act in _left_actions(gpd, list(carrier), anchor):
+            out.append((anchor, act))
+    return out
+
+
+class DisjointUnionModel:
+    """Model of a discrete-shape diagram: the disjoint union groupoid."""
+
+    def __init__(self, d):
+        self.d = d
+        self.tags = sorted(d.shape.objects, key=repr)
+        self.groupoid = FinGroupoid.disjoint_union(
+            [d.gr[x] for x in self.tags], tags=self.tags)
+        self.binding = {a: ("gact",) + a for a in self.groupoid.arrow_ids()}
+        self.object_map = {o: o for o in self.groupoid.objects}
+
+    enumerate_on = _groupoid_actions_on
+    to_faction = _translate
+
+
+class GradedGroupoidModel:
+    """Model of a group-shape diagram: the graded groupoid L.
+
+    L is the disjoint union of the correspondences with multiplication
+    through mu; the grade of an arrow (c, xi) is the shape arrow c, a
+    unit or a generator, and the arrow acts as xi in X_c.  Every piece
+    must be a Morita equivalence.
+    """
+
+    def __init__(self, d):
+        self.d = d
+        shape = d.shape
+        self.obj = shape.objects[0]
+        for g in d.gen_arrows():
+            if not morita_check(d.X(g)):
+                raise NotEquivalence(g)
+        base = d.gr[self.obj]
+        unit_arrow = shape.identity(self.obj)
+        arrows, self.binding = {}, {}
+        for c in shape.arrows(1):
+            xc = d.X(c)
+            for xi in xc.carrier:
+                arrows[(c, xi)] = (xc.smap[xi], xc.rmap[xi])
+                self.binding[(c, xi)] = ("gact", self.obj, xi) \
+                    if c == unit_arrow else ("alph", c, xi)
+        comp = {}
+        for (c, xi) in arrows:
+            for (e, eta) in arrows:
+                if d.X(c).smap[xi] != d.X(e).rmap[eta]:
+                    continue
+                ce = shape.compose(c, e)
+                comp[((c, xi), (e, eta))] = (ce, d.mu_apply(c, e, xi, eta))
+        ident = {x: (unit_arrow, base.unit(x)) for x in base.objects}
+        inv = {}
+        for a, (s, r) in arrows.items():
+            for b in arrows:
+                if comp.get((a, b)) == ident[r] and comp.get((b, a)) == ident[s]:
+                    inv[a] = b
+        self.groupoid = FinGroupoid(base.objects, arrows, comp, ident, inv)
+        self.object_map = {x: (self.obj, x) for x in base.objects}
+
+    enumerate_on = _groupoid_actions_on
+    to_faction = _translate
+
+
+class PresentationModel:
+    """A claimed model given by a groupoid presentation.
+
+    ``gens`` maps generator name -> (dst, src) over ``objects``;
+    ``relators`` are words of (name, +-1) pairs that must act as the
+    identity.  ``binding`` and ``object_map`` are as for every model
+    (see the module docstring); by default the presentation objects are
+    the units of the one shape object.
+    """
+
+    def __init__(self, d, objects, gens, relators, binding, object_map=None):
+        self.d = d
+        self.objects = list(objects)
+        self.gens = dict(sorted(gens.items()))    # enumerate_on order
+        self.relators = [tuple(r) for r in relators]
+        self.binding = dict(binding)
+        if object_map is None:
+            obj = d.shape.objects[0]
+            object_map = {o: (obj, o) for o in objects}
+        self.object_map = dict(object_map)
+
+    def enumerate_on(self, carrier):
+        out = []
+        for anchors in product(self.objects, repeat=len(carrier)):
+            anchor = dict(zip(carrier, anchors))
+            fibre = {x: [y for y in carrier if anchor[y] == x]
+                     for x in self.objects}
+            out.extend((dict(anchor), act) for act in presentation_actions(
+                self.gens, self.relators, fibre))
+        return out
+
+    to_faction = _translate
 
 
 def model_discrete_shape(d):
@@ -627,7 +627,8 @@ class PairArrow:
     The two legs are (w1, g1, z) and (w2, g2, z) over a common tail z;
     the source is w2.(g2.z), the range w1.(g1.z), and the grade is
     len(w1) - len(w2).  The class is stable under the right twist by a
-    group element and under extension along the letters of z.
+    group element and under extension along the letters of z; twisted
+    to g2 = 1, it is the germ of the normal form (w1, g1, w2) there.
     """
 
     def __init__(self, data, w1, g1, w2, g2, z):
@@ -636,27 +637,12 @@ class PairArrow:
 
     def normalised(self):
         """Twist so that the second leg carries the trivial element."""
-        data = self.data
-        G = data.group
-        h = G.inv[self.g2]
-        z = data.group_act_ev(self.g2, self.z)
-        return PairArrow(data, self.w1, G.op(self.g1, h), self.w2,
-                         G.identity, z)
-
-    def extend(self, k):
-        """Append the first k letters of the tail to both legs."""
-        data = self.data
-        out = self
-        for _ in range(k):
-            e = data.ev_letter(out.z, 0)
-            tail = data.ev_drop(out.z, 1)
-            x = Path(data.er[e], (e,))
-            w1, r1 = data.act_path(out.g1, x)
-            w2, r2 = data.act_path(out.g2, x)
-            out = PairArrow(
-                data, Path(out.w1.rv, out.w1.edges + w1.edges),
-                r1, Path(out.w2.rv, out.w2.edges + w2.edges), r2, tail)
-        return out
+        data, G = self.data, self.data.group
+        if self.g2 == G.identity:
+            return self
+        return PairArrow(data, self.w1, G.op(self.g1, G.inv[self.g2]),
+                         self.w2, G.identity,
+                         data.group_act_ev(self.g2, self.z))
 
     def grade(self):
         return len(self.w1.edges) - len(self.w2.edges)
@@ -680,6 +666,12 @@ class PairArrow:
         return (n.w1, n.g1, n.w2, n.z)
 
 
+def _germ(p):
+    """A pair arrow as the (source, normal form) of the germ it is."""
+    p = p.normalised()
+    return p.source(), NormalForm(p.data, p.w1, p.g1, p.w2)
+
+
 def pair_from_nf(data, t, z):
     """The pair arrow of a normal form at a point of its domain."""
     if not data.ev_starts_with(z, t.w2):
@@ -689,77 +681,35 @@ def pair_from_nf(data, t, z):
 
 
 def pair_unit(data, z):
-    p = data.path((), z.rv)
-    return PairArrow(data, p, data.group.identity, p,
-                     data.group.identity, z)
+    p, one = data.path((), z.rv), data.group.identity
+    return PairArrow(data, p, one, p, one, z)
 
 
 class SelfSimPairModel:
     """The pair groupoid over rational points, with decidable equality.
 
-    Arrow equality aligns the two pairs at a common source, then walks
-    the extensions level by level; a repeated pair of residuals at the
-    same phase of the tail certifies inequality by pigeonhole.  Equal
-    arrows have the same normalised source and the same grade, so
-    arrows_over compares a candidate only with the arrows it kept for
-    that (source, grade).
+    An arrow is the germ of a normal form at its source, so arrows are
+    equal when their sources are and germ_equal holds there, and a
+    product is the germ of nf_mul at its right factor's source.  Equal
+    arrows share source and grade, so arrows_over compares a candidate
+    only with the arrows it kept for that (source, grade).
     """
 
-    def __init__(self, d, depth=4):
+    def __init__(self, d):
         self.d = d
         self.data = as_selfsim(d)
-        self.depth = depth
 
     def equal(self, p, q):
-        data = self.data
-        p, q = p.normalised(), q.normalised()
-        z0 = p.source()
-        if z0 != q.source() or p.grade() != q.grade():
-            return False
-        lp, lq = len(p.w2.edges), len(q.w2.edges)
-        top = max(lp, lq)
-        p = p.extend(top - lp)
-        q = q.extend(top - lq)
-        seen = set()
-        pos = top
-        while True:
-            if (p.w1, p.g1, p.w2) == (q.w1, q.g1, q.w2):
-                return True
-            if p.w1.edges != q.w1.edges or p.w2.edges != q.w2.edges:
-                return False
-            state = (p.g1, q.g1, data.ev_phase(z0, pos))
-            if state in seen:
-                return False
-            seen.add(state)
-            p, q = p.extend(1), q.extend(1)
-            pos += 1
+        (z, t), (z2, t2) = _germ(p), _germ(q)
+        return z == z2 and germ_equal(t, t2, z)
 
     def mult(self, p, q):
-        """[g_g, g_h].[g_h', g_k] by common refinement within the depth."""
-        data = self.data
-        G = data.group
+        """[g_g, g_h].[g_h', g_k]: the germ of the product of the two
+        normal forms at q's source, exact at every depth."""
         if p.source() != q.target():
             raise DepthInsufficient("arrows not composable")
-        p = p.normalised()
-        for k1 in range(self.depth + 1):
-            pe = p.extend(k1)
-            mid_p = (pe.w2.edges, pe.g2)
-            for k2 in range(self.depth + 1):
-                qe = q.extend(k2)
-                # twist q so that its first leg matches p's second leg
-                if len(qe.w1.edges) != len(mid_p[0]):
-                    continue
-                if qe.w1.edges != mid_p[0]:
-                    continue
-                h = G.op(G.inv[qe.g1], mid_p[1])
-                tail_q = data.group_act_ev(G.inv[h], qe.z)
-                if tail_q != pe.z:
-                    continue
-                return PairArrow(
-                    data, pe.w1, pe.g1, qe.w2,
-                    G.op(qe.g2, h), pe.z)
-        raise DepthInsufficient(
-            f"no common refinement within depth {self.depth}")
+        z, t = _germ(q)
+        return pair_from_nf(self.data, nf_mul(_germ(p)[1], t), z)
 
     def is_unit(self, p):
         return self.equal(p, pair_unit(self.data, p.source()))
@@ -775,7 +725,7 @@ class SelfSimPairModel:
                  if data.ev_starts_with(z, t.w2))
         return [p for p, seen in first_of_class(
             pairs, lambda p, q: self.equal(p, q) or None,
-            lambda p: (p.normalised().source(), p.grade())) if seen is None]
+            lambda p: (p.source(), p.grade())) if seen is None]
 
     def grading_functor(self, completion):
         """The map to the groupoid completion: grade as a zigzag class."""
@@ -791,7 +741,8 @@ class SelfSimPairModel:
 
 
 def pair_groupoid_model(d, depth=4):
-    """The pair-construction model of a free-monoid diagram."""
+    """The pair-construction model of a free-monoid diagram.  It is exact,
+    so ``depth`` is unread; bench/gpdbench/workloads.py still passes it."""
     if d.shape.kind == GROUP:
         return model_group_shape(d)
-    return SelfSimPairModel(d, depth)
+    return SelfSimPairModel(d)

@@ -11,6 +11,8 @@ the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr`` and the block composition that followed it, the
 document writer of ``gpdcorr.cli`` and its hand-written payload
 builders, the
+residual walk and common-refinement product of ``SelfSimPairModel``
+that the normal-form germ calculus replaced, the
 bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
 bucketed representatives of ``verify_model``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
@@ -42,8 +44,9 @@ from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import FinGroupoid, pseudogroup_closure
 from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
-                           PresentationModel, _carries, _invariance_witness,
-                           _map_values, _orbits, _table, pair_from_nf)
+                           PairArrow, PresentationModel, _carries,
+                           _invariance_witness, _map_values, _orbits, _table,
+                           pair_from_nf)
 from gpdcorr.selfsim import EvPeriodicWord, Path, nf
 
 
@@ -1298,6 +1301,65 @@ class CheckedPairArrow:
 
     def fields(self):
         return (self.w1, self.g1, self.w2, self.g2, self.z)
+
+
+def pair_extend(p, k):
+    """PairArrow.extend, which the germ calculus replaced: p with the
+    first k letters of its tail appended to both legs, joins checked."""
+    fields = CheckedPairArrow(p.data, p.w1, p.g1, p.w2, p.g2, p.z)
+    return PairArrow(p.data, *fields.extend(k).fields())
+
+
+def pair_equal(p, q):
+    """SelfSimPairModel.equal by the residual walk: align the two pairs
+    at a common source, then walk the extensions level by level; a
+    repeated pair of residuals at the same phase of the tail certifies
+    inequality by pigeonhole."""
+    data = p.data
+    p, q = p.normalised(), q.normalised()
+    z0 = p.source()
+    if z0 != q.source() or p.grade() != q.grade():
+        return False
+    lp, lq = len(p.w2.edges), len(q.w2.edges)
+    top = max(lp, lq)
+    p, q = pair_extend(p, top - lp), pair_extend(q, top - lq)
+    seen = set()
+    pos = top
+    while True:
+        if (p.w1, p.g1, p.w2) == (q.w1, q.g1, q.w2):
+            return True
+        if p.w1.edges != q.w1.edges or p.w2.edges != q.w2.edges:
+            return False
+        state = (p.g1, q.g1, data.ev_phase(z0, pos))
+        if state in seen:
+            return False
+        seen.add(state)
+        p, q = pair_extend(p, 1), pair_extend(q, 1)
+        pos += 1
+
+
+def pair_mult(p, q, depth=4):
+    """SelfSimPairModel.mult by common refinement: extend both arrows
+    up to depth letters until q's first leg meets p's second leg."""
+    data = p.data
+    G = data.group
+    if p.source() != q.target():
+        raise DepthInsufficient("arrows not composable")
+    p = p.normalised()
+    for k1 in range(depth + 1):
+        pe = pair_extend(p, k1)
+        mid_p = (pe.w2.edges, pe.g2)
+        for k2 in range(depth + 1):
+            qe = pair_extend(q, k2)
+            # twist q so that its first leg matches p's second leg
+            if qe.w1.edges != mid_p[0]:
+                continue
+            h = G.op(G.inv[qe.g1], mid_p[1])
+            if data.group_act_ev(G.inv[h], qe.z) != pe.z:
+                continue
+            return PairArrow(data, pe.w1, pe.g1, qe.w2, G.op(qe.g2, h),
+                             pe.z)
+    raise DepthInsufficient(f"no common refinement within depth {depth}")
 
 
 def arrows_over(model, points, word_len=2):

@@ -188,7 +188,7 @@ def test_criterion_4_model_defining_bijection():
 def test_criterion_5_pair_model_vs_germ_calculus():
     for data, maker in ((e1(), e1_diagram), (e2(), e2_diagram)):
         d = maker(3)
-        pm = pair_groupoid_model(d, depth=4)
+        pm = pair_groupoid_model(d)
         points = rational_points(data, 1, 2)
         nfs = all_nfs(data, 1)
         unit = nf_unit(data)
@@ -218,7 +218,7 @@ def test_criterion_5_pair_model_vs_germ_calculus():
     # the E2 isotropy phenomenon: a nonunit arrow with trivial germ
     data = e2()
     d = e2_diagram(3)
-    pm = pair_groupoid_model(d, depth=4)
+    pm = pair_groupoid_model(d)
     z = data.ev((), ("0",))
     t = nf(data, (), "a", ())
     p = pair_from_nf(data, t, z)

@@ -292,6 +292,10 @@ def test_validate_unknown_kind(tmp_path):
     assert "unknown kind" in err
 
 
+def test_every_document_kind_has_a_validator():
+    assert cli.VALIDATORS.keys() == cli.PAYLOADERS.keys()
+
+
 def test_unreadable_path_is_a_usage_error(tmp_path):
     # a directory is no document; a missing file keeps its OSError text
     assert_usage_error(*run_cli("validate", str(tmp_path)))

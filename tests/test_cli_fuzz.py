@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from corpus import e1
 from gpdcorr import cli
 from gpdcorr.corr import validate_correspondence
-from gpdcorr.diagram import discrete_diagram
+from gpdcorr.diagram import (discrete_diagram, validate_action,
+                             validate_diagram)
 from gpdcorr.errors import GpdError
 from gpdcorr.fincat import validate_category
 from gpdcorr.groupoid import FinGroupoid, Group, validate_groupoid
@@ -152,7 +153,7 @@ def single_node_breaks():
 
 # breaks that validate answers with "malformed input" (exit 2) instead of
 # a report; the bound keeps reports from slipping back to exit 2
-MALFORMED_BOUND = 519
+MALFORMED_BOUND = 490
 
 
 def test_every_single_node_break_is_refused(tmp_path):
@@ -261,6 +262,25 @@ def test_every_parsed_groupoid_break_gets_a_report():
             assert isinstance(validate(cat), list), (at, change)
             checked += 1
     assert checked > 1000
+
+
+def test_every_parsed_action_break_gets_a_report():
+    # keys that are not pairs and points that are not hashable are
+    # reported by validate_action, not raised on
+    checked = 0
+    for doc, at, change in single_node_breaks():
+        if doc["kind"] != "action":
+            continue
+        try:
+            d, a = cli.value_of(*cli.parse_document(
+                json.dumps(broken_at(doc, at, change))))
+            if validate_diagram(d):
+                continue
+        except MALFORMED:
+            continue
+        assert isinstance(validate_action(d, a), list), (at, change)
+        checked += 1
+    assert checked > 100
 
 
 NAMED = {"point": DOCS[5], "commutative": DOCS[7]}

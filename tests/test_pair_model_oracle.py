@@ -1,25 +1,29 @@
-"""The pair model's bucketed arrow dedupe against the pairwise oracle.
+"""The pair model against its oracles.
 
 ``SelfSimPairModel.arrows_over`` compares a candidate arrow only with the
 arrows kept for its (normalised source, grade); ``oracles.arrows_over``
 compares it with every arrow kept so far.  Both must keep the same
 arrows in the same order, which holds because equal arrows never differ
-in normalised source or grade.
+in normalised source or grade.  Equality and products come from the
+normal-form germ calculus; ``oracles.pair_equal`` decides equality by
+the residual walk over extensions and ``oracles.pair_mult`` multiplies
+by common refinement within a depth.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from gpdcorr.diagram import from_generators
+from gpdcorr.errors import DepthInsufficient
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.model import (OreUniversal, PairArrow, SelfSimPairModel,
                            pair_from_nf)
-from gpdcorr.selfsim import iterate
+from gpdcorr.selfsim import iterate, nf
 
 from test_diagram import point_diagram, swap_diagram
-from test_selfsim_oracle import DATAS, normal_forms, points
+from test_selfsim_oracle import DATAS, points, words
 
 
 def selfsim_diagram(data, bound):
@@ -43,7 +47,7 @@ DIAGRAMS = {
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))
 def test_arrows_over_matches_pairwise_oracle(name, word_len, depth):
     d = DIAGRAMS[name](depth)
-    m = SelfSimPairModel(d, depth)
+    m = SelfSimPairModel(d)
     # the sample points of `gpdcorr model --depth <depth>`
     pts = OreUniversal(d, depth).points(1, 1)
     got = m.arrows_over(pts, word_len)
@@ -60,17 +64,27 @@ def twisted(p, h):
 
 
 @st.composite
-def candidate_arrows(draw, name):
-    """A pair arrow from a normal form at a point of its domain, now and
-    then extended along its tail or twisted by a group element."""
+def candidate_arrows(draw, name, at=None):
+    """A pair arrow from a normal form at a point of its domain, at ``at``
+    when given, now and then extended along its tail or twisted by a
+    group element."""
     data = DATAS[name]
-    t = draw(normal_forms(name).filter(
-        lambda t: not t.zero
-        and any(data.ev_starts_with(z, t.w2) for z in points(name))))
-    z = draw(st.sampled_from(
-        [z for z in points(name) if data.ev_starts_with(z, t.w2)]))
-    p = pair_from_nf(data, t, z).extend(draw(st.integers(0, 2)))
+    z = draw(st.sampled_from(points(name))) if at is None else at
+    w2 = draw(st.sampled_from(
+        [w for w in words(name) if data.ev_starts_with(z, w)]))
+    g = draw(st.sampled_from(data.group.elements))
+    v = data.vact[(g, data.ps(w2))]
+    w1 = draw(st.sampled_from([w for w in words(name) if data.ps(w) == v]))
+    t = nf(data, w1.edges, g, w2.edges, rv1=w1.rv, rv2=w2.rv)
+    p = oracles.pair_extend(pair_from_nf(data, t, z),
+                            draw(st.integers(0, 2)))
     return twisted(p, draw(st.sampled_from(data.group.elements)))
+
+
+def same_class(draw, p):
+    """An extension of p twisted by a group element: the same arrow."""
+    return twisted(oracles.pair_extend(p, draw.draw(st.integers(0, 2))),
+                   draw.draw(st.sampled_from(p.data.group.elements)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,13 +92,62 @@ def candidate_arrows(draw, name):
 def test_equal_arrows_share_normalised_source_and_grade(draw, name):
     m = SelfSimPairModel(DIAGRAMS[name](2))
     p = draw.draw(candidate_arrows(name))
-    # an extension or twist of p is the same arrow, so equal pairs occur
     if draw.draw(st.booleans()):
-        q = twisted(p.extend(draw.draw(st.integers(0, 2))),
-                    draw.draw(st.sampled_from(p.data.group.elements)))
+        q = same_class(draw, p)
         assert m.equal(p, q)
     else:
         q = draw.draw(candidate_arrows(name))
     if m.equal(p, q):
         assert p.normalised().source() == q.normalised().source()
         assert p.grade() == q.grade()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(DATAS)), st.integers(0, 2))
+def test_equal_matches_the_residual_walk(draw, name, how):
+    m = SelfSimPairModel(DIAGRAMS[name](2))
+    p = draw.draw(candidate_arrows(name))
+    # the same arrow, an arrow at the same source, or any arrow
+    q = same_class(draw, p) if how == 0 else draw.draw(
+        candidate_arrows(name, p.source() if how == 1 else None))
+    assert m.equal(p, q) == oracles.pair_equal(p, q)
+    assert m.equal(q, p) == oracles.pair_equal(q, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(sorted(DATAS)))
+def test_mult_matches_the_common_refinement(draw, name):
+    m = SelfSimPairModel(DIAGRAMS[name](2))
+    q = draw.draw(candidate_arrows(name))
+    p = draw.draw(candidate_arrows(name, q.target()))
+    got = m.mult(p, q)
+    assert (got.source(), got.target()) == (q.source(), p.target())
+    try:
+        want = oracles.pair_mult(p, q)
+    except DepthInsufficient:
+        event("the common refinement needs more than depth 4")
+        return
+    assert m.equal(got, want) and oracles.pair_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(DATAS))
+def test_mult_matches_the_common_refinement_on_every_pair(name):
+    # every composable pair of the arrows that `gpdcorr model --depth 2`
+    # counts: the refinement answers within depth 4 on all of them
+    d = DIAGRAMS[name](2)
+    m = SelfSimPairModel(d)
+    arrows = m.arrows_over(OreUniversal(d, 2).points(1, 1), 1)
+    products = out_of_depth = 0
+    for p in arrows:
+        for q in arrows:
+            if p.source() != q.target():
+                continue
+            got = m.mult(p, q)
+            try:
+                want = oracles.pair_mult(p, q)
+            except DepthInsufficient:
+                out_of_depth += 1
+                continue
+            assert m.equal(got, want)
+            products += 1
+    assert out_of_depth == 0 and products >= 320
