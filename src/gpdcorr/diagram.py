@@ -473,10 +473,11 @@ def validate_action(d, a):
     """Check the definition of a diagram action, within the bound.  A table
     it cannot read, or a name outside the shape, carrier, groupoids or
     X(g), ends it before the axioms."""
+    tables = [("gact", a.gact)] + [
+        (f"alpha({g!r})", t) for g, t in a.alph.items()]
     report = [f"carrier point {y!r} is not hashable"
               for y in a.carrier if not _hashable(y)]
-    for name, table in [("gact", a.gact)] + [
-            (f"alpha({g!r})", t) for g, t in a.alph.items()]:
+    for name, table in tables:
         report += [f"{name} key {k!r} is not a pair" for k in table
                    if not (isinstance(k, tuple) and len(k) == 2)]
         report += [f"{name} value {z!r} is not hashable"
@@ -489,8 +490,7 @@ def validate_action(d, a):
         elif a.anchor.get(y) not in d.gr[a.part[y]].objects:
             report.append(f"anchor of {y!r} is not a unit of its groupoid")
     named = [("part", y) for y in a.part] + [("anchor", y) for y in a.anchor]
-    named += [("gact", w) for (_, y), z in a.gact.items() for w in (y, z)]
-    named += [(f"alpha({g!r})", w) for g, t in a.alph.items()
+    named += [(name, w) for name, t in tables
               for (_, y), z in t.items() for w in (y, z)]
     points = set(a.carrier)
     report += [f"{name} names {y!r}, which is not in the carrier"
