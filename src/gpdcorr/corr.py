@@ -115,9 +115,9 @@ def disjoint_union_lift(c):
 def validate_correspondence(c):
     """Report violations of the correspondence axioms.
 
-    The axioms read every action key as a pair and look up r and s at
-    every carrier point and at every point of an action entry; where one
-    of these fails, the report ends before them.
+    The axioms read action keys as pairs, r and s at every carrier point
+    and action entry point, and both groupoids as _acts_on does; where
+    one of these fails, the report ends before the checks that read it.
     """
     report = [f"{side} groupoid: {line}"
               for side, gpd in (("left", c.left), ("right", c.right))
@@ -145,6 +145,8 @@ def validate_correspondence(c):
             report.append(f"r({x!r}) is not an object of the left groupoid")
         if c.smap[x] not in c.right.objects:
             report.append(f"s({x!r}) is not an object of the right groupoid")
+    if not (_acts_on(c.left) and _acts_on(c.right)):
+        return report
     report.extend("left action: " + line for line in c.left_action().validate())
     report.extend("right action: " + line
                   for line in c.right_action().validate())
@@ -165,6 +167,16 @@ def validate_correspondence(c):
     if not ok:
         report.append(f"right action not basic, witness {witness!r}")
     return report
+
+
+def _acts_on(gpd):
+    """Whether GroupoidAction.validate can read gpd: its arrow records are
+    pairs, its objects and their units hashable, and its composites."""
+    units = gpd.identities
+    return all(isinstance(e, tuple) and len(e) == 2
+               for e in gpd.arrows.values()) and all(
+        _hashable(x) and x in units and _hashable(units[x])
+        for x in gpd.objects) and all(map(_hashable, gpd.compose.values()))
 
 
 def inner_product(c, x1, x2):

@@ -45,12 +45,12 @@ from .groupoid import FinGroupoid, PartialBijection
 
 class Diagram:
 
-    def __init__(self, shape, gr, corr, mu, bound=None, sigma=None):
+    def __init__(self, shape, gr, corr, mu, bound, sigma=None):
         self.shape = shape
         self.gr = dict(gr)
         self.corr = dict(corr)
         self.mu = dict(mu)
-        self.bound = bound if bound is not None else shape.length_bound
+        self.bound = bound
         self.sigma = sigma
         self.selfsim = None
         self.gen_data = None    # generator id -> X(g), from from_generators
@@ -135,7 +135,7 @@ def _as_tuple_corr(tp):
     return c
 
 
-def from_generators(shape, gens, groupoids=None, braidings=None, bound=None):
+def from_generators(shape, gens, groupoids=None, braidings=None):
     """Materialise a diagram from its generator correspondences.
 
     ``gens`` maps generator id -> Correspondence.  For free commutative
@@ -143,7 +143,7 @@ def from_generators(shape, gens, groupoids=None, braidings=None, bound=None):
     (x_a, x_b) -> (x_b', x_a') realising X_a.X_b ~ X_b.X_a; the braiding
     hexagons are checked during materialisation.
     """
-    bound = bound if bound is not None else shape.length_bound
+    bound = shape.length_bound
     gr = dict(groupoids or {})
     for a, c in gens.items():
         gr.setdefault(shape.gen_dst[a], c.left)
@@ -320,11 +320,11 @@ def from_complex(category, groups, homs, twists):
     return d
 
 
-def validate_diagram(d, bound=None):
+def validate_diagram(d):
     """Element-wise check of the unit and associativity coherence."""
     report = []
-    bound = bound if bound is not None else d.bound
-    arrows = [g for g in d.arrows(bound)]
+    bound = d.bound
+    arrows = list(d.arrows())
     invalid = set()             # arrows whose X(g) compose cannot take
     report += [f"generator {a!r}: {line}" for a, c in (
         d.gen_data or {}).items() for line in validate_correspondence(c)]
@@ -897,7 +897,7 @@ def _bijections(dom, cod):
         yield from (dict(zip(dom, image)) for image in permutations(cod))
 
 
-def _equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
+def _equivariant_bijections(c, gact, ys_src, ys_dst, anchor):
     """All candidate alpha tables for one generator arrow: bijections,
     equivariant for the left actions, from the pairs (xi, y) modulo
     (xi.gamma, y) ~ (xi, gamma.y) onto the range piece."""
@@ -1002,8 +1002,8 @@ def _actions_with_frame(d, carrier, part, anchor):
         tables = []
         for g in gens:
             tables.append(list(_equivariant_bijections(
-                d, g, d.X(g), gact, pieces[d.shape.s(g)],
-                pieces[d.shape.r(g)], anchor)))
+                d.X(g), gact, pieces[d.shape.s(g)], pieces[d.shape.r(g)],
+                anchor)))
             if not tables[-1]:      # the product is empty already, so
                 break               # the later generators go unsearched
         for alph in product(*tables):
@@ -1073,7 +1073,7 @@ def compose_transformations(t21, t10):
     return Transformation(d0, d2, Y, V)
 
 
-def validate_transformation(t, bound=None):
+def validate_transformation(t):
     """Element-wise check of the naturality squares of a transformation.
 
     The squares at an arrow are checked only where its Y(x) are valid
@@ -1087,7 +1087,7 @@ def validate_transformation(t, bound=None):
         for line in validate_correspondence(c):
             report.append(f"Y({x!r}): {line}")
             invalid.add(x)
-    bound = bound if bound is not None else min(d0.bound, d1.bound)
+    bound = min(d0.bound, d1.bound)
     for g, table in t.V.items():
         if d0.shape.s(g) in invalid or d0.shape.r(g) in invalid:
             continue

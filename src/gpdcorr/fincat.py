@@ -254,13 +254,13 @@ class PresentedShape:
         return shape
 
     @classmethod
-    def finite(cls, category, length_bound=1):
+    def finite(cls, category):
         gens = tuple(a for a in category.arrow_ids()
                      if not category.is_identity(a))
         gen_src = {a: category.src(a) for a in gens}
         gen_dst = {a: category.dst(a) for a in gens}
-        return cls(FINITE, category.objects, gens, gen_src, gen_dst,
-                   length_bound, category=category)
+        return cls(FINITE, category.objects, gens, gen_src, gen_dst, 1,
+                   category=category)
 
     @classmethod
     def discrete(cls, objects):

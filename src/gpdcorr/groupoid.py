@@ -48,8 +48,8 @@ class Group:
         return cls(("1",), {("1", "1"): "1"})
 
     @classmethod
-    def cyclic(cls, n, gen="a"):
-        names = ["1"] + [gen if k == 1 else f"{gen}{k}" for k in range(1, n)]
+    def cyclic(cls, n):
+        names = ["1"] + ["a" if k == 1 else f"a{k}" for k in range(1, n)]
         mul = {(names[i], names[j]): names[(i + j) % n]
                for i in range(n) for j in range(n)}
         return cls(names, mul)

@@ -24,12 +24,12 @@ from .fincat import PresentedShape
 from .groupoid import PartialBijection
 
 
-def make_emn(m, n, bound=2):
+def make_emn(m, n):
     """The equaliser diagram with |X_h| = n and |X_v| = m."""
     if m < 1 or n < 1:
         raise ParseError(f"m and n must be at least 1, got {m!r}, {n!r}")
     shape = PresentedShape.path_category(
-        ("1", "2"), {"h": ("2", "1"), "v": ("2", "1")}, length_bound=bound)
+        ("1", "2"), {"h": ("2", "1"), "v": ("2", "1")}, length_bound=2)
     xh = space_correspondence(
         ("*",), ("*",), {("h", i): "*" for i in range(n)},
         {("h", i): "*" for i in range(n)},
@@ -136,13 +136,13 @@ def reduce_word(word):
     return tuple(reversed(out))
 
 
-def check_conditions(p, word_len=2):
+def check_conditions(p):
     """The five conditions for a partial action to come from a system."""
     report = []
     rank = p.n + p.m
     empty = PartialBijection.empty()
-    for g in reduced_words(rank, word_len):
-        for h in reduced_words(rank, word_len):
+    for g in reduced_words(rank, 2):
+        for h in reduced_words(rank, 2):
             gh = reduce_word(g + h)
             if len(gh) != len(g) + len(h):
                 continue

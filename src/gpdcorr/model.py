@@ -8,8 +8,8 @@ for tight diagrams.  Free-monoid diagrams are reduced to a letter
 system (a self-similarity over the base), whose universal space is
 handled through eventually periodic points.  On those the pair
 construction gives a groupoid graded by the groupoid completion of the
-shape, whose arrows are germs of normal forms, so that the normal-form
-calculus decides their equality and products.
+shape, whose arrows are kept as germs (z, t) of normal forms t at points
+z, so that the normal-form calculus decides their equality and products.
 
 A model lists its actions on a labelled carrier with ``enumerate_on``,
 each as ``(anchor, act)`` with ``act[(label, y)] == z``.  Its ``binding``
@@ -36,8 +36,8 @@ from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
 from .fincat import (FREE, GROUP, IS_ORE, PresentedShape, canonical_classes,
                      first_of_class, ore_check)
 from .groupoid import FinGroupoid, Group
-from .selfsim import (NormalForm, SelfSimilarData, act_on_word, germ_equal,
-                      nf, nf_mul)
+from .selfsim import (SelfSimilarData, act_on_word, germ_equal, nf, nf_mul,
+                      nf_star, nf_unit)
 
 
 # -- models with translators -------------------------------------------------
@@ -525,10 +525,6 @@ class OreUniversal:
         """The level-n entry of the thread of a point: its n-prefix."""
         return tuple(self.data.ev_letter(z, i) for i in range(n))
 
-    def act(self, t, z):
-        """The diagram action on points, through the letter calculus."""
-        return act_on_word(t, z)
-
 
 def rho(d, a, g, y):
     """The class in X_g / G of any decomposition y == gamma . y'."""
@@ -622,77 +618,43 @@ class RationalTightScan:
 # -- the pair construction over rational points -------------------------------
 
 class PairArrow:
-    """An arrow [gamma_g, gamma_h] of the pair groupoid, in coordinates.
+    """An arrow of the pair groupoid: the germ of the normal form t at a
+    point z of its domain.  Its source is z, its range t.z and its grade
+    len(w1) - len(w2) of t."""
 
-    The two legs are (w1, g1, z) and (w2, g2, z) over a common tail z;
-    the source is w2.(g2.z), the range w1.(g1.z), and the grade is
-    len(w1) - len(w2).  The class is stable under the right twist by a
-    group element and under extension along the letters of z; twisted
-    to g2 = 1, it is the germ of the normal form (w1, g1, w2) there.
-    """
+    __slots__ = ("z", "t")
 
-    def __init__(self, data, w1, g1, w2, g2, z):
-        self.data = data
-        self.w1, self.g1, self.w2, self.g2, self.z = w1, g1, w2, g2, z
-
-    def normalised(self):
-        """Twist so that the second leg carries the trivial element."""
-        data, G = self.data, self.data.group
-        if self.g2 == G.identity:
-            return self
-        return PairArrow(data, self.w1, G.op(self.g1, G.inv[self.g2]),
-                         self.w2, G.identity,
-                         data.group_act_ev(self.g2, self.z))
+    def __init__(self, z, t):
+        self.z, self.t = z, t
 
     def grade(self):
-        return len(self.w1.edges) - len(self.w2.edges)
+        return len(self.t.w1.edges) - len(self.t.w2.edges)
 
     def source(self):
-        data = self.data
-        return data.ev_prepend(self.w2.edges,
-                               data.group_act_ev(self.g2, self.z))
+        return self.z
 
     def target(self):
-        data = self.data
-        return data.ev_prepend(self.w1.edges,
-                               data.group_act_ev(self.g1, self.z))
+        return act_on_word(self.t, self.z)
 
     def inverse(self):
-        return PairArrow(self.data, self.w2, self.g2, self.w1, self.g1,
-                         self.z)
-
-    def key(self):
-        n = self.normalised()
-        return (n.w1, n.g1, n.w2, n.z)
-
-
-def _germ(p):
-    """A pair arrow as the (source, normal form) of the germ it is."""
-    p = p.normalised()
-    return p.source(), NormalForm(p.data, p.w1, p.g1, p.w2)
+        return PairArrow(self.target(), nf_star(self.t))
 
 
 def pair_from_nf(data, t, z):
     """The pair arrow of a normal form at a point of its domain."""
     if not data.ev_starts_with(z, t.w2):
         raise Undefined("point outside the domain")
-    tail = data.ev_drop(z, len(t.w2.edges))
-    return PairArrow(data, t.w1, t.g, t.w2, data.group.identity, tail)
-
-
-def pair_unit(data, z):
-    p, one = data.path((), z.rv), data.group.identity
-    return PairArrow(data, p, one, p, one, z)
+    return PairArrow(z, t)
 
 
 class SelfSimPairModel:
     """The pair groupoid over rational points, with decidable equality.
 
-    An arrow is the germ of a normal form at its source, so arrows are
-    equal when their sources are and germ_equal holds there, and a
-    product is the germ of nf_mul at its right factor's source.  Equal
-    arrows share source and grade, so arrows_over compares a candidate
-    only with the arrows it kept for that (source, grade).
+    A PairArrow (z, t) is read as it is kept: arrows are equal when their
+    points are and germ_equal holds there, and a product is the germ of
+    nf_mul at its right factor's point.  Equal arrows share source and
+    grade, so arrows_over compares a candidate only with the arrows it
+    kept for that (source, grade).
     """
 
     def __init__(self, d):
@@ -700,19 +662,17 @@ class SelfSimPairModel:
         self.data = as_selfsim(d)
 
     def equal(self, p, q):
-        (z, t), (z2, t2) = _germ(p), _germ(q)
-        return z == z2 and germ_equal(t, t2, z)
+        return p.z == q.z and germ_equal(p.t, q.t, p.z)
 
     def mult(self, p, q):
-        """[g_g, g_h].[g_h', g_k]: the germ of the product of the two
-        normal forms at q's source, exact at every depth."""
-        if p.source() != q.target():
+        """The germ of the product of the two normal forms at q's
+        source, exact at every depth."""
+        if p.z != q.target():
             raise DepthInsufficient("arrows not composable")
-        z, t = _germ(q)
-        return pair_from_nf(self.data, nf_mul(_germ(p)[1], t), z)
+        return pair_from_nf(self.data, nf_mul(p.t, q.t), q.z)
 
     def is_unit(self, p):
-        return self.equal(p, pair_unit(self.data, p.source()))
+        return germ_equal(p.t, nf_unit(self.data, p.z.rv), p.z)
 
     def arrows_over(self, points, word_len=2):
         """All distinct arrows with legs of the given length, as reps."""
@@ -725,7 +685,7 @@ class SelfSimPairModel:
                  if data.ev_starts_with(z, t.w2))
         return [p for p, seen in first_of_class(
             pairs, lambda p, q: self.equal(p, q) or None,
-            lambda p: (p.source(), p.grade())) if seen is None]
+            lambda p: (p.z, p.grade())) if seen is None]
 
     def grading_functor(self, completion):
         """The map to the groupoid completion: grade as a zigzag class."""
@@ -733,7 +693,7 @@ class SelfSimPairModel:
         obj = self.d.shape.objects[0]
 
         def theta(p):
-            m, n = len(p.w1.edges), len(p.w2.edges)
+            m, n = len(p.t.w1.edges), len(p.t.w2.edges)
             return completion.cls((obj, obj, (gen,) * m),
                                   (obj, obj, (gen,) * n))
 

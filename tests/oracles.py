@@ -11,8 +11,9 @@ the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr`` and the block composition that followed it, the
 document writer of ``gpdcorr.cli`` and its hand-written payload
 builders, the
-residual walk and common-refinement product of ``SelfSimPairModel``
-that the normal-form germ calculus replaced, the
+coordinate pair arrows with the residual walk and common-refinement
+product of ``SelfSimPairModel`` that the normal-form germ calculus
+replaced, the
 bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
 bucketed representatives of ``verify_model``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
@@ -47,7 +48,7 @@ from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
                            PairArrow, PresentationModel, _carries,
                            _invariance_witness, _map_values, _orbits, _table,
                            pair_from_nf)
-from gpdcorr.selfsim import EvPeriodicWord, Path, nf
+from gpdcorr.selfsim import EvPeriodicWord, NormalForm, Path, nf
 
 
 def equivariant_maps(a1, a2):
@@ -183,7 +184,7 @@ def _relator_trivial(act, relator):
     return True
 
 
-def equivariant_bijections(d, g, c, gact, ys_src, ys_dst, anchor):
+def equivariant_bijections(c, gact, ys_src, ys_dst, anchor):
     """All candidate alpha tables for one generator arrow, checked for
     bijectivity only at the leaves of the search."""
     pairs = [(xi, y) for xi in c.carrier for y in ys_src
@@ -1303,11 +1304,67 @@ class CheckedPairArrow:
         return (self.w1, self.g1, self.w2, self.g2, self.z)
 
 
+class PairCoords:
+    """A pair-groupoid arrow [gamma_g, gamma_h] in the coordinates that the
+    residual walk reads, as the model kept it before it kept germs.
+
+    The two legs are (w1, g1, z) and (w2, g2, z) over a common tail z;
+    the source is w2.(g2.z), the range w1.(g1.z), and the grade is
+    len(w1) - len(w2).  The class is stable under the right twist by a
+    group element and under extension along the letters of z; twisted
+    to g2 = 1, it is the germ of the normal form (w1, g1, w2) there.
+    """
+
+    def __init__(self, data, w1, g1, w2, g2, z):
+        self.data = data
+        self.w1, self.g1, self.w2, self.g2, self.z = w1, g1, w2, g2, z
+
+    def normalised(self):
+        """Twist so that the second leg carries the trivial element."""
+        data, G = self.data, self.data.group
+        if self.g2 == G.identity:
+            return self
+        return PairCoords(data, self.w1, G.op(self.g1, G.inv[self.g2]),
+                          self.w2, G.identity,
+                          data.group_act_ev(self.g2, self.z))
+
+    def grade(self):
+        return len(self.w1.edges) - len(self.w2.edges)
+
+    def source(self):
+        data = self.data
+        return data.ev_prepend(self.w2.edges,
+                               data.group_act_ev(self.g2, self.z))
+
+    def target(self):
+        data = self.data
+        return data.ev_prepend(self.w1.edges,
+                               data.group_act_ev(self.g1, self.z))
+
+
+def coords(p):
+    """A germ PairArrow (z, t) in coordinates: the legs of t over the tail
+    of z past t's source word; coordinates are returned as they are."""
+    if isinstance(p, PairCoords):
+        return p
+    data, t = p.t.data, p.t
+    return PairCoords(data, t.w1, t.g, t.w2, data.group.identity,
+                      data.ev_drop(p.z, len(t.w2.edges)))
+
+
+def germ(p):
+    """A coordinate arrow as the germ PairArrow it is, at its source."""
+    n = p.normalised()
+    return PairArrow(n.source(), NormalForm(n.data, n.w1, n.g1, n.w2))
+
+
 def pair_extend(p, k):
-    """PairArrow.extend, which the germ calculus replaced: p with the
-    first k letters of its tail appended to both legs, joins checked."""
+    """The extension of coordinate arrows, which the germ calculus
+    replaced: p with the first k letters of its tail appended to both
+    legs, joins checked."""
+    p = coords(p)
     fields = CheckedPairArrow(p.data, p.w1, p.g1, p.w2, p.g2, p.z)
-    return PairArrow(p.data, *fields.extend(k).fields())
+    return PairCoords(p.data, *fields.extend(k).fields())
 
 
 def pair_equal(p, q):
@@ -1315,8 +1372,8 @@ def pair_equal(p, q):
     at a common source, then walk the extensions level by level; a
     repeated pair of residuals at the same phase of the tail certifies
     inequality by pigeonhole."""
+    p, q = coords(p).normalised(), coords(q).normalised()
     data = p.data
-    p, q = p.normalised(), q.normalised()
     z0 = p.source()
     if z0 != q.source() or p.grade() != q.grade():
         return False
@@ -1341,11 +1398,11 @@ def pair_equal(p, q):
 def pair_mult(p, q, depth=4):
     """SelfSimPairModel.mult by common refinement: extend both arrows
     up to depth letters until q's first leg meets p's second leg."""
+    p, q = coords(p).normalised(), coords(q)
     data = p.data
     G = data.group
     if p.source() != q.target():
         raise DepthInsufficient("arrows not composable")
-    p = p.normalised()
     for k1 in range(depth + 1):
         pe = pair_extend(p, k1)
         mid_p = (pe.w2.edges, pe.g2)
@@ -1357,8 +1414,8 @@ def pair_mult(p, q, depth=4):
             h = G.op(G.inv[qe.g1], mid_p[1])
             if data.group_act_ev(G.inv[h], qe.z) != pe.z:
                 continue
-            return PairArrow(data, pe.w1, pe.g1, qe.w2, G.op(qe.g2, h),
-                             pe.z)
+            return PairCoords(data, pe.w1, pe.g1, qe.w2, G.op(qe.g2, h),
+                              pe.z)
     raise DepthInsufficient(f"no common refinement within depth {depth}")
 
 

@@ -153,7 +153,7 @@ def single_node_breaks():
 
 # breaks that validate answers with "malformed input" (exit 2) instead of
 # a report; the bound keeps reports from slipping back to exit 2
-MALFORMED_BOUND = 490
+MALFORMED_BOUND = 177
 
 
 def test_every_single_node_break_is_refused(tmp_path):
@@ -191,9 +191,10 @@ def test_every_envelope_break_is_a_schema_error():
 MALFORMED = (GpdError, LookupError, TypeError, ValueError)
 
 
-def correspondences(doc):
+def correspondences(doc, broken=False):
     """The correspondences that validate checks in a document: none when
-    it does not parse, and only those whose groupoids validate."""
+    it does not parse, and only those whose groupoids validate, or with
+    ``broken`` only those with a groupoid that does not."""
     try:
         kind, payload = cli.parse_document(json.dumps(doc))
         value = cli.value_of(kind, payload)
@@ -213,11 +214,12 @@ def correspondences(doc):
         return
     for c in candidates:
         try:
-            if validate_groupoid(c.left) or validate_groupoid(c.right):
-                continue
+            valid = not (validate_groupoid(c.left) or
+                         validate_groupoid(c.right))
         except MALFORMED:
             continue
-        yield c
+        if valid != broken:
+            yield c
 
 
 def test_every_parsed_correspondence_break_gets_a_report():
@@ -227,6 +229,18 @@ def test_every_parsed_correspondence_break_gets_a_report():
     for doc, at, change in single_node_breaks():
         for c in correspondences(broken_at(doc, at, change)):
             assert isinstance(validate_correspondence(c), list), (at, change)
+            checked += 1
+    assert checked > 1000
+
+
+def test_every_correspondence_with_a_broken_groupoid_gets_a_report():
+    # the action checks read both groupoids; where one cannot be read
+    # that way, the groupoid's own report is returned without them
+    checked = 0
+    for doc, at, change in single_node_breaks():
+        for c in correspondences(broken_at(doc, at, change), broken=True):
+            report = validate_correspondence(c)
+            assert isinstance(report, list) and report, (at, change)
             checked += 1
     assert checked > 1000
 

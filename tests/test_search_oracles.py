@@ -115,7 +115,7 @@ def test_alpha_tables_match_oracle(name):
                   for x in d.shape.objects}
         for gact in groupoid_actions(d, pieces, anchor):
             for g in d.gen_arrows():
-                args = (d, g, d.X(g), gact, pieces[d.shape.s(g)],
+                args = (d.X(g), gact, pieces[d.shape.s(g)],
                         pieces[d.shape.r(g)], anchor)
                 assert items(_equivariant_bijections(*args)) == \
                     items(oracles.equivariant_bijections(*args))

@@ -162,7 +162,8 @@ def test_pair_arrows_match_checked_walk(draw, name):
     if not domain:
         return
     p = pair_from_nf(data, t, draw.draw(st.sampled_from(domain)))
-    checked = oracles.CheckedPairArrow(walk, p.w1, p.g1, p.w2, p.g2, p.z)
+    c = oracles.coords(p)
+    checked = oracles.CheckedPairArrow(walk, c.w1, c.g1, c.w2, c.g2, c.z)
     assert (p.source(), p.target()) == (checked.source(), checked.target())
 
 
