@@ -3,13 +3,13 @@
 Documents are JSON with a fixed key order per kind, so serialisation is
 byte-stable: finite maps are arrays of pairs, tuples are encoded as
 arrays and decoded back.  Each kind's layout is written once, in
-LAYOUTS, as its ordered fields (key, encoding, reader).  Two walkers
+LAYOUTS, as its ordered fields (key, encoding, reader).  Three walkers
 read it: payload_of (and the *_payload names) builds a document's JSON
-value for dumps, and write_document writes the same text straight from
-the library object without building that value; the *_from readers take
-a document back field by field in the same order.  Every command is
-deterministic; --seed is accepted for interface stability but nothing
-here is randomised.
+value for dumps, write_document writes the same text straight from the
+library object without building that value, and value_of reads a
+document back field by field in the same order and hands the fields to
+its kind's constructor in KINDS.  Every command is deterministic; --seed
+is accepted for interface stability but nothing here is randomised.
 
 Exit codes: 0 ok, 1 violation found, 2 usage or parse error, 3 bound
 exceeded.
@@ -76,25 +76,28 @@ def _pairs(mapping):
             sorted(mapping.items(), key=_key_repr)]
 
 
-def _unpairs(pairs):
-    return {_dec(k): _dec(v) for k, v in _array(pairs)}
-
-
 # -- document layouts ----------------------------------------------------------
 # A kind's layout is its fields in order: (key, encoding) reads the value's
-# attribute key, (key, encoding, reader) reads reader(value), and a reader
-# that returns OMIT drops its field.  Encodings: RAW (as is), ENC (_enc),
-# LIST (_enc of each item), PAIRS (_pairs), a kind (a nested document) and
-# (BY_KEY, encoding), [[_enc(k), encoded v]] over the (k, v) items sorted by
-# repr.  payload_of builds a document's JSON value, write_document its text.
+# attribute key, (key, encoding, reader) reads reader(value), a reader that
+# returns OMIT drops its field, and the reader itself writes the value as
+# the nested kind, read back as that kind's fields.  Encodings: RAW (as
+# is), ENC (_enc), LIST (_enc of each item), PAIRS (_pairs), a kind (a
+# nested document) and (BY_KEY, encoding), [[_enc(k), encoded v]] over the
+# (k, v) items sorted by repr.  payload_of builds a document's JSON value,
+# write_document its text and value_of reads it back.
 
 RAW, ENC, LIST, PAIRS, BY_KEY = "raw", "enc", "list", "pairs", "by key"
 OMIT = object()
 
+
+def itself(value):
+    return value
+
+
 LAYOUTS = {
     "category": [("objects", LIST), ("arrows", PAIRS), ("compose", PAIRS),
                  ("identities", PAIRS)],
-    "groupoid": [("category", "category", lambda gpd: gpd), ("inv", PAIRS)],
+    "groupoid": [("category", "category", itself), ("inv", PAIRS)],
     "correspondence": [("left", "groupoid"), ("right", "groupoid"),
                        ("carrier", LIST), ("r", PAIRS, attrgetter("rmap")),
                        ("s", PAIRS, attrgetter("smap")), ("lact", PAIRS),
@@ -161,45 +164,29 @@ def action_payload(d, a):
     return payload_of("action", (d, a))
 
 
-def _values_from(kind, payload):
-    """The values of a kind's fields, read back from its payload in order."""
-    return [_read(how, payload[key]) for key, how, *_ in LAYOUTS[kind]]
-
-
 def _read(how, p):
+    """The value of a field written as how: _build read back."""
+    if how is PAIRS:
+        return {_dec(k): _dec(v) for k, v in _array(p)}
     if how in LAYOUTS:
-        return READERS[how](p)
+        return (Group if how == "group" else KINDS[how])(*_values(how, p))
     if type(how) is tuple:
         return {_dec(k): _read(how[1], v) for k, v in _array(p)}
     return p if how is RAW else _dec(p) if how is ENC else \
-        [_dec(x) for x in _array(p)] if how is LIST else _unpairs(p)
+        [_dec(x) for x in _array(p)]
 
 
-def groupoid_from(payload):
-    return FinGroupoid(*_values_from("category", payload["category"]),
-                       _unpairs(payload["inv"]))
+def _values(kind, payload):
+    """A payload's fields in layout order, for its kind's constructor."""
+    return [None if key in OPTIONAL and key not in payload else
+            _values(how, payload[key]) if read and read[0] is itself else
+            _read(how, payload[key]) for key, how, *read in LAYOUTS[kind]]
 
 
-def _from(make, kind):
-    return lambda payload: make(*_values_from(kind, payload))
-
-
-category_from = _from(FinCategory, "category")
-correspondence_from = _from(Correspondence, "correspondence")
-group_from = _from(Group, "group")
-selfsimilar_from = _from(SelfSimilarData, "selfsimilar")
-complex_from = _from(cgxmod.ComplexOfGroups, "complex_of_groups")
-
-
-def diagram_from(payload):
-    kind = payload["shape_kind"]
-    bound = at_least("bound", payload["bound"], 0)
-    objects = [_dec(x) for x in _array(payload["objects"])]
-    gens_ep = _unpairs(payload["gens"])
-    groupoids = {_dec(x): groupoid_from(gp)
-                 for x, gp in _array(payload["groupoids"])}
-    gens = {_dec(a): correspondence_from(c)
-            for a, c in _array(payload["generators"])}
+def _diagram(kind, objects, gens_ep, bound, groupoids, gens, braidings,
+             selfsim):
+    """The diagram of a document's fields, if they describe its shape."""
+    at_least("bound", bound, 0)
     if kind == "free":
         shape = PresentedShape.free_monoid(sorted(gens_ep), bound)
     elif kind == "path":
@@ -222,17 +209,9 @@ def diagram_from(payload):
                           "shape's objects")
     if kind == "finite":
         return d
-    braidings = payload.get("braidings", [])
-    d = from_generators(shape, gens, groupoids, braidings={
-        _dec(ab): _unpairs(t) for ab, t in _array(braidings)})
-    if "selfsimilar" in payload:
-        d.selfsim = selfsimilar_from(payload["selfsimilar"])
+    d = from_generators(shape, gens, groupoids, braidings)
+    d.selfsim = selfsim
     return d
-
-
-def action_from(payload):
-    d, *fields = _values_from("action", payload)
-    return d, FAction(d, *fields)
 
 
 def at_least(name, v, low):
@@ -249,14 +228,17 @@ def mn_params(m, n, depth=0):
     return m, n
 
 
-PAYLOADERS = {"category": category_from, "groupoid": groupoid_from,
-              "correspondence": correspondence_from,
-              "diagram": diagram_from,
-              "complex_of_groups": complex_from,
-              "selfsimilar": selfsimilar_from,
-              "mn": lambda payload: mn_params(payload["m"], payload["n"]),
-              "action": action_from}
-READERS = {**PAYLOADERS, "group": group_from}
+# top-level kind -> its constructor, taking _values; mn, which has no
+# layout, reads its payload.  A group is only nested, and made by Group.
+KINDS = {"category": FinCategory,
+         "groupoid": lambda cat, inv: FinGroupoid(*cat, inv),
+         "correspondence": Correspondence, "diagram": _diagram,
+         "complex_of_groups": cgxmod.ComplexOfGroups,
+         "selfsimilar": SelfSimilarData,
+         "mn": lambda payload: mn_params(payload["m"], payload["n"]),
+         "action": lambda d, *fields: (d, FAction(d, *fields))}
+# fields that a document may leave out (read as None): the writer's OMIT
+OPTIONAL = ("braidings", "selfsimilar")
 
 
 def envelope(kind, payload):
@@ -350,7 +332,7 @@ def parse_document(text):
     if doc["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {doc['format_version']!r}")
     kind = doc.get("kind")
-    if type(kind) is not str or kind not in PAYLOADERS:
+    if type(kind) is not str or kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
     if "payload" not in doc:
         raise SchemaError("missing payload")
@@ -366,10 +348,11 @@ def load(path):
 
 
 def value_of(kind, payload):
-    if kind not in PAYLOADERS:
+    if kind not in KINDS:
         raise SchemaError(f"no loader for kind {kind!r}")
     try:
-        return PAYLOADERS[kind](payload)
+        return KINDS[kind](*_values(kind, payload)) if kind in LAYOUTS \
+            else KINDS[kind](payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed {kind} payload: {exc}")
 

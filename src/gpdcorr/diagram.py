@@ -55,8 +55,8 @@ class Diagram:
         self.selfsim = None
         self.gen_data = None    # generator id -> X(g), from from_generators
 
-    def arrows(self, bound=None):
-        return self.shape.arrows(self.bound if bound is None else bound)
+    def arrows(self):
+        return self.shape.arrows(self.bound)
 
     def gen_arrows(self):
         return self.shape.generator_arrows()

@@ -169,7 +169,7 @@ def check_conditions(p):
         for i in block:
             cover |= p.gens[i].image
         if cover != whole:
-            report.append(f"(5) fails for the block starting at {block[0]}")
+            report.append(f"(5) fails for the block starting at {block.start}")
     return report
 
 

@@ -9,12 +9,10 @@ representatives, the Tietze-reduced homomorphism count of
 alone, the factorised configuration space of ``gpdcorr.mn``,
 the unchecked joins of ``gpdcorr.selfsim``, the transversal composition
 of ``gpdcorr.corr`` and the block composition that followed it, the
-document writer of ``gpdcorr.cli`` and its hand-written payload
-builders, the
-coordinate pair arrows with the residual walk and common-refinement
-product of ``SelfSimPairModel`` that the normal-form germ calculus
-replaced, the
-bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
+document writer of ``gpdcorr.cli`` with its hand-written payload
+builders and per-kind readers, the coordinate pair arrows with the
+residual walk and common-refinement product of ``SelfSimPairModel``
+that the normal-form germ calculus replaced, the bucketed pair-arrow dedupe of ``SelfSimPairModel.arrows_over`` and the
 bucketed representatives of ``verify_model``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
 classes that ``TransformationGroupoid`` builds once per point and the
@@ -35,20 +33,23 @@ and in the same order.
 import json
 from itertools import permutations, product
 
-from gpdcorr.cgx import (GroupoidPresentation, _elt, _invert,
-                         canonical_presentation, cone_extend)
+from gpdcorr import cli
+from gpdcorr.cgx import (ComplexOfGroups, GroupoidPresentation, _elt,
+                         _invert, canonical_presentation, cone_extend)
 from gpdcorr.corr import Correspondence
 from gpdcorr.diagram import (FAction, _propagated_maps, actions_on,
+                             discrete_diagram, from_generators,
                              invariant_check, validate_action)
 from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
-                            ParseError, Undefined)
-from gpdcorr.fincat import canonical_classes
-from gpdcorr.groupoid import FinGroupoid, pseudogroup_closure
+                            ParseError, SchemaError, Undefined)
+from gpdcorr.fincat import FinCategory, PresentedShape, canonical_classes
+from gpdcorr.groupoid import FinGroupoid, Group, pseudogroup_closure
 from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
                            PairArrow, PresentationModel, _carries,
                            _invariance_witness, _map_values, _orbits, _table,
                            pair_from_nf)
-from gpdcorr.selfsim import EvPeriodicWord, NormalForm, Path, nf
+from gpdcorr.selfsim import (EvPeriodicWord, NormalForm, Path,
+                             SelfSimilarData, nf)
 
 
 def equivariant_maps(a1, a2):
@@ -798,6 +799,134 @@ PAYLOADS = {"category": category_payload, "groupoid": groupoid_payload,
             "complex_of_groups": complex_payload,
             "diagram": diagram_payload,
             "action": lambda da: action_payload(*da)}
+
+
+# The readers that one layout walker in gpdcorr.cli replaced: a reader per
+# kind with a hand-written diagram reader, two kind tables, and the
+# envelope check and payload reading that used them.
+
+def _dec(value):
+    if isinstance(value, list):
+        tag, items = value
+        if tag not in ("t", "l"):
+            raise SchemaError(f"expected the tag 't' or 'l', got {tag!r}")
+        decoded = [_dec(v) for v in _array(items)]
+        return tuple(decoded) if tag == "t" else decoded
+    return value
+
+
+def _array(value):
+    if not isinstance(value, list):
+        raise SchemaError(f"expected an array, got {value!r}")
+    return value
+
+
+def _unpairs(pairs):
+    return {_dec(k): _dec(v) for k, v in _array(pairs)}
+
+
+def _values_from(kind, payload):
+    return [_read(how, payload[key]) for key, how, *_ in cli.LAYOUTS[kind]]
+
+
+def _read(how, p):
+    if how in cli.LAYOUTS:
+        return READERS[how](p)
+    if type(how) is tuple:
+        return {_dec(k): _read(how[1], v) for k, v in _array(p)}
+    return p if how is cli.RAW else _dec(p) if how is cli.ENC else \
+        [_dec(x) for x in _array(p)] if how is cli.LIST else _unpairs(p)
+
+
+def groupoid_from(payload):
+    return FinGroupoid(*_values_from("category", payload["category"]),
+                       _unpairs(payload["inv"]))
+
+
+def _from(make, kind):
+    return lambda payload: make(*_values_from(kind, payload))
+
+
+def diagram_from(payload):
+    kind = payload["shape_kind"]
+    bound = cli.at_least("bound", payload["bound"], 0)
+    objects = [_dec(x) for x in _array(payload["objects"])]
+    gens_ep = _unpairs(payload["gens"])
+    groupoids = {_dec(x): groupoid_from(gp)
+                 for x, gp in _array(payload["groupoids"])}
+    gens = {_dec(a): READERS["correspondence"](c)
+            for a, c in _array(payload["generators"])}
+    if kind == "free":
+        shape = PresentedShape.free_monoid(sorted(gens_ep), bound)
+    elif kind == "path":
+        shape = PresentedShape.path_category(objects, gens_ep, bound)
+    elif kind == "comm":
+        shape = PresentedShape.free_commutative(sorted(gens_ep), bound)
+    elif kind == "finite" and not gens_ep:
+        d = discrete_diagram(groupoids)
+        shape = d.shape
+    else:
+        raise SchemaError(f"unsupported shape kind {kind!r} in a diagram "
+                          "document")
+    if list(shape.objects) != objects:
+        raise SchemaError(f"objects {objects!r} are not the shape's")
+    if gens_ep != {g: (shape.gen_dst[g], shape.gen_src[g])
+                   for g in shape.gens}:
+        raise SchemaError(f"gens {gens_ep!r} are not the shape's")
+    if set(groupoids) != set(objects):
+        raise SchemaError(f"groupoids on {list(groupoids)!r} are not on the "
+                          "shape's objects")
+    if kind == "finite":
+        return d
+    braidings = payload.get("braidings", [])
+    d = from_generators(shape, gens, groupoids, braidings={
+        _dec(ab): _unpairs(t) for ab, t in _array(braidings)})
+    if "selfsimilar" in payload:
+        d.selfsim = READERS["selfsimilar"](payload["selfsimilar"])
+    return d
+
+
+def action_from(payload):
+    d, *fields = _values_from("action", payload)
+    return d, FAction(d, *fields)
+
+
+PAYLOADERS = {"category": _from(FinCategory, "category"),
+              "groupoid": groupoid_from,
+              "correspondence": _from(Correspondence, "correspondence"),
+              "diagram": diagram_from,
+              "complex_of_groups": _from(ComplexOfGroups,
+                                         "complex_of_groups"),
+              "selfsimilar": _from(SelfSimilarData, "selfsimilar"),
+              "mn": lambda payload: cli.mn_params(payload["m"], payload["n"]),
+              "action": action_from}
+READERS = {**PAYLOADERS, "group": _from(Group, "group")}
+
+
+def parse_document(text):
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(str(exc))
+    if not isinstance(doc, dict) or "format_version" not in doc:
+        raise SchemaError("missing format_version")
+    if doc["format_version"] != cli.FORMAT_VERSION:
+        raise SchemaError(f"unsupported format_version {doc['format_version']!r}")
+    kind = doc.get("kind")
+    if type(kind) is not str or kind not in PAYLOADERS:
+        raise SchemaError(f"unknown kind {kind!r}")
+    if "payload" not in doc:
+        raise SchemaError("missing payload")
+    return kind, doc["payload"]
+
+
+def value_of(kind, payload):
+    if kind not in PAYLOADERS:
+        raise SchemaError(f"no loader for kind {kind!r}")
+    try:
+        return PAYLOADERS[kind](payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {kind} payload: {exc}")
 
 
 def compose(c1, c2):

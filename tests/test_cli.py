@@ -79,7 +79,7 @@ def z2_groupoid_doc(tmp_path, broken=False):
     gpd = FinGroupoid.from_group(Group.cyclic(2))
     payload = cli.groupoid_payload(gpd)
     if broken:
-        compose = dict(cli._unpairs(payload["category"]["compose"]))
+        compose = cli._read(cli.PAIRS, payload["category"]["compose"])
         compose[("a", "a")] = "a"
         payload["category"]["compose"] = cli._pairs(compose)
     return write_doc(tmp_path, "g.json", "groupoid", payload)
@@ -293,7 +293,7 @@ def test_validate_unknown_kind(tmp_path):
 
 
 def test_every_document_kind_has_a_validator():
-    assert cli.VALIDATORS.keys() == cli.PAYLOADERS.keys()
+    assert cli.VALIDATORS.keys() == cli.KINDS.keys()
 
 
 def test_unreadable_path_is_a_usage_error(tmp_path):
@@ -461,7 +461,7 @@ def test_incomplete_selfsimilar_table_is_a_usage_error(tmp_path, table, key,
     # the tables are checked for totality when the data is built, so
     # neither validate nor the arithmetic meets a missing entry
     payload = cli.selfsimilar_payload(e1())
-    entries = cli._unpairs(payload[table])
+    entries = cli._read(cli.PAIRS, payload[table])
     del entries[key]
     payload[table] = cli._pairs(entries)
     path = write_doc(tmp_path, "e1.json", "selfsimilar", payload)
@@ -487,7 +487,7 @@ def test_unhashable_selfsimilar_entry_is_a_usage_error(tmp_path, table):
 def broken_graph():
     """ep_graph with a swapping p and q, so that r(g.e) != g.r(e)."""
     payload = cli.selfsimilar_payload(ep_graph())
-    vact = cli._unpairs(payload["vact"])
+    vact = cli._read(cli.PAIRS, payload["vact"])
     vact[("a", "p")], vact[("a", "q")] = "q", "p"
     payload["vact"] = cli._pairs(vact)
     return payload
@@ -520,7 +520,7 @@ def test_invalid_selfsimilar_data_is_refused(tmp_path):
 def not_a_group_payload():
     """e1 with a.a == a, so that a has no inverse."""
     payload = cli.selfsimilar_payload(e1())
-    mul = dict(cli._unpairs(payload["group"]["mul"]))
+    mul = cli._read(cli.PAIRS, payload["group"]["mul"])
     mul[("a", "a")] = "a"
     payload["group"]["mul"] = cli._pairs(mul)
     return payload
@@ -680,7 +680,7 @@ def test_action_document_validates(tmp_path):
     code, out, _ = run_cli("validate", path)
     assert code == 0 and out.strip() == "OK"
     bad = cli.action_payload(d, a)
-    gact = dict(cli._unpairs(bad["gact"]))
+    gact = cli._read(cli.PAIRS, bad["gact"])
     gact[(("u", 0), 0)] = 1
     bad["gact"] = cli._pairs(gact)
     path2 = write_doc(tmp_path, "bad.json", "action", bad)
@@ -694,7 +694,7 @@ def test_model_json_embeds_groupoid(tmp_path):
     code, out, _ = run_cli("model", path, "--json")
     assert code == 0
     doc = __import__("json").loads(out)
-    gpd = cli.groupoid_from(doc["groupoid"])
+    gpd = cli.value_of("groupoid", doc["groupoid"])
     assert len(gpd) == 2
 
 

@@ -139,9 +139,9 @@ def broken_at(doc, path, change):
     return doc
 
 
-def single_node_breaks():
-    """Every (document, path, change) that breaks one node of DOCS."""
-    for doc in DOCS:
+def single_node_breaks(docs=DOCS):
+    """Every (document, path, change) that breaks one node of docs."""
+    for doc in docs:
         for path in nodes(doc):
             old = doc
             for key in path:
@@ -205,7 +205,7 @@ def correspondences(doc, broken=False):
     elif kind in ("diagram", "action"):
         d = value[0] if kind == "action" else value
         candidates = list((d.gen_data or {}).values())
-        for g in d.arrows(d.bound):
+        for g in d.arrows():
             try:
                 candidates.append(d.X(g))
             except MALFORMED:

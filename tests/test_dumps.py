@@ -112,7 +112,7 @@ def corpus_documents():
 
 def test_writer_matches_json_on_every_document_kind():
     docs = corpus_documents()
-    assert {kind for kind, _ in docs} == set(cli.PAYLOADERS)
+    assert {kind for kind, _ in docs} == set(cli.KINDS)
     for kind, payload in docs:
         doc = cli.envelope(kind, payload)
         assert cli.dumps(doc) == oracles.dumps(doc), kind

@@ -1,11 +1,14 @@
 """The document layouts of ``gpdcorr.cli`` against what they replaced.
 
 ``cli.payload_of`` (and each ``*_payload`` name) builds a document's JSON
-value from its kind's layout, and ``cli.write_document`` writes the text
-of the same fields without building that value.  ``oracles`` keeps the
-hand-written builders of each kind and json's own indenting encoder: on
-every document of ``corpus.documents`` the builders must give the same
-structure in the same key order, and the writer the same bytes.
+value from its kind's layout, ``cli.write_document`` writes the text of
+the same fields without building that value, and ``cli.value_of`` reads
+them back.  ``oracles`` keeps the hand-written builders of each kind,
+json's own indenting encoder and the per-kind readers: on every document
+of ``corpus.documents`` the builders must give the same structure in the
+same key order, and the writer the same bytes; on those documents and on
+every single-node break of the fuzz documents the reader must give the
+same value or the same error.
 """
 
 import contextlib
@@ -21,8 +24,13 @@ import oracles
 from corpus import documents, e1
 from gpdcorr import cli
 from gpdcorr.corr import compose, space_correspondence
+from gpdcorr.diagram import discrete_diagram
 from gpdcorr.errors import SchemaError
+from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.selfsim import iterate
+
+from test_cli_fuzz import MALFORMED, broken_at, single_node_breaks
+from test_diagram import e1_diagram
 
 DOCUMENTS = documents()
 KINDS = ["category", "groupoid", "correspondence", "group", "selfsimilar",
@@ -73,12 +81,70 @@ def test_write_document_matches_dumps_of_the_hand_written_payload(kind):
         assert cli.write_document(kind, value) == want
 
 
+def read(reader, text):
+    """What a reader (parse_document and value_of) makes of a document:
+    the payload of the value read, or the type and text of its error."""
+    try:
+        kind, payload = reader.parse_document(text)
+        value = reader.value_of(kind, payload)
+        return ("ok", value if kind == "mn" else cli.payload_of(kind, value))
+    except MALFORMED as exc:
+        return (type(exc), str(exc))
+
+
 def test_documents_read_back_field_by_field():
+    # as the parent's per-kind readers read them; a group is only nested
     for kind, value in DOCUMENTS:
-        if kind in cli.PAYLOADERS:
-            payload = json.loads(json.dumps(oracles.PAYLOADS[kind](value)))
-            again = cli.value_of(kind, payload)
-            assert cli.payload_of(kind, again) == payload, kind
+        text = oracles.dumps(cli.envelope(kind, oracles.PAYLOADS[kind](value)))
+        got = read(cli, text)
+        assert got == read(oracles, text), kind
+        assert got == ((SchemaError, "unknown kind 'group'") if kind == "group"
+                       else ("ok", json.loads(text)["payload"])), kind
+
+
+def selfsimilar_field_breaks():
+    """The single-node breaks of a diagram's selfsimilar field, which no
+    fuzz document has."""
+    doc = json.loads(cli.dumps(cli.envelope(
+        "diagram", cli.diagram_payload(e1_diagram(2)))))
+    return [(doc, at, change) for doc, at, change in single_node_breaks([doc])
+            if at[:2] == ("payload", "selfsimilar")]
+
+
+@pytest.mark.parametrize("breaks", [
+    single_node_breaks, selfsimilar_field_breaks],
+    ids=["fuzz-documents", "selfsimilar-field"])
+def test_every_single_node_break_reads_as_the_parent_reads_it(breaks):
+    # the same payload, or the same error and text: on all 11,475 breaks
+    # of the fuzz documents, and on a diagram's optional selfsimilar field
+    seen = set()
+    for doc, at, change in breaks():
+        text = json.dumps(broken_at(doc, at, change))
+        got = read(cli, text)
+        assert got == read(oracles, text), (doc["kind"], at, change)
+        seen.add(got[0])
+    assert {"ok", SchemaError} <= seen
+
+
+def finite_diagram_with(**fields):
+    z3 = FinGroupoid.from_group(Group.cyclic(3))
+    payload = cli.diagram_payload(discrete_diagram({"x": z3}))
+    return json.dumps(cli.envelope("diagram", {**payload, **fields}))
+
+
+def test_a_finite_diagram_ignores_readable_optional_fields():
+    text = finite_diagram_with(braidings=[],
+                               selfsimilar=cli.selfsimilar_payload(e1()))
+    assert read(cli, text) == read(oracles, text) == \
+        read(cli, finite_diagram_with())
+
+
+@pytest.mark.parametrize("key", cli.OPTIONAL)
+def test_an_unreadable_optional_field_is_refused_on_any_diagram(key):
+    # the parent read neither field of a finite diagram
+    text = finite_diagram_with(**{key: "x"})
+    assert read(oracles, text)[0] == "ok"
+    assert read(cli, text)[0] is SchemaError
 
 
 def test_compose_through_main_writes_the_hand_written_document(tmp_path):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from gpdcorr.diagram import enumerate_actions, validate_action, validate_diagram
 from gpdcorr.errors import DepthInsufficient, ParseError
+from gpdcorr.groupoid import PartialBijection
 from gpdcorr.mn import (
-    MNAction, check_conditions, make_emn, mn_groupoid_depth, mn_to_faction,
-    omega_counts, omega_depth, point_config, reduce_word, reduced_words,
-    restrict_config, to_partial_action, translate_config, validate_mn_action)
+    MNAction, PartialFreeAction, check_conditions, make_emn,
+    mn_groupoid_depth, mn_to_faction, omega_counts, omega_depth,
+    point_config, reduce_word, reduced_words, restrict_config,
+    to_partial_action, translate_config, validate_mn_action)
 
 
 def test_make_emn_sizes_and_validity():
@@ -250,3 +252,42 @@ def test_omega_depth_22_restriction_surjective():
     deep = omega_depth(2, 2, 2)
     assert len(shallow) == 5 and len(deep) == 20
     assert {restrict_config(c, 1) for c in deep} == set(shallow)
+
+
+@pytest.mark.parametrize("a, first", [
+    (MNAction([0], [0], [{0: 0}], [{0: 0}]), "Y1 and Y2 overlap"),
+    (MNAction([0], [1], [{}], [{0: 1}]), "h0 is not defined on all of Y1"),
+    (MNAction([0, 1], [2, 3], [{0: 2, 1: 2}], [{0: 2, 1: 3}]),
+     "h0 is not injective"),
+    (MNAction([0], [1], [{0: 5}], [{0: 1}]), "h0 does not map into Y2"),
+    (MNAction([0], [1, 2], [{0: 1}, {0: 1}], [{0: 1}]),
+     "image of h1 overlaps the h-block"),
+    (MNAction([0], [1, 2], [{0: 1}], [{0: 1}]),
+     "the h-images do not cover Y2")],
+    ids=["overlap", "domain", "injective", "into", "block", "cover"])
+def test_every_mn_action_report_line_is_reached(a, first):
+    assert validate_mn_action(a)[0] == first
+
+
+def partial_action(n, m, gens, carrier):
+    return PartialFreeAction(n, m, {i: PartialBijection(g)
+                                    for i, g in gens.items()}, carrier)
+
+
+@pytest.mark.parametrize("p, first", [
+    # generator 1 leaves the carrier and comes back: rho is no
+    # homomorphism on words without cancellation
+    (partial_action(1, 1, {1: {0: 5, 5: 1}, 2: {0: 1}}, (0, 1)),
+     "(1) fails at (),(1,)"),
+    (partial_action(1, 1, {1: {0: 1}, 2: {}}, (0, 1)),
+     "(2) fails: generator 2 has a different domain"),
+    (partial_action(1, 1, {1: {0: 1}, 2: {0: 0}}, (0, 1)), "(3) fails at 1,2"),
+    (partial_action(2, 0, {1: {0: 1}, 2: {0: 1}}, (0, 1)), "(4) fails at 1,2"),
+    (partial_action(1, 1, {1: {0: 1}, 2: {0: 2}}, (0, 1, 2)),
+     "(5) fails for the block starting at 1"),
+    # no v-maps: the empty v-block covers only Y1
+    (to_partial_action(MNAction([0], [1], [{0: 1}], [])),
+     "(5) fails for the block starting at 2")],
+    ids=["1", "2", "3", "4", "5", "5-empty-block"])
+def test_every_condition_report_line_is_reached(p, first):
+    assert check_conditions(p)[0] == first

@@ -21,7 +21,7 @@ from gpdcorr.diagram import (FAction, _equivariant_bijections, _iso_key,
                              action_from_theta, actions_isomorphic, actions_on,
                              discrete_diagram, enumerate_actions,
                              equivariant_maps, from_generators,
-                             singleton_thetas)
+                             singleton_thetas, validate_action)
 from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
@@ -385,6 +385,39 @@ class Flipped:
         return self.model.to_faction(twin)
 
 
+class Misplaced:
+    """A model whose translation puts point 0 of every action on one
+    point into a part that is not a shape object: an invalid action."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def enumerate_on(self, carrier):
+        return self.model.enumerate_on(carrier)
+
+    def to_faction(self, ua):
+        a = self.model.to_faction(ua)
+        if len(a.carrier) == 1:
+            a.part[0] = "nowhere"
+        return a
+
+
+class Collapsed:
+    """A model whose translation sends every action on two points to the
+    first one's: valid actions, but the translation is not injective."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def enumerate_on(self, carrier):
+        return self.model.enumerate_on(carrier)
+
+    def to_faction(self, ua):
+        if len(ua[0]) == 2:
+            ua = self.enumerate_on(list(ua[0]))[0]
+        return self.model.to_faction(ua)
+
+
 def models():
     """name -> (diagram, model); every model is checked up to size 3,
     and against the all-pairs oracle up to size 4."""
@@ -414,7 +447,11 @@ def models():
            # connected actions are translated as by the plain model, so
            # only the restriction of x2 + x1 to its fixed point fails
            "beside-flipped-disc-z2-z3": (disc, Flipped(
-               model_discrete_shape(disc), True))}
+               model_discrete_shape(disc), True)),
+           "misplaced-disc-z2-z3": (disc, Misplaced(
+               model_discrete_shape(disc))),
+           "collapsed-disc-z2-z3": (disc, Collapsed(
+               model_discrete_shape(disc)))}
     for make in COMPLEXES:
         out["cgx-" + make.__name__] = presentation_model(make())
     return out
@@ -454,6 +491,32 @@ def test_verify_model_matches_oracle_scan(name):
 # takes tens of seconds, so they are left out there
 AT_FIVE = ["graded-a", "zpres", "cgx-cx_loop", "crossed-disc-z2",
            "exchanged-disc-z2", "swapped-disc-z2-z3", "swapped-zpres"]
+
+
+# the diagrams of CASES and of the models that the library builds
+ACTING = {**CASES, **{name: (d, 3) for name, (d, model) in MODELS.items()
+                      if not hasattr(model, "model")}}
+
+
+@pytest.mark.parametrize("name", sorted(ACTING))
+def test_every_action_on_a_carrier_validates(name):
+    # on a valid diagram; verify_model still validates every translation,
+    # as gpdcorr model also verifies diagrams that do not validate, where
+    # actions_on may build invalid actions with the same tables
+    d, n = ACTING[name]
+    for k in range(n + 1):
+        for a in actions_on(d, list(range(k))):
+            assert validate_action(d, a) == [], (k, a.table())
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("misplaced-disc-z2-z3",
+     "translated action invalid at size 1: 0 not assigned to a shape object"),
+    ("collapsed-disc-z2-z3", "translation not injective at size 2")])
+def test_broken_translation_is_refused(name, witness):
+    d, model = MODELS[name]
+    assert verdict(verify_model, d, model) == \
+        verdict(oracles.verify_model, d, model) == witness
 
 
 @pytest.mark.parametrize("name, n", [

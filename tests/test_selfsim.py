@@ -386,3 +386,33 @@ def test_domain_checks_raise_typed_errors_under_O(op):
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+
+
+def ep_graph_with(table, key, value):
+    """ep_graph with one entry of one table changed: still total, so the
+    constructor takes it, and validate reports what breaks."""
+    d = ep_graph()
+    tables = {name: dict(getattr(d, name))
+              for name in ("er", "es", "vact", "eact", "cocycle")}
+    tables[table][key] = value
+    return SelfSimilarData(d.group, d.vertices, d.edges, tables["er"],
+                           tables["es"], tables["vact"], tables["eact"],
+                           tables["cocycle"])
+
+
+@pytest.mark.parametrize("table, key, value, first", [
+    ("vact", ("1", "p"), "q", "identity moves vertex 'p'"),
+    ("eact", ("1", "x"), "y", "identity moves edge 'x'"),
+    ("cocycle", ("1", "x"), "a", "1|_'x' != 1"),
+    ("vact", ("a", "p"), "q", "vertex action fails at ('a','a','p')"),
+    ("eact", ("a", "z"), "x", "edge action fails at ('a','a','z')"),
+    ("cocycle", ("a", "x"), "a", "cocycle fails at ('a','a','x')"),
+    ("es", "y", "q", "s(g.e) != (g|_e).s(e) at ('a','x')"),
+    ("er", "y", "q", "r(g.e) != g.r(e) at ('a','x')")],
+    ids=["identity-vertex", "identity-edge", "identity-cocycle",
+         "vertex-action", "edge-action", "cocycle", "source", "range"])
+def test_every_validate_report_line_is_reached(table, key, value, first):
+    # the CLI refuses these tables before validate when their documents
+    # are read, so the data is built here
+    assert ep_graph().validate() == []
+    assert ep_graph_with(table, key, value).validate()[0] == first
