@@ -35,11 +35,6 @@ class ComplexOfGroups:
         return [g for g in self.shape.arrow_ids()
                 if not self.shape.is_identity(g)]
 
-    def composable_pairs(self):
-        return [(g, h) for g in self.shape.arrow_ids()
-                for h in self.shape.arrow_ids()
-                if self.shape.composable(g, h)]
-
 
 def validate_cgx(c):
     """Check the shape, then the homomorphism, normalisation and cocycle
@@ -57,7 +52,7 @@ def validate_cgx(c):
                     report.append(f"phi({g!r}) is not a homomorphism")
         if cat.is_identity(g) and any(phi[a] != a for a in gr_r):
             report.append(f"phi at unit {g!r} is not the identity")
-    for (g, h) in c.composable_pairs():
+    for (g, h) in cat.composable_pairs():
         u = c.twists[(g, h)]
         gs = c.groups[cat.src(h)]
         if cat.is_identity(h) or cat.is_identity(g):
@@ -70,20 +65,17 @@ def validate_cgx(c):
             if lhs != c.homs[gh][gamma]:
                 report.append(f"Ad(u).phi_h.phi_g != phi_gh at ({g!r},{h!r})")
                 break
-    for g in c.nonunit_arrows():
-        for h in c.nonunit_arrows():
-            if not cat.composable(g, h):
+    for g, h in _nonunit_pairs(cat):
+        gh = cat.mul(g, h)
+        for k in c.nonunit_arrows():
+            if not cat.composable(h, k):
                 continue
-            gh = cat.mul(g, h)
-            for k in c.nonunit_arrows():
-                if not cat.composable(h, k):
-                    continue
-                hk = cat.mul(h, k)
-                gk = c.groups[cat.src(k)]
-                lhs = gk.op(c.twists[(gh, k)], c.homs[k][c.twists[(g, h)]])
-                rhs = gk.op(c.twists[(g, hk)], c.twists[(h, k)])
-                if lhs != rhs:
-                    report.append(f"cocycle fails on ({g!r},{h!r},{k!r})")
+            hk = cat.mul(h, k)
+            gk = c.groups[cat.src(k)]
+            lhs = gk.op(c.twists[(gh, k)], c.homs[k][c.twists[(g, h)]])
+            rhs = gk.op(c.twists[(g, hk)], c.twists[(h, k)])
+            if lhs != rhs:
+                report.append(f"cocycle fails on ({g!r},{h!r},{k!r})")
     flags = {"injective_loopfree": _injective_loopfree(c)}
     return report, flags
 
@@ -101,11 +93,14 @@ def _injective_loopfree(c):
         phi = c.homs[g]
         if len(set(phi.values())) != len(phi):
             return False
-    for g in c.nonunit_arrows():
-        for h in c.nonunit_arrows():
-            if cat.composable(g, h) and cat.is_identity(cat.mul(g, h)):
-                return False
-    return True
+    return not any(cat.is_identity(cat.mul(g, h))
+                   for g, h in _nonunit_pairs(cat))
+
+
+def _nonunit_pairs(cat):
+    """The composable pairs of non-unit arrows, in arrow_ids() order."""
+    return [(g, h) for g, h in cat.composable_pairs()
+            if not (cat.is_identity(g) or cat.is_identity(h))]
 
 
 class GroupPresentation:
@@ -266,8 +261,7 @@ def cone_extend(c):
         homs[("inf", g)] = {"1": c.groups[cat.src(g)].identity}
     homs[("id", "inf")] = {"1": "1"}
     twists = {}
-    for (a, b) in [(a, b) for a in shape.arrow_ids()
-                   for b in shape.arrow_ids() if shape.composable(a, b)]:
+    for (a, b) in shape.composable_pairs():
         if a[0] in ("0", "inf") and b[0] == "0" and \
                 not cat.is_identity(a[1]) and not cat.is_identity(b[1]):
             twists[(a, b)] = c.twists[(a[1], b[1])]
@@ -323,8 +317,6 @@ def count_homs(p, n):
                 relators[rep], {"*": list(range(n))}))
         else:
             total *= factorial(n)
-        if total == 0:
-            return 0
     return total
 
 
@@ -389,9 +381,7 @@ def morphism_check(c1, c2, psis, vs):
             rhs = c1.homs[g][psis[x][gamma]]
             if lhs != rhs:
                 report.append(f"Ad(v_g) square fails at ({g!r},{gamma!r})")
-    for (g, h) in c1.composable_pairs():
-        if cat.is_identity(g) or cat.is_identity(h):
-            continue
+    for (g, h) in _nonunit_pairs(cat):
         z = cat.src(h)
         g1z = c1.groups[z]
         gh = cat.mul(g, h)

@@ -113,7 +113,8 @@ LAYOUTS = {
         ("objects", LIST, attrgetter("shape.objects")),
         ("gens", PAIRS, lambda d: {g: (d.shape.gen_dst[g], d.shape.gen_src[g])
                                    for g in d.shape.gens}),
-        ("bound", RAW), ("groupoids", (BY_KEY, "groupoid"), attrgetter("gr")),
+        ("bound", RAW, attrgetter("shape.length_bound")),
+        ("groupoids", (BY_KEY, "groupoid"), attrgetter("gr")),
         ("generators", (BY_KEY, "correspondence"), lambda d: d.gen_data or {
             g[2][0]: d.X(g) for g in d.gen_arrows()}),
         ("braidings", (BY_KEY, PAIRS), lambda d: d.sigma or OMIT),

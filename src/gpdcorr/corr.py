@@ -67,13 +67,10 @@ class Correspondence:
 def identity_correspondence(gpd):
     """The arrow space of a groupoid acting on itself both ways."""
     arrows = gpd.arrow_ids()
-    lact = {(h, x): gpd.mul(h, x) for h in arrows for x in arrows
-            if gpd.composable(h, x)}
-    ract = {(x, g): gpd.mul(x, g) for x in arrows for g in arrows
-            if gpd.composable(x, g)}
+    act = {(g, h): gpd.mul(g, h) for g, h in gpd.composable_pairs()}
     return Correspondence(gpd, gpd, arrows,
                           {x: gpd.dst(x) for x in arrows},
-                          {x: gpd.src(x) for x in arrows}, lact, ract)
+                          {x: gpd.src(x) for x in arrows}, act, act)
 
 
 def from_group_hom(left_group, right_group, phi):
@@ -177,6 +174,19 @@ def _acts_on(gpd):
                for e in gpd.arrows.values()) and all(
         _hashable(x) and x in units and _hashable(units[x])
         for x in gpd.objects) and all(map(_hashable, gpd.compose.values()))
+
+
+def composable(*cs):
+    """The points of X1 x_{s,r} X2 x_{s,r} ...: each tuple (x1, x2, ...) with
+    s(x_i) == r(x_{i+1}), in carrier order, found as the nested loops over
+    the carriers find them.  The s and r values are compared and never
+    hashed, since a broken document can make them unhashable."""
+    *init, c1, c2 = cs
+    if init:
+        return (t + (y,) for t in composable(*init, c1) for y in c2.carrier
+                if c1.smap[t[-1]] == c2.rmap[y])
+    return ((x, y) for x in c1.carrier for y in c2.carrier
+            if c1.smap[x] == c2.rmap[y])
 
 
 def inner_product(c, x1, x2):

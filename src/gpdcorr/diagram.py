@@ -34,8 +34,8 @@ from collections import Counter
 from itertools import (chain, combinations_with_replacement, groupby,
                        permutations, product)
 
-from .corr import (Correspondence, classify, compose, from_group_hom,
-                   identity_correspondence, inner_product,
+from .corr import (Correspondence, classify, compose, composable,
+                   from_group_hom, identity_correspondence, inner_product,
                    validate_correspondence)
 from .errors import ConditionFailed, HexagonViolation, ParseError
 from .fincat import (COMM, PresentedShape, _hashable, canonical_classes,
@@ -45,18 +45,25 @@ from .groupoid import FinGroupoid, PartialBijection
 
 class Diagram:
 
-    def __init__(self, shape, gr, corr, mu, bound, sigma=None):
+    def __init__(self, shape, gr, corr, mu, sigma=None):
         self.shape = shape
         self.gr = dict(gr)
         self.corr = dict(corr)
         self.mu = dict(mu)
-        self.bound = bound
         self.sigma = sigma
         self.selfsim = None
         self.gen_data = None    # generator id -> X(g), from from_generators
 
     def arrows(self):
-        return self.shape.arrows(self.bound)
+        return self.shape.arrows()
+
+    def composite(self, g, h):
+        """g.h when it is defined and no longer than the shape's length
+        bound, else None."""
+        gh = self.shape.compose(g, h)
+        if gh is not None and self.shape.length(gh) <= self.shape.length_bound:
+            return gh
+        return None
 
     def gen_arrows(self):
         return self.shape.generator_arrows()
@@ -81,7 +88,7 @@ class Diagram:
 def discrete_diagram(groupoids):
     """A diagram over a shape with only identity arrows."""
     shape = PresentedShape.discrete(sorted(groupoids, key=repr))
-    return Diagram(shape, groupoids, {}, {}, bound=1)
+    return Diagram(shape, groupoids, {}, {})
 
 
 class _Tuples:
@@ -130,9 +137,7 @@ def _as_tuple_corr(tp):
             moved = comps[-1].ract.get((t[-1], g))
             if moved is not None:
                 ract[(t, g)] = tp.canon[t[:-1] + (moved,)]
-    c = Correspondence(left, right, tp.carrier, rmap, smap, lact, ract)
-    c.tuples = tp
-    return c
+    return Correspondence(left, right, tp.carrier, rmap, smap, lact, ract)
 
 
 def from_generators(shape, gens, groupoids=None, braidings=None):
@@ -143,18 +148,17 @@ def from_generators(shape, gens, groupoids=None, braidings=None):
     (x_a, x_b) -> (x_b', x_a') realising X_a.X_b ~ X_b.X_a; the braiding
     hexagons are checked during materialisation.
     """
-    bound = shape.length_bound
     gr = dict(groupoids or {})
     for a, c in gens.items():
         gr.setdefault(shape.gen_dst[a], c.left)
         gr.setdefault(shape.gen_src[a], c.right)
-    d = Diagram(shape, gr, {}, {}, bound=bound,
+    d = Diagram(shape, gr, {}, {},
                 sigma=dict(braidings) if braidings else None)
     d.gen_data = dict(gens)
     words = _Words(gens, d.sigma or {})
     if shape.kind == COMM and len(shape.gens) > 1:
         _check_hexagons(shape, words)
-    arrows = shape.arrows(bound)
+    arrows = shape.arrows()
     for w in arrows:
         if not shape.is_identity_arrow(w):
             d.corr[w] = _as_tuple_corr(words.tuples(w[2]))
@@ -162,18 +166,15 @@ def from_generators(shape, gens, groupoids=None, braidings=None):
         for h in arrows:
             if shape.is_identity_arrow(g) or shape.is_identity_arrow(h):
                 continue
-            gh = shape.compose(g, h)
-            if gh is None or shape.length(gh) > bound:
+            gh = d.composite(g, h)
+            if gh is None:
                 continue
             table, canon = {}, words.tuples(gh[2]).canon
-            for xi in d.corr[g].carrier:
-                for eta in d.corr[h].carrier:
-                    if d.corr[g].smap[xi] != d.corr[h].rmap[eta]:
-                        continue
-                    raw = xi + eta
-                    if shape.kind == COMM:
-                        raw = _sort_letters(words, g[2] + h[2], raw)
-                    table[(xi, eta)] = canon[raw]
+            for xi, eta in composable(d.corr[g], d.corr[h]):
+                raw = xi + eta
+                if shape.kind == COMM:
+                    raw = _sort_letters(words, g[2] + h[2], raw)
+                table[(xi, eta)] = canon[raw]
             d.mu[(g, h)] = table
     return d
 
@@ -260,25 +261,19 @@ def _check_one_hexagon(words, a, b, c):
     """Both routes X_a X_b X_c -> X_c X_b X_a must agree on all triples."""
     ca, cb, cc = (words.gens[x] for x in (a, b, c))
     canon = words.tuples((c, b, a)).canon
-    for xa in ca.carrier:
-        for xb in cb.carrier:
-            if ca.smap[xa] != cb.rmap[xb]:
-                continue
-            for xc in cc.carrier:
-                if cb.smap[xb] != cc.rmap[xc]:
-                    continue
-                # route 1: swap (b,c), then (a,c), then (a,b)
-                yc1, yb1 = words.swap(b, c, xb, xc)
-                zc, za = words.swap(a, c, xa, yc1)
-                zb, za2 = words.swap(a, b, za, yb1)
-                route1 = (zc, zb, za2)
-                # route 2: swap (a,b), then (a,c) in the middle, then (b,c)
-                wb, wa = words.swap(a, b, xa, xb)
-                wc, wa2 = words.swap(a, c, wa, xc)
-                wc2, wb2 = words.swap(b, c, wb, wc)
-                route2 = (wc2, wb2, wa2)
-                if canon[route1] != canon[route2]:
-                    raise HexagonViolation((a, b, c))
+    for xa, xb, xc in composable(ca, cb, cc):
+        # route 1: swap (b,c), then (a,c), then (a,b)
+        yc1, yb1 = words.swap(b, c, xb, xc)
+        zc, za = words.swap(a, c, xa, yc1)
+        zb, za2 = words.swap(a, b, za, yb1)
+        route1 = (zc, zb, za2)
+        # route 2: swap (a,b), then (a,c) in the middle, then (b,c)
+        wb, wa = words.swap(a, b, xa, xb)
+        wc, wa2 = words.swap(a, c, wa, xc)
+        wc2, wb2 = words.swap(b, c, wb, wc)
+        route2 = (wc2, wb2, wa2)
+        if canon[route1] != canon[route2]:
+            raise HexagonViolation((a, b, c))
 
 
 def from_complex(category, groups, homs, twists):
@@ -316,14 +311,12 @@ def from_complex(category, groups, homs, twists):
             mu[(g, h)] = {(gamma, eta): gs.op(gs.op(u, homs[hid][gamma]), eta)
                           for gamma in corr[g].carrier
                           for eta in corr[h].carrier}
-    d = Diagram(shape, gr, corr, mu, bound=1)
-    return d
+    return Diagram(shape, gr, corr, mu)
 
 
 def validate_diagram(d):
     """Element-wise check of the unit and associativity coherence."""
     report = []
-    bound = d.bound
     arrows = list(d.arrows())
     invalid = set()             # arrows whose X(g) compose cannot take
     report += [f"generator {a!r}: {line}" for a, c in (
@@ -332,13 +325,11 @@ def validate_diagram(d):
         for line in validate_correspondence(d.X(g)):
             report.append(f"X({g!r}): {line}")
             invalid.add(g)
-    pairs = [(g, h) for g in arrows for h in arrows
+    pairs = [(g, h, gh) for g in arrows for h in arrows
              if not d.shape.is_identity_arrow(g)
              and not d.shape.is_identity_arrow(h)
-             and d.shape.compose(g, h) is not None
-             and d.shape.length(d.shape.compose(g, h)) <= bound]
-    for (g, h) in pairs:
-        gh = d.shape.compose(g, h)
+             and (gh := d.composite(g, h)) is not None]
+    for (g, h, gh) in pairs:
         cg, ch, cgh = d.X(g), d.X(h), d.X(gh)
         table = d.mu.get((g, h))
         if table is None:
@@ -372,35 +363,24 @@ def validate_diagram(d):
         comp = compose(cg, ch)
         if len(image) < len(comp.carrier):
             report.append(f"mu({g!r},{h!r}) not injective on classes")
-    for (g, h) in pairs:
-        gh = d.shape.compose(g, h)
+    for (g, h, gh) in pairs:
         for k in arrows:
             if d.shape.is_identity_arrow(k):
                 continue
-            hk = d.shape.compose(h, k)
-            ghk = d.shape.compose(gh, k) if gh is not None else None
-            if hk is None or ghk is None or d.shape.length(ghk) > bound or \
-                    d.shape.length(hk) > bound:
+            hk = d.composite(h, k)
+            ghk = d.composite(gh, k)
+            if hk is None or ghk is None:
                 continue
-            cg, ch, ck = d.X(g), d.X(h), d.X(k)
-            for xi in cg.carrier:
-                for eta in ch.carrier:
-                    if cg.smap[xi] != ch.rmap[eta]:
-                        continue
-                    for zeta in ck.carrier:
-                        if ch.smap[eta] != ck.rmap[zeta]:
-                            continue
-                        try:
-                            lhs = d.mu_apply(
-                                gh, k, d.mu_apply(g, h, xi, eta), zeta)
-                            rhs = d.mu_apply(
-                                g, hk, xi, d.mu_apply(h, k, eta, zeta))
-                        except KeyError:
-                            lhs, rhs = "missing", None
-                        if lhs != rhs:
-                            report.append(
-                                "associativity coherence fails on "
-                                f"({g!r},{h!r},{k!r}) at ({xi!r},{eta!r},{zeta!r})")
+            for xi, eta, zeta in composable(d.X(g), d.X(h), d.X(k)):
+                try:
+                    lhs = d.mu_apply(gh, k, d.mu_apply(g, h, xi, eta), zeta)
+                    rhs = d.mu_apply(g, hk, xi, d.mu_apply(h, k, eta, zeta))
+                except KeyError:
+                    lhs, rhs = "missing", None
+                if lhs != rhs:
+                    report.append(
+                        "associativity coherence fails on "
+                        f"({g!r},{h!r},{k!r}) at ({xi!r},{eta!r},{zeta!r})")
     return report
 
 
@@ -520,17 +500,14 @@ def validate_action(d, a):
                     z = a.gact[(g, y)]
                     if a.part[z] != x or a.anchor[z] != gpd.dst(g):
                         report.append(f"groupoid action anchor wrong at ({g!r},{y!r})")
-        for g in gpd.arrow_ids():
-            for h in gpd.arrow_ids():
-                if not gpd.composable(g, h):
+        for g, h in gpd.composable_pairs():
+            gh = gpd.mul(g, h)
+            for y in ys:
+                if (h, y) not in a.gact:
                     continue
-                gh = gpd.mul(g, h)
-                for y in ys:
-                    if (h, y) not in a.gact:
-                        continue
-                    if a.gact.get((g, a.gact[(h, y)])) != a.gact.get((gh, y)):
-                        report.append(
-                            f"groupoid associativity fails at ({g!r},{h!r},{y!r})")
+                if a.gact.get((g, a.gact[(h, y)])) != a.gact.get((gh, y)):
+                    report.append(
+                        f"groupoid associativity fails at ({g!r},{h!r},{y!r})")
         for y in ys:
             uy = a.gact.get((gpd.unit(a.anchor[y]), y))
             if uy != y:
@@ -598,22 +575,17 @@ def _incoherences(d, a):
     both tables (validate_action reports a missing one)."""
     for g in d.gen_arrows():
         for h in d.gen_arrows():
-            gh = d.shape.compose(g, h)
-            if gh is None or d.shape.length(gh) > d.bound or \
-                    not {g, h} <= a.alph.keys():
+            gh = d.composite(g, h)
+            if gh is None or not {g, h} <= a.alph.keys():
                 continue
-            cg, ch = d.X(g), d.X(h)
-            for xi in cg.carrier:
-                for eta in ch.carrier:
-                    if cg.smap[xi] != ch.rmap[eta]:
+            for xi, eta in composable(d.X(g), d.X(h)):
+                prod = d.mu_apply(g, h, xi, eta)
+                for y in a.piece(d.shape.s(h)):
+                    inner = a.apply(h, eta, y)
+                    if inner is None:
                         continue
-                    prod = d.mu_apply(g, h, xi, eta)
-                    for y in a.piece(d.shape.s(h)):
-                        inner = a.apply(h, eta, y)
-                        if inner is None:
-                            continue
-                        if a.apply(g, xi, inner) != a.apply(gh, prod, y):
-                            yield g, h, xi, eta, y
+                    if a.apply(g, xi, inner) != a.apply(gh, prod, y):
+                        yield g, h, xi, eta, y
 
 
 def singleton_thetas(d, a):
@@ -652,8 +624,8 @@ def action_from_theta(d, part, anchor, thetas):
     # (.1) multiplicativity on singleton slices
     for (g, xi), pb_g in thetas.items():
         for (h, eta), pb_h in thetas.items():
-            gh = d.shape.compose(g, h)
-            if gh is None or d.shape.length(gh) > d.bound:
+            gh = d.composite(g, h)
+            if gh is None:
                 continue
             cg, ch = d.X(g), d.X(h)
             if cg.smap[xi] != ch.rmap[eta]:
@@ -799,18 +771,15 @@ def _left_actions(gpd, ys, anchor):
     depth = {g: i + 1 for i, g in enumerate(arrows)}
     fibre = {x: [y for y in ys if anchor[y] == x] for x in gpd.objects}
     closing, forcing = [[] for _ in arrows + [0]], {}
-    for g in gpd.arrow_ids():
-        for h in gpd.arrow_ids():
-            if ends[g][0] != ends[h][1]:
-                continue
-            gh = gpd.compose.get((g, h))
-            if h in units and gh == g:      # both sides are act[(g, y)]
-                continue
-            d = max(depth.get(g, 0), depth.get(h, 0), depth.get(gh, 0))
-            closing[d].append((g, h, gh))
-            if d == depth.get(gh) and g != gh != h and g in depth and \
-                    h in depth and (ends[h][0], ends[g][1]) == ends[gh]:
-                forcing.setdefault(gh, (g, h))
+    for g, h in gpd.composable_pairs():
+        gh = gpd.compose.get((g, h))
+        if h in units and gh == g:      # both sides are act[(g, y)]
+            continue
+        d = max(depth.get(g, 0), depth.get(h, 0), depth.get(gh, 0))
+        closing[d].append((g, h, gh))
+        if d == depth.get(gh) and g != gh != h and g in depth and \
+                h in depth and (ends[h][0], ends[g][1]) == ends[gh]:
+            forcing.setdefault(gh, (g, h))
     bijections = {e: list(_bijections(fibre.get(e[0], []),
                                       fibre.get(e[1], [])))
                   for e in {ends[g] for g in arrows if g not in forcing}}
@@ -1087,7 +1056,6 @@ def validate_transformation(t):
         for line in validate_correspondence(c):
             report.append(f"Y({x!r}): {line}")
             invalid.add(x)
-    bound = min(d0.bound, d1.bound)
     for g, table in t.V.items():
         if d0.shape.s(g) in invalid or d0.shape.r(g) in invalid:
             continue
@@ -1116,33 +1084,23 @@ def validate_transformation(t):
     gens = [g for g in t.V]
     for g in gens:
         for h in gens:
-            gh = d0.shape.compose(g, h)
-            if gh is None or gh not in t.V or \
-                    d0.shape.length(gh) > bound or d0.shape.r(g) in invalid:
+            gh = d0.composite(g, h)
+            if gh is None or gh not in t.V or d1.composite(g, h) is None or \
+                    d0.shape.r(g) in invalid:
                 continue
-            c1g, c1h = d1.X(g), d1.X(h)
-            yz = t.Y[d0.shape.s(h)]
-            yx = t.Y[d0.shape.r(g)]
-            target = compose(yx, d0.X(gh))
-            for xi in c1g.carrier:
-                for eta in c1h.carrier:
-                    if c1g.smap[xi] != c1h.rmap[eta]:
-                        continue
-                    for y in yz.carrier:
-                        if c1h.smap[eta] != yz.rmap[y]:
-                            continue
-                        # route A: V_h, then V_g, then mu0
-                        yp, eta0 = t.V[h][(eta, y)]
-                        ypp, xi0 = t.V[g][(xi, yp)]
-                        routeA = (ypp, d0.mu_apply(g, h, xi0, eta0))
-                        # route B: mu1, then V_{gh}
-                        prod = d1.mu_apply(g, h, xi, eta)
-                        routeB = t.V[gh].get((prod, y))
-                        if routeB is None or \
-                                target.cls[routeA] != target.cls[routeB]:
-                            report.append(
-                                f"square fails on ({g!r},{h!r}) at "
-                                f"({xi!r},{eta!r},{y!r})")
+            cs = d1.X(g), d1.X(h), t.Y[d0.shape.s(h)]
+            target = compose(t.Y[d0.shape.r(g)], d0.X(gh))
+            for xi, eta, y in composable(*cs):
+                # route A: V_h, then V_g, then mu0
+                yp, eta0 = t.V[h][(eta, y)]
+                ypp, xi0 = t.V[g][(xi, yp)]
+                routeA = (ypp, d0.mu_apply(g, h, xi0, eta0))
+                # route B: mu1, then V_{gh}
+                prod = d1.mu_apply(g, h, xi, eta)
+                routeB = t.V[gh].get((prod, y))
+                if routeB is None or target.cls[routeA] != target.cls[routeB]:
+                    report.append(f"square fails on ({g!r},{h!r}) at "
+                                  f"({xi!r},{eta!r},{y!r})")
     return report
 
 

@@ -189,9 +189,6 @@ class GroupoidAction:
             return gp.src(g) == self.anchor[y]
         return self.anchor[y] == gp.dst(g)
 
-    def apply(self, g, y):
-        return self.act[(g, y)]
-
     def validate(self):
         gp = self.groupoid
         report = []
@@ -211,20 +208,19 @@ class GroupoidAction:
             for y in self.carrier:
                 if (u, y) in self.act and self.act[(u, y)] != y:
                     report.append(f"unit at {x!r} moves {y!r}")
-        for g in gp.arrow_ids():
-            for h in gp.arrow_ids():
-                gh = gp.mul(g, h) if gp.composable(g, h) else None
-                if gh is None:
+        for g, h in gp.composable_pairs():
+            gh = gp.mul(g, h)
+            if gh is None:
+                continue
+            # left: g.(h.y) == (g.h).y; right: (y.g).h == y.(g.h)
+            first, then = (h, g) if self.side == "left" else (g, h)
+            for y in self.carrier:
+                if (first, y) not in self.act:
                     continue
-                # left: g.(h.y) == (g.h).y; right: (y.g).h == y.(g.h)
-                first, then = (h, g) if self.side == "left" else (g, h)
-                for y in self.carrier:
-                    if (first, y) not in self.act:
-                        continue
-                    if self.act.get((then, self.act[(first, y)])) != \
-                            self.act.get((gh, y)):
-                        report.append(
-                            f"associativity fails at ({g!r},{h!r},{y!r})")
+                if self.act.get((then, self.act[(first, y)])) != \
+                        self.act.get((gh, y)):
+                    report.append(
+                        f"associativity fails at ({g!r},{h!r},{y!r})")
         return report
 
 

@@ -458,7 +458,7 @@ class OreUniversal:
         if ore_check(d.shape).status != IS_ORE:
             raise NotSupported("shape fails the right Ore conditions")
         self.d = d
-        self.depth = depth = min(depth, d.bound)
+        self.depth = depth = min(depth, d.shape.length_bound)
         self.data = as_selfsim(d)
         self.levels, self.projections = self._chain_levels(depth)
         self.finite = all(len(es) <= 1 for es in self.data.edges_at.values())
@@ -578,7 +578,7 @@ def tighten(d, omega):
                 ract[((e, g, z), ((h, v), z0))] = (
                     e, data.group.op(g, h), z0)
     xo = Correspondence(bo, bo, carrier, rmap, smap, lact, ract)
-    shape = PresentedShape.free_monoid(d.shape.gens, d.bound)
+    shape = PresentedShape.free_monoid(d.shape.gens, d.shape.length_bound)
     out = from_generators(shape, {d.shape.gens[0]: xo})
     return out
 

@@ -16,7 +16,10 @@ that the normal-form germ calculus replaced, the bucketed pair-arrow dedupe of `
 bucketed representatives of ``verify_model``, the
 one action-groupoid constructor ``FinGroupoid.semidirect``, the germ
 classes that ``TransformationGroupoid`` builds once per point and the
-components that give ``GermGroupoid`` its germs replaced.
+components that give ``GermGroupoid`` its germs replaced, and the
+nested loops that found composable arrows, shape composites within the
+length bound and fibre-product points before ``composable_pairs``,
+``Diagram.composite`` and ``corr.composable`` did.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
@@ -769,7 +772,7 @@ def diagram_payload(d):
                "objects": [_enc(x) for x in shape.objects],
                "gens": _pairs({g: (shape.gen_dst[g], shape.gen_src[g])
                                for g in shape.gens}),
-               "bound": d.bound,
+               "bound": d.shape.length_bound,
                "groupoids": [[_enc(x), groupoid_payload(gp)]
                              for x, gp in sorted(d.gr.items(), key=repr)]}
     gens = d.gen_data or {g[2][0]: d.X(g) for g in d.gen_arrows()}
@@ -1675,3 +1678,47 @@ class TransformationGroupoid:
     def is_unit(self, arrow):
         t, x = arrow
         return self._ask(t, self.unit_of(x), x)
+
+
+def composable_pairs(cat):
+    """FinCategory.composable_pairs as the double loops over arrow_ids()
+    with a composability test found them."""
+    out = []
+    for g in cat.arrow_ids():
+        for h in cat.arrow_ids():
+            if cat.composable(g, h):
+                out.append((g, h))
+    return out
+
+
+def composite(d, g, h):
+    """Diagram.composite as shape.compose with the length test had it."""
+    gh = d.shape.compose(g, h)
+    if gh is None or d.shape.length(gh) > d.shape.length_bound:
+        return None
+    return gh
+
+
+def fibre_pairs(c1, c2):
+    """corr.composable(c1, c2) as the nested filters found it."""
+    out = []
+    for x in c1.carrier:
+        for y in c2.carrier:
+            if c1.smap[x] != c2.rmap[y]:
+                continue
+            out.append((x, y))
+    return out
+
+
+def fibre_triples(c1, c2, c3):
+    """corr.composable(c1, c2, c3) as the nested filters found it."""
+    out = []
+    for x in c1.carrier:
+        for y in c2.carrier:
+            if c1.smap[x] != c2.rmap[y]:
+                continue
+            for z in c3.carrier:
+                if c2.smap[y] != c3.rmap[z]:
+                    continue
+                out.append((x, y, z))
+    return out

@@ -111,7 +111,7 @@ def test_group_extension_round_trip():
 
 def test_graded_model_rejects_non_equivalence():
     d = graded_diagram("1")
-    bad = Diagram(d.shape, d.gr, dict(d.corr), dict(d.mu), bound=1)
+    bad = Diagram(d.shape, d.gr, dict(d.corr), dict(d.mu))
     gen = d.gen_arrows()[0]
     bad.corr[gen] = iterate(e1(), 1)
     with pytest.raises(NotEquivalence):
