@@ -502,6 +502,8 @@ def cmd_model(args):
     d = value_of(kind, payload)
     if d.selfsim is not None and refused(args, d.selfsim.validate()):
         return 1
+    if args.verify and refused(args, validate_diagram(d)):
+        return 1
     shape = d.shape
     groupoid_model = GROUPOID_MODELS.get(shape.kind if shape.gens
                                          else "discrete")

@@ -3,13 +3,18 @@
 A diagram assigns a groupoid to every shape object, a correspondence to
 every arrow, and multiplication bijections mu_{g,h} to composable
 pairs; unit correspondences and unit multiplications are built in.
-Generator data over free shapes is materialised as canonical composable
-tuples modulo the junction moves (xi.gamma, eta) ~ (xi, gamma.eta), so
-that multiplication is concatenation followed by canonicalisation; over
-free commutative shapes the concatenation is bubble-sorted through the
-given braidings first.  Explicitly given mu maps are stored on raw
-pairs and checked, never assumed, to descend to bijections of the
-composed correspondences.
+The length bound is the shape's, and ``Diagram.composite`` is the one
+place that compares it with a word: every check over pairs of shape
+arrows takes g.h from it, the points of X(g) x_{s,r} X(h) from
+``corr.composable`` and the arrow pairs of a groupoid from
+``composable_pairs``.  Generator data over free shapes is materialised
+as canonical composable tuples modulo the junction moves
+(xi.gamma, eta) ~ (xi, gamma.eta), so that multiplication is
+concatenation followed by canonicalisation; over free commutative
+shapes the concatenation is bubble-sorted through the given braidings
+first.  Explicitly given mu maps are stored on raw pairs and checked,
+never assumed, to descend to bijections of the composed
+correspondences.
 
 An action on a finite set is a partitioned carrier with anchors and one
 surjection per arrow.  All machinery works with the generator arrows

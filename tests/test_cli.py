@@ -15,8 +15,9 @@ from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.selfsim import iterate
 
 from test_cgx import cx_single_arrow
-from test_diagram import (point_diagram, swap_action, swap_correspondence,
-                          swap_diagram, z2_commutative_diagram)
+from test_diagram import (e1_diagram, point_diagram, swap_action,
+                          swap_correspondence, swap_diagram,
+                          z2_commutative_diagram)
 
 
 def run_cli(*argv, flags=()):
@@ -762,3 +763,64 @@ def test_germ_outside_domain_is_usage_error(tmp_path):
                      cli.selfsimilar_payload(e1()))
     code, _, err = run_cli("selfsim", path, "germ", "e:1:0", "e:a:e", "1|1")
     assert code == 2
+
+
+def _two_loose_generators():
+    """A free-monoid diagram on two generators that is not tight: each
+    generator's two points lie over one object of the left space."""
+    c = space_correspondences()["r00-s01"]
+    shape = PresentedShape.free_monoid(("a", "b"), length_bound=1)
+    return from_generators(shape, {"a": c, "b": c})
+
+
+DOCUMENTS = {
+    "e1": ("selfsimilar", lambda: cli.selfsimilar_payload(e1())),
+    "corr": ("correspondence",
+             lambda: cli.correspondence_payload(swap_correspondence())),
+    "cx": ("complex_of_groups",
+           lambda: cli.complex_payload(cx_single_arrow())),
+    "e1-diagram": ("diagram", lambda: cli.diagram_payload(e1_diagram(2))),
+    "loose": ("diagram", lambda: cli.diagram_payload(_two_loose_generators())),
+}
+# requests that reach a branch of main or a command that no other test
+# runs: (command, documents, arguments, exit code, stdout, stderr)
+BRANCHES = {
+    "depth-too-small": (
+        "selfsim", ["e1"], ["slices", "e:1:e", "e:a:e", "--depth", "0"], 3,
+        "", "bound exceeded: intersection of nf<e,1,e> and nf<e,a,e> needs "
+        "depth > 0\n"),
+    "slices": ("selfsim", ["e1"], ["slices", "0:a:1", "e:a:e"], 0,
+               "0:a:1\n", ""),
+    "slices-empty": ("selfsim", ["e1"], ["slices", "e:1:e", "e:a:e"], 0,
+                     "EMPTY\n", ""),
+    "act-undefined": ("selfsim", ["e1"], ["act", "e:1:0", "1|0"], 0,
+                      "undefined\n", ""),
+    "cgx-not-a-complex": (
+        "cgx", ["e1"], ["pi1"], 2, "",
+        "error: cgx expects a complex_of_groups document\n"),
+    "cgx-unknown-subcommand": (
+        "cgx", ["cx"], ["pi2"], 2, "", "error: unknown cgx subcommand 'pi2'\n"),
+    "compose-not-correspondences": (
+        "compose", ["corr", "e1"], [], 2, "",
+        "error: compose expects two correspondence documents\n"),
+    "model-unsupported-kind": (
+        "model", ["corr"], [], 2, "",
+        "error: model does not handle kind 'correspondence'\n"),
+    "model-verify-skipped": (
+        "model", ["e1-diagram"], ["--verify", "2"], 0,
+        "universal action: rational(2)\nsample points: 4\n"
+        "pair arrows per grade: -1: 8, 0: 16, 1: 16\n"
+        "verify(2): skipped (no finite presentation at this depth)\n", ""),
+    "no-model-construction": (
+        "model", ["loose"], [], 2, "",
+        "error: no model construction for shape kind 'free'\n"),
+}
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_each_cli_branch_keeps_the_exit_contract(tmp_path, capsys, name):
+    command, docs, rest, *want = BRANCHES[name]
+    paths = [write_doc(tmp_path, f"{doc}.json", DOCUMENTS[doc][0],
+                       DOCUMENTS[doc][1]()) for doc in docs]
+    code = cli.main([command, *paths, *rest])
+    assert (code, *capsys.readouterr()) == tuple(want)

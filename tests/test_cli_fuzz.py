@@ -12,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -316,3 +317,44 @@ ACCEPTED = [("point", ("payload", "generators", 0, 1, "carrier", 0), "drop")] \
 def test_once_accepted_break_is_refused(name, path, change):
     code, err = run(broken_at(NAMED[name], path, change))
     assert code in (1, 2, 3) and "Traceback" not in err
+
+
+def outcome(doc, *argv):
+    """main on the document: (exit code, standard output, standard error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(cli.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([argv[0], path, *argv[1:]])
+    return code, out.getvalue(), err.getvalue()
+
+
+ENDPOINT = ("payload", "groupoids", 0, 1, "category", "arrows", 0, 1, 1)
+POINT_RIGHT = ("payload", "generators", 0, 1)
+
+
+def once_modelled_unvalidated():
+    """The breaks that `model --verify` verified without validating: an
+    endpoint of a groupoid arrow of the point or discrete diagram (once
+    `translated action invalid`, exit 1), and every break of the point
+    generator's right action or right groupoid (19 of them once exited 2
+    with NotCoOrbital from inside validate_action)."""
+    for doc in (NAMED["point"], DOCS[6]):
+        for i, change in product((0, 1), (7, None, {})):
+            yield doc, ENDPOINT + (i,), change
+    for doc, path, change in single_node_breaks([NAMED["point"]]):
+        if path[:5] in (POINT_RIGHT + ("ract",), POINT_RIGHT + ("right",)):
+            yield doc, path, change
+
+
+def test_model_verify_prints_the_validate_report_first():
+    reports = 0
+    for doc, path, change in once_modelled_unvalidated():
+        broken = broken_at(doc, path, change)
+        want = outcome(broken, "validate")
+        assert want[0] in (1, 2), (path, change)
+        assert outcome(broken, "model", "--verify", "2") == want, (path, change)
+        reports += want[0] == 1
+    assert reports >= 31

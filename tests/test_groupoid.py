@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gpdcorr import cli
 from gpdcorr.diagram import _left_actions
-from gpdcorr.errors import NotEquivariant, ParseError
+from gpdcorr.errors import NotEquivariant, OracleIncomplete, ParseError
 from gpdcorr.fincat import canonical_classes
 from gpdcorr.groupoid import (
     FinGroupoid, Group, GroupoidAction, PartialBijection, check_basic,
@@ -331,6 +331,28 @@ def test_isg_round_trip_fold_map():
     theta_back, f_back = isg_action_vs_groupoid_action(
         semigroup, theta_x, xs, f=f, carrier_y=ys, action=act)
     assert theta_back == theta_y and f_back == f
+
+
+def test_isg_groupoid_multiplies_in_the_semigroup():
+    sigma = PartialBijection({1: 2, 2: 1})
+    semigroup = sorted(pseudogroup_closure([sigma]), key=repr)
+    theta = {t: t for t in semigroup}
+    gpd, _ = isg_action_vs_groupoid_action(
+        semigroup, theta, (1, 2), theta_y=theta, f={1: 1, 2: 2},
+        carrier_y=(1, 2))
+    there, back = gpd.arrow(sigma, 1), gpd.arrow(sigma, 2)
+    loop = gpd.compose(back, there)
+    assert (gpd.s(loop), gpd.r(loop)) == (1, 1) and gpd.is_unit(loop)
+    assert not gpd.is_unit(there)
+
+
+def test_isg_groupoid_refuses_a_product_outside_the_semigroup():
+    sigma = PartialBijection({1: 2, 2: 1})
+    gpd, _ = isg_action_vs_groupoid_action(
+        [sigma], {sigma: sigma}, (1, 2), theta_y={sigma: sigma},
+        f={1: 1, 2: 2}, carrier_y=(1, 2))
+    with pytest.raises(OracleIncomplete, match="not in the semigroup"):
+        gpd.compose(gpd.arrow(sigma, 2), gpd.arrow(sigma, 1))
 
 
 def test_isg_not_equivariant_witness():

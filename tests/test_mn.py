@@ -183,7 +183,7 @@ def test_mn_groupoid_units_and_inverses():
         inv = gd.inverse(arrow)
         assert gd.r(inv) == omega
         unit = gd.mul(inv, arrow)
-        assert unit == ((), omega)
+        assert unit == ((), omega) == gd.unit(omega)
     assert len(gd.configs) == 2
 
 

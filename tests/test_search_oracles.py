@@ -26,7 +26,8 @@ from gpdcorr.errors import Mismatch
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.mn import make_emn
-from gpdcorr.model import (_invariance_witness, _representatives, _table,
+from gpdcorr.model import (_invariance_witness, _natural, _representatives,
+                           _table,
                            _translate, model_discrete_shape,
                            model_group_shape, verify_model)
 
@@ -602,6 +603,24 @@ def test_verify_model_falls_back_to_the_full_scan(monkeypatch, name, scans):
 def test_non_natural_model_is_refused(name, sizes):
     assert verdict(verify_model, *MODELS[name]) == \
         f"naturality fails for {{0: 0}} between sizes {sizes}"
+
+
+def test_full_scan_passes_a_model_that_verifies(monkeypatch):
+    # the connected stage decides every model that verifies, so the scan's
+    # own pass is reached by refusing that stage
+    monkeypatch.setattr(gpdcorr.model, "_connected", lambda *args: False)
+    assert verify_model(*MODELS["disc-z2-z3"], 3) is True
+
+
+def test_full_scan_compares_orbits_when_the_maps_agree():
+    # one table moves 0 to 1, the other fixes both points: their only
+    # self-map is the identity, but their orbits differ
+    frame = {0: "x", 1: "y"}
+    joined, apart = (frame, {0: {"t": 1}, 1: {}}), (frame, {0: {}, 1: {}})
+    with pytest.raises(Mismatch) as exc:
+        _natural({2: [(joined, apart)]})
+    assert exc.value.witness == "invariant maps differ for {0: 0, 1: 1} " \
+        "at size 2"
 
 
 def partitions(k):
