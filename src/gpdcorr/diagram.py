@@ -583,9 +583,10 @@ def _incoherences(d, a):
             gh = d.composite(g, h)
             if gh is None or not {g, h} <= a.alph.keys():
                 continue
+            ys = a.piece(d.shape.s(h))
             for xi, eta in composable(d.X(g), d.X(h)):
                 prod = d.mu_apply(g, h, xi, eta)
-                for y in a.piece(d.shape.s(h)):
+                for y in ys:
                     inner = a.apply(h, eta, y)
                     if inner is None:
                         continue
