@@ -195,16 +195,13 @@ def _relators_of(c):
             word = ((("arr", g), 1),) + _elt(y, c.homs[g][gamma], gy) + \
                 ((("arr", g), -1),) + _invert(_elt(x, gamma, gx))
             rels.append(word)
-    for g in c.nonunit_arrows():
-        for h in c.nonunit_arrows():
-            if not cat.composable(g, h):
-                continue
-            gh = cat.mul(g, h)
-            gs = c.groups[cat.src(h)]
-            ghw = () if cat.is_identity(gh) else ((("arr", gh), 1),)
-            word = ((("arr", g), 1), (("arr", h), 1)) + \
-                _invert(_elt(cat.src(h), c.twists[(g, h)], gs)) + _invert(ghw)
-            rels.append(word)
+    for g, h in _nonunit_pairs(cat):
+        gh = cat.mul(g, h)
+        gs = c.groups[cat.src(h)]
+        ghw = () if cat.is_identity(gh) else ((("arr", gh), 1),)
+        word = ((("arr", g), 1), (("arr", h), 1)) + \
+            _invert(_elt(cat.src(h), c.twists[(g, h)], gs)) + _invert(ghw)
+        rels.append(word)
     return rels
 
 

@@ -32,9 +32,8 @@ from .errors import (BoundExceeded, DepthInsufficient, GpdError,
                      SchemaError, Undefined)
 from .fincat import FinCategory, PresentedShape, validate_category
 from .groupoid import FinGroupoid, Group, germ_groupoid, validate_groupoid
-from .model import (OreUniversal, PresentationModel, model_discrete_shape,
-                    model_group_shape, pair_groupoid_model,
-                    tight_universal_action, verify_model)
+from .model import (DisjointUnionModel, OreUniversal, PresentationModel,
+                    pair_groupoid_model, tight_universal_action, verify_model)
 from .selfsim import (SelfSimilarData, act_on_word, effective_check,
                       germ_equal, nf, nf_mul, slice_intersections)
 
@@ -464,14 +463,6 @@ def cmd_compose(args):
     return 0
 
 
-# shape -> (model construction, first line of its report)
-GROUPOID_MODELS = {
-    "discrete": (model_discrete_shape,
-                 "disjoint union groupoid: {} arrows, {} objects"),
-    "group": (model_group_shape, "graded groupoid: {} arrows over {} objects"),
-}
-
-
 def cmd_model(args):
     kind, payload = load(args.path)
     if kind == "complex_of_groups":
@@ -505,13 +496,10 @@ def cmd_model(args):
     if args.verify and refused(args, validate_diagram(d)):
         return 1
     shape = d.shape
-    groupoid_model = GROUPOID_MODELS.get(shape.kind if shape.gens
-                                         else "discrete")
-    if groupoid_model is not None:
-        make, head = groupoid_model
-        model = make(d)
-        lines = [head.format(len(model.groupoid),
-                             len(model.groupoid.objects))]
+    if not shape.gens:
+        model = DisjointUnionModel(d)
+        lines = [f"disjoint union groupoid: {len(model.groupoid)} arrows, "
+                 f"{len(model.groupoid.objects)} objects"]
         if args.verify:
             verify_model(d, model, args.verify)
             lines.append(f"verify({args.verify}): OK")
@@ -616,6 +604,8 @@ def cmd_cgx(args):
     if kind != "complex_of_groups":
         raise SchemaError("cgx expects a complex_of_groups document")
     c = value_of(kind, payload)
+    if refused(args, cgxmod.validate_cgx(c)[0]):
+        return 1
     if args.sub == "pi1":
         p = cgxmod.fundamental_group(c)
     elif args.sub == "isotropy":

@@ -8,12 +8,12 @@ place that compares it with a word: every check over pairs of shape
 arrows takes g.h from it, the points of X(g) x_{s,r} X(h) from
 ``corr.composable`` and the arrow pairs of a groupoid from
 ``composable_pairs``.  Generator data over free shapes is materialised
-as canonical composable tuples modulo the junction moves
-(xi.gamma, eta) ~ (xi, gamma.eta), so that multiplication is
-concatenation followed by canonicalisation; over free commutative
-shapes the concatenation is bubble-sorted through the given braidings
-first.  Explicitly given mu maps are stored on raw pairs and checked,
-never assumed, to descend to bijections of the composed
+as canonical composable tuples (from ``corr.composable`` too) modulo
+the junction moves (xi.gamma, eta) ~ (xi, gamma.eta), so that
+multiplication is concatenation followed by canonicalisation; over free
+commutative shapes the concatenation is bubble-sorted through the given
+braidings first.  Explicitly given mu maps are stored on raw pairs and
+checked, never assumed, to descend to bijections of the composed
 correspondences.
 
 An action on a finite set is a partitioned carrier with anchors and one
@@ -101,11 +101,8 @@ class _Tuples:
 
     def __init__(self, comps):
         self.comps = comps
-        raw = [(x,) for x in comps[0].carrier]
-        for c in comps[1:]:
-            k = len(raw[0]) if raw else 0
-            raw = [t + (y,) for t in raw for y in c.carrier
-                   if comps[k - 1].smap[t[-1]] == c.rmap[y]]
+        raw = list(composable(*comps)) if comps[1:] else \
+            [(x,) for x in comps[0].carrier]
         self.raw = raw
         index = [{x: i for i, x in enumerate(c.carrier)} for c in comps]
 

@@ -3,7 +3,8 @@
 A category is stored with explicit composition data: object ids, arrow
 records with endpoints, and a composition table.  Arrows compose like
 functions: ``compose(g, h)`` is "g after h" and is defined exactly when
-``src(g) == dst(h)``.
+``src(g) == dst(h)``.  ``product_table`` is the one composition walker
+for the categories and groupoids the package builds.
 
 Infinite shapes (free monoids, path categories, free commutative
 monoids) are handled through :class:`PresentedShape` with an explicit
@@ -59,6 +60,26 @@ def first_of_class(items, same, key):
         else:
             bucket.append(item)
             yield item, None
+
+
+def product_table(arrows, product):
+    """The composition table ``{(g, h): product(g, h)}`` of built arrows.
+
+    ``arrows`` maps each arrow to its (src, dst).  The pairs are those
+    with src(g) == dst(h), in the order of the nested loops over
+    ``arrows``, found through one index of the arrows by dst; a pair
+    whose product is None is left out.
+    """
+    into = {}
+    for h, (_, dst) in arrows.items():
+        into.setdefault(dst, []).append(h)
+    table = {}
+    for g, (src, _) in arrows.items():
+        for h in into.get(src, ()):
+            gh = product(g, h)
+            if gh is not None:
+                table[(g, h)] = gh
+    return table
 
 
 class FinCategory:
@@ -334,16 +355,14 @@ class PresentedShape:
 
     def materialize(self, bound=None):
         """A truncated FinCategory with the enumerated arrows."""
-        arrows = self.arrows(bound)
-        aset = set(arrows)
-        table = {}
-        for a in arrows:
-            for b in arrows:
-                c = self.compose(a, b)
-                if c is not None and c in aset:
-                    table[(a, b)] = c
-        return FinCategory(self.objects, {a: (a[1], a[0]) for a in arrows},
-                           table, {x: self.identity(x) for x in self.objects},
+        arrows = {a: (a[1], a[0]) for a in self.arrows(bound)}
+
+        def product(a, b):
+            c = self.compose(a, b)
+            return c if c in arrows else None
+
+        return FinCategory(self.objects, arrows, product_table(arrows, product),
+                           {x: self.identity(x) for x in self.objects},
                            truncated=self.kind not in (GROUP, FINITE))
 
 
@@ -509,18 +528,16 @@ class ZigzagGroupoid:
         return self.cls(g, self.shape.identity(g[1]))
 
     def as_fincategory(self):
-        table = {}
-        for c1 in self.classes:
-            for c2 in self.classes:
-                if self.s(c1) != self.r(c2):
-                    continue
-                try:
-                    table[(c1, c2)] = self.mul(c1, c2)
-                except BoundExceeded:
-                    pass
-        return FinCategory(self.objects,
-                           {c: (self.s(c), self.r(c)) for c in self.classes},
-                           table, {x: self.identity(x) for x in self.objects},
+        arrows = {c: (self.s(c), self.r(c)) for c in self.classes}
+
+        def product(c1, c2):
+            try:
+                return self.mul(c1, c2)
+            except BoundExceeded:
+                return None
+
+        return FinCategory(self.objects, arrows, product_table(arrows, product),
+                           {x: self.identity(x) for x in self.objects},
                            truncated=True)
 
 
@@ -533,20 +550,19 @@ def groupoid_completion(shape, bound=4):
 
 def slice_category(shape, x, bound=3):
     """The category of arrows into x, with h: g1 -> g2 when g1 == g2.h."""
-    objects = [g for g in shape.arrows(bound) if g[0] == x]
+    shape_arrows = shape.arrows(bound)
+    objects = [g for g in shape_arrows if g[0] == x]
     arrows = {}
     for g1 in objects:
         for g2 in objects:
-            for h in shape.arrows(bound):
+            for h in shape_arrows:
                 if h[0] == g2[1] and shape.compose(g2, h) == g1:
                     arrows[(g1, g2, h)] = (g1, g2)
-    table = {}
-    for (g2, g3, h2) in arrows:
-        for (g1, g2b, h1) in arrows:
-            if g2b != g2:
-                continue
-            h = shape.compose(h2, h1)
-            if (g1, g3, h) in arrows:
-                table[((g2, g3, h2), (g1, g2b, h1))] = (g1, g3, h)
+
+    def product(a, b):
+        k = (b[0], a[1], shape.compose(a[2], b[2]))
+        return k if k in arrows else None
+
     ident = {g: (g, g, shape.identity(g[1])) for g in objects}
-    return FinCategory(objects, arrows, table, ident, truncated=True)
+    return FinCategory(objects, arrows, product_table(arrows, product), ident,
+                       truncated=True)

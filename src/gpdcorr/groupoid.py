@@ -10,7 +10,7 @@ an oracle supplied by the caller.
 
 from .errors import NotEquivariant, OracleIncomplete, ParseError, Undefined
 from .fincat import (FinCategory, _hashable, _unreadable, canonical_classes,
-                     first_of_class, validate_category)
+                     first_of_class, product_table, validate_category)
 
 
 class Group:
@@ -96,11 +96,8 @@ class FinGroupoid(FinCategory):
             for w in carrier:
                 if anchor[w] == gpd.src(g):
                     arrows[(g, w)] = (w, act[(g, w)])
-        comp = {}
-        for (g2, w2) in arrows:
-            for (g1, w1) in arrows:
-                if w2 == act[(g1, w1)]:
-                    comp[((g2, w2), (g1, w1))] = (gpd.mul(g2, g1), w1)
+        comp = product_table(
+            arrows, lambda a2, a1: (gpd.mul(a2[0], a1[0]), a1[1]))
         ident = {w: (gpd.unit(anchor[w]), w) for w in carrier}
         inv = {(g, w): (gpd.invert(g), act[(g, w)]) for (g, w) in arrows}
         return cls(tuple(carrier), arrows, comp, ident, inv)
@@ -379,12 +376,7 @@ class GermGroupoid:
 
     def to_fingroupoid(self):
         arrows = {self.arrow(y, z): (y, z) for (y, z) in self.germs}
-        comp = {}
-        for (y2, z2) in self.germs:
-            for (y1, z1) in self.germs:
-                if y2 == z1:
-                    comp[(self.arrow(y2, z2), self.arrow(y1, z1))] = \
-                        self.arrow(y1, z2)
+        comp = product_table(arrows, lambda a2, a1: self.arrow(a1[0], a2[1]))
         ident = {y: self.arrow(y, y) for y in self.carrier}
         inv = {self.arrow(y, z): self.arrow(z, y) for (y, z) in self.germs}
         return FinGroupoid(self.carrier, arrows, comp, ident, inv)

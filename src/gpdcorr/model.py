@@ -34,7 +34,7 @@ from .diagram import (FAction, _left_actions, _propagated_maps,
 from .errors import (DepthInsufficient, Mismatch, NotEquivalence,
                      NotSupported, NotTight, Undefined)
 from .fincat import (FREE, GROUP, IS_ORE, PresentedShape, canonical_classes,
-                     first_of_class, ore_check)
+                     first_of_class, ore_check, product_table)
 from .groupoid import FinGroupoid, Group
 from .selfsim import (SelfSimilarData, act_on_word, germ_equal, nf, nf_mul,
                       nf_star, nf_unit)
@@ -141,19 +141,13 @@ class GradedGroupoidModel:
                 arrows[(c, xi)] = (xc.smap[xi], xc.rmap[xi])
                 self.binding[(c, xi)] = ("gact", self.obj, xi) \
                     if c == unit_arrow else ("alph", c, xi)
-        comp = {}
-        for (c, xi) in arrows:
-            for (e, eta) in arrows:
-                if d.X(c).smap[xi] != d.X(e).rmap[eta]:
-                    continue
-                ce = shape.compose(c, e)
-                comp[((c, xi), (e, eta))] = (ce, d.mu_apply(c, e, xi, eta))
+        comp = product_table(arrows, lambda a, b: (
+            shape.compose(a[0], b[0]), d.mu_apply(a[0], b[0], a[1], b[1])))
         ident = {x: (unit_arrow, base.unit(x)) for x in base.objects}
-        inv = {}
-        for a, (s, r) in arrows.items():
-            for b in arrows:
-                if comp.get((a, b)) == ident[r] and comp.get((b, a)) == ident[s]:
-                    inv[a] = b
+        # the last b, in table order, with a.b and b.a units
+        inv = {a: b for (a, b), ab in comp.items()
+               if ab == ident[arrows[a][1]] and
+               comp.get((b, a)) == ident[arrows[a][0]]}
         self.groupoid = FinGroupoid(base.objects, arrows, comp, ident, inv)
         self.object_map = {x: (self.obj, x) for x in base.objects}
 

@@ -19,7 +19,9 @@ classes that ``TransformationGroupoid`` builds once per point and the
 components that give ``GermGroupoid`` its germs replaced, and the
 nested loops that found composable arrows, shape composites within the
 length bound and fibre-product points before ``composable_pairs``,
-``Diagram.composite`` and ``corr.composable`` did.
+``Diagram.composite`` and ``corr.composable`` did, and the double loops
+over built arrows (with the inverse scan of the graded groupoid) that
+filled composition tables before ``fincat.product_table`` did.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
@@ -43,9 +45,11 @@ from gpdcorr.corr import Correspondence
 from gpdcorr.diagram import (FAction, _propagated_maps, actions_on,
                              discrete_diagram, from_generators,
                              invariant_check, validate_action)
-from gpdcorr.errors import (DepthInsufficient, Mismatch, OracleIncomplete,
-                            ParseError, SchemaError, Undefined)
-from gpdcorr.fincat import FinCategory, PresentedShape, canonical_classes
+from gpdcorr.errors import (BoundExceeded, DepthInsufficient, Mismatch,
+                            OracleIncomplete, ParseError, SchemaError,
+                            Undefined)
+from gpdcorr.fincat import (FINITE, GROUP, FinCategory, PresentedShape,
+                            canonical_classes)
 from gpdcorr.groupoid import FinGroupoid, Group, pseudogroup_closure
 from gpdcorr.model import (DisjointUnionModel, GradedGroupoidModel,
                            PairArrow, PresentationModel, _carries,
@@ -1722,3 +1726,120 @@ def fibre_triples(c1, c2, c3):
                     continue
                 out.append((x, y, z))
     return out
+
+
+def tuples_raw(comps):
+    """_Tuples.raw as the breadth-first loop over the factors built it."""
+    raw = [(x,) for x in comps[0].carrier]
+    for c in comps[1:]:
+        k = len(raw[0]) if raw else 0
+        raw = [t + (y,) for t in raw for y in c.carrier
+               if comps[k - 1].smap[t[-1]] == c.rmap[y]]
+    return raw
+
+
+def materialize(shape, bound=None):
+    """PresentedShape.materialize as the double loop over the arrows
+    with a membership test built its table."""
+    arrows = shape.arrows(bound)
+    aset = set(arrows)
+    table = {}
+    for a in arrows:
+        for b in arrows:
+            c = shape.compose(a, b)
+            if c is not None and c in aset:
+                table[(a, b)] = c
+    return FinCategory(shape.objects, {a: (a[1], a[0]) for a in arrows},
+                       table, {x: shape.identity(x) for x in shape.objects},
+                       truncated=shape.kind not in (GROUP, FINITE))
+
+
+def completion_category(zz):
+    """ZigzagGroupoid.as_fincategory as the double loop over the classes
+    built its table."""
+    table = {}
+    for c1 in zz.classes:
+        for c2 in zz.classes:
+            if zz.s(c1) != zz.r(c2):
+                continue
+            try:
+                table[(c1, c2)] = zz.mul(c1, c2)
+            except BoundExceeded:
+                pass
+    return FinCategory(zz.objects,
+                       {c: (zz.s(c), zz.r(c)) for c in zz.classes},
+                       table, {x: zz.identity(x) for x in zz.objects},
+                       truncated=True)
+
+
+def slice_category(shape, x, bound=3):
+    """fincat.slice_category with its table built by the double loop."""
+    objects = [g for g in shape.arrows(bound) if g[0] == x]
+    arrows = {}
+    for g1 in objects:
+        for g2 in objects:
+            for h in shape.arrows(bound):
+                if h[0] == g2[1] and shape.compose(g2, h) == g1:
+                    arrows[(g1, g2, h)] = (g1, g2)
+    table = {}
+    for (g2, g3, h2) in arrows:
+        for (g1, g2b, h1) in arrows:
+            if g2b != g2:
+                continue
+            h = shape.compose(h2, h1)
+            if (g1, g3, h) in arrows:
+                table[((g2, g3, h2), (g1, g2b, h1))] = (g1, g3, h)
+    ident = {g: (g, g, shape.identity(g[1])) for g in objects}
+    return FinCategory(objects, arrows, table, ident, truncated=True)
+
+
+def germ_fingroupoid(gg):
+    """GermGroupoid.to_fingroupoid with its table built by the double
+    loop over the germs."""
+    arrows = {gg.arrow(y, z): (y, z) for (y, z) in gg.germs}
+    comp = {}
+    for (y2, z2) in gg.germs:
+        for (y1, z1) in gg.germs:
+            if y2 == z1:
+                comp[(gg.arrow(y2, z2), gg.arrow(y1, z1))] = gg.arrow(y1, z2)
+    ident = {y: gg.arrow(y, y) for y in gg.carrier}
+    inv = {gg.arrow(y, z): gg.arrow(z, y) for (y, z) in gg.germs}
+    return FinGroupoid(gg.carrier, arrows, comp, ident, inv)
+
+
+def graded_groupoid(d):
+    """GradedGroupoidModel's groupoid L: its table by the double loop over
+    the arrows, its inverses by a scan over every pair of them."""
+    shape = d.shape
+    obj = shape.objects[0]
+    base = d.gr[obj]
+    unit_arrow = shape.identity(obj)
+    arrows = {}
+    for c in shape.arrows(1):
+        xc = d.X(c)
+        for xi in xc.carrier:
+            arrows[(c, xi)] = (xc.smap[xi], xc.rmap[xi])
+    comp = {}
+    for (c, xi) in arrows:
+        for (e, eta) in arrows:
+            if d.X(c).smap[xi] != d.X(e).rmap[eta]:
+                continue
+            ce = shape.compose(c, e)
+            comp[((c, xi), (e, eta))] = (ce, d.mu_apply(c, e, xi, eta))
+    ident = {x: (unit_arrow, base.unit(x)) for x in base.objects}
+    inv = {}
+    for a, (s, r) in arrows.items():
+        for b in arrows:
+            if comp.get((a, b)) == ident[r] and comp.get((b, a)) == ident[s]:
+                inv[a] = b
+    return FinGroupoid(base.objects, arrows, comp, ident, inv)
+
+
+def product_table(arrows, product):
+    """fincat.product_table as the double loop over the arrows."""
+    table = {}
+    for g, (src, _) in arrows.items():
+        for h, (_, dst) in arrows.items():
+            if src == dst and product(g, h) is not None:
+                table[(g, h)] = product(g, h)
+    return table

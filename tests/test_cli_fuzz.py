@@ -358,3 +358,30 @@ def test_model_verify_prints_the_validate_report_first():
         assert outcome(broken, "model", "--verify", "2") == want, (path, change)
         reports += want[0] == 1
     assert reports >= 31
+
+
+CGX = [("pi1",), ("isotropy",), ("homs", "-n", "2")]
+
+
+def test_cgx_prints_the_validate_report_first(tmp_path):
+    # every break of the complex is refused as validate refuses it: the
+    # same exit code, report and error, without validate's flag notes
+    path = str(tmp_path / "doc.json")
+    codes = []
+    for doc, at, change in single_node_breaks([DOCS[4]]):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(broken_at(doc, at, change)))
+        outcomes = []
+        for argv in [("validate", path)] + [("cgx", path) + a for a in CGX]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+        code, out, err = outcomes[0]
+        report = "".join(line for line in out.splitlines(True)
+                         if not line.startswith("note: "))
+        assert outcomes[1:] == [(code, report, err)] * len(CGX), (at, change)
+        codes.append(code)
+    assert DOCS[4]["kind"] == "complex_of_groups"
+    assert codes.count(1) >= 221 and set(codes) == {1, 2}

@@ -1,9 +1,13 @@
-"""The three pair walkers against the loops they replaced.
+"""The walkers against the loops they replaced.
 
 ``FinCategory.composable_pairs``, ``Diagram.composite`` and
 ``corr.composable`` must give the items of ``oracles.composable_pairs``,
 ``oracles.composite`` and ``oracles.fibre_pairs``/``fibre_triples`` in
 the same order, on the corpus, on the search cases and on drawn data.
+The categories and groupoids whose tables ``fincat.product_table``
+builds, and the composable tuples of ``diagram._Tuples``, must equal
+those of the double loops in ``oracles``, field by field and item by
+item.
 """
 
 from itertools import product
@@ -15,7 +19,14 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from gpdcorr.corr import Correspondence, composable
+from gpdcorr.diagram import _Tuples, singleton_thetas
+from gpdcorr.fincat import (IS_ORE, PresentedShape, groupoid_completion,
+                            ore_check, product_table, slice_category)
+from gpdcorr.groupoid import FinGroupoid, Group, germ_groupoid
+from gpdcorr.model import model_group_shape
 
+from test_fincat import idempotent_monoid
+from test_model import graded_diagram
 from test_search_oracles import CASES
 
 
@@ -107,3 +118,107 @@ def test_a_missing_anchor_raises_where_the_loops_raised(missing):
                  lambda: oracles.fibre_pairs(c, c)):
         with pytest.raises(KeyError, match="1"):
             walk()
+
+
+def _items(cat):
+    """A category's or groupoid's fields, each dict as its item list."""
+    return [cat.objects, list(cat.arrows.items()), list(cat.compose.items()),
+            list(cat.identities.items()), cat.truncated,
+            list(getattr(cat, "inv", {}).items())]
+
+
+def _shapes():
+    z2 = FinGroupoid.from_group(Group.cyclic(2))
+    extra = [PresentedShape.free_monoid(("a", "b"), 3),
+             PresentedShape.free_commutative(("a", "b"), 3),
+             PresentedShape.path_category(("u", "v"), {"e": ("v", "u"),
+                                                       "f": ("u", "v")}, 3),
+             PresentedShape.group_shape(z2),
+             PresentedShape.finite(idempotent_monoid())]
+    graded = [graded_diagram(twist) for twist in ("a", "1")]
+    return [d.shape for d in _diagrams() + graded] + extra
+
+
+def test_materialized_shapes_are_the_double_loops():
+    for shape in _shapes():
+        for bound in (None, 2):
+            assert _items(shape.materialize(bound)) == \
+                _items(oracles.materialize(shape, bound))
+
+
+def test_completions_are_the_double_loops():
+    ore = [shape for shape in _shapes()
+           if ore_check(shape).status == IS_ORE]
+    assert len(ore) > 10
+    for shape in ore:
+        zz = groupoid_completion(shape, bound=3)
+        assert _items(zz.as_fincategory()) == \
+            _items(oracles.completion_category(zz))
+
+
+def test_slice_categories_are_the_double_loops():
+    for shape in _shapes():
+        for x in shape.objects:
+            assert _items(slice_category(shape, x, bound=2)) == \
+                _items(oracles.slice_category(shape, x, bound=2))
+
+
+def test_action_groupoids_are_the_double_loops():
+    # every correspondence's left action, and every self-similar group
+    # acting on its vertices
+    for c in _correspondences():
+        assert _items(FinGroupoid.semidirect(
+            c.left, c.carrier, c.rmap, c.lact)) == _items(
+            oracles.groupoid_semidirect(c.left, c.carrier, c.rmap, c.lact))
+    data = [x for kind, x in _values() if kind == "selfsimilar"]
+    assert data
+    for x in data:
+        assert _items(FinGroupoid.transformation(
+            x.group, x.vertices, x.vact)) == _items(
+            oracles.transformation(x.group, x.vertices, x.vact))
+
+
+def test_germ_groupoids_are_the_double_loops():
+    # the germs of every action's singleton slices
+    actions = [da for kind, da in _values() if kind == "action"]
+    assert actions
+    for d, a in actions:
+        thetas = singleton_thetas(d, a)
+        gg = germ_groupoid({repr(k): f for k, f in thetas.items()},
+                           a.carrier)
+        assert _items(gg.to_fingroupoid()) == \
+            _items(oracles.germ_fingroupoid(gg))
+
+
+@pytest.mark.parametrize("twist", ["a", "1"])
+def test_graded_groupoids_are_the_loop_and_the_scan(twist):
+    d = graded_diagram(twist)
+    assert _items(model_group_shape(d).groupoid) == \
+        _items(oracles.graded_groupoid(d))
+
+
+def test_composable_tuples_are_the_breadth_first_loop():
+    words = 0
+    for d in _diagrams():
+        for w in d.shape.arrows():
+            if w[2] and d.gen_data:
+                comps = [d.gen_data[a] for a in w[2]]
+                assert _Tuples(comps).raw == oracles.tuples_raw(comps)
+                words += len(comps) > 1
+    assert words > 10
+
+
+# endpoints that are equal across types, as hashing and == both see them
+ENDS = [0, 1, 1.0, True, "1", (1,)]
+
+
+@given(st.dictionaries(st.integers(0, 7), st.tuples(*[st.sampled_from(ENDS)]
+                                                    * 2), max_size=8),
+       st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))))
+def test_product_table_is_the_double_loop(arrows, undefined):
+    # products are falsy (0) on the diagonal and None on ``undefined``
+    def product(g, h):
+        return None if (g, h) in undefined else g - h
+
+    assert list(product_table(arrows, product).items()) == \
+        list(oracles.product_table(arrows, product).items())
