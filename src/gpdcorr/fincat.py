@@ -361,7 +361,8 @@ class PresentedShape:
             c = self.compose(a, b)
             return c if c in arrows else None
 
-        return FinCategory(self.objects, arrows, product_table(arrows, product),
+        return FinCategory(self.objects, arrows,
+                           product_table(arrows, product),
                            {x: self.identity(x) for x in self.objects},
                            truncated=self.kind not in (GROUP, FINITE))
 
@@ -536,7 +537,8 @@ class ZigzagGroupoid:
             except BoundExceeded:
                 return None
 
-        return FinCategory(self.objects, arrows, product_table(arrows, product),
+        return FinCategory(self.objects, arrows,
+                           product_table(arrows, product),
                            {x: self.identity(x) for x in self.objects},
                            truncated=True)
 
