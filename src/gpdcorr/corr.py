@@ -10,9 +10,10 @@ whose first factor is a representative.  Composed carriers are
 canonically relabelled as integer ranges, one block of consecutive
 points per representative and one point in it per member of its fibre
 in the second factor, with a stored provenance map so that iterated
-composites stay comparable and serialisable.  In that layout the class
-map and both actions of a composite are permutations of fibre indices,
-each computed once per arrow and fibre and copied block by block.
+composites stay comparable and serialisable.  In that layout both
+actions of a composite are permutations of fibre indices, each computed
+once per arrow and fibre and copied block by block, and the class map
+is read off the row of points that each point of the first factor has.
 """
 
 from itertools import repeat
@@ -35,7 +36,7 @@ class Correspondence:
         self.lact = dict(lact)      # (h, x) -> x'
         self.ract = dict(ract)      # (x, g) -> x'
         self.pairs = pairs          # provenance of composed carriers
-        self.cls = cls
+        self.cls = cls              # fibre pair -> point, read off the rows
         self._index = {x: i for i, x in enumerate(self.carrier)}
         self._orbit_rep = None
 
@@ -199,6 +200,27 @@ def inner_product(c, x1, x2):
     raise NotCoOrbital(f"no arrow carries {x1!r} to {x2!r}")
 
 
+class _Classes:
+    """A composite's read-only class map, (x, y) -> row[x][index[s(x)][y]]:
+    KeyError under [] and the default under get off the fibre product."""
+
+    def __init__(self, row, index, smap):
+        self.row, self.index, self.smap = row, index, smap
+
+    def __getitem__(self, pair):
+        x, y = pair
+        try:
+            return self.row[x][self.index[self.smap[x]][y]]
+        except KeyError:
+            raise KeyError(pair) from None
+
+    def get(self, pair, default=None):
+        try:
+            return self[pair]
+        except KeyError:
+            return default
+
+
 def compose(c1, c2):
     """The composite correspondence (X x_s,r Y) / G, canonically relabelled.
 
@@ -209,12 +231,12 @@ def compose(c1, c2):
     (p(x), t[x].y), its least pair in carrier order.  The representatives
     x, in carrier order, each own a block of consecutive points of the
     composite, the j-th for (x, y) with y the j-th point of the r-fibre
-    of s(x) in Y; ``pairs`` maps each point to its pair and ``cls`` maps
-    every fibre pair to its point.  t[x] carries the fibre of x onto the
-    block of p(x) by one permutation per (middle arrow, fibre), which
-    gives the row of points of x; h.(x, y) is read off the row of h.x,
-    and an arrow of G moves the second factor by one index map per
-    (arrow, fibre).
+    of s(x) in Y; ``pairs`` maps each point to its pair.  t[x] carries
+    the fibre of x onto the block of p(x) by one permutation per (middle
+    arrow, fibre), which gives the row of points of x; ``cls`` reads the
+    point of every fibre pair (x, y) off the row of x, h.(x, y) is read
+    off the row of h.x, and an arrow of G moves the second factor by one
+    index map per (arrow, fibre).
 
     Raises ParseError when the middle groupoids differ, when two arrows
     take an orbit representative of X to the same point (the action is
@@ -245,7 +267,7 @@ def compose(c1, c2):
             pairs.update(zip(ids, zip(repeat(x), ys)))
             rmap.update(zip(ids, repeat(c1.rmap[x])))
             smap.update(zip(ids, map(c2.smap.__getitem__, ys)))
-    perm, row, cls = {}, {}, {}  # row[x][j]: the point of (x, fibre[j])
+    perm, row = {}, {}          # row[x][j]: the point of (x, fibre[j])
     for x in c1.carrier:
         px, tx, sx = c1.p(x), t.get(x), c1.smap[x]
         if tx is None:
@@ -261,7 +283,6 @@ def compose(c1, c2):
                                      f"second factor over {key[2]!r}")
                 perm[key].append(into[ty])
         row[x] = list(map(block[px].__getitem__, perm[key]))
-        cls.update(zip(zip(repeat(x), ys), row[x]))
     blocks = [(x, ids, c1.smap[x]) for x, ids in block.items() if ids]
     lact = {}
     for h in c1.left.arrow_ids():
@@ -290,7 +311,7 @@ def compose(c1, c2):
             ract.update(zip(zip(map(ids.__getitem__, js), repeat(g)),
                             map(row[x].__getitem__, ks)))
     return Correspondence(c1.left, c2.right, range(len(pairs)), rmap, smap,
-                          lact, ract, pairs=pairs, cls=cls)
+                          lact, ract, pairs, _Classes(row, index, c1.smap))
 
 
 def classify(c):

@@ -13,9 +13,9 @@ Paths are pairs Path(rv, edges); the range vertex is stored explicitly
 so that empty paths at different vertices stay distinct.  The data
 keeps one table ``step[(g, e)] = (g.e, g|_e)``, so a group element walks
 an edge tuple with one lookup per letter.  The product of normal forms
-and the action on finite paths decide whether one word starts another,
-range vertex included, by one comparison, and build a path only for
-the answer.
+and the action on finite paths compare range vertex and prefix, walk
+the rest of the longer word through ``step`` and build the answer's
+path with ``tuple.__new__``, or reuse the operand's when no rest is left.
 
 Input is checked at the boundary: ``SelfSimilarData`` refuses tables
 that are not total, and ``path``, ``ev`` and ``nf`` are the checked
@@ -216,8 +216,9 @@ class NormalForm:
 
     It acts on paths by cutting away the leading path w2, acting by g,
     and pasting w1 in front; the compatibility g.s(w2) == s(w1) makes
-    the pasting composable.  There is a single zero element per data.
-    The constructor trusts that compatibility; ``nf`` checks it.
+    the pasting composable.  There is a single zero element per data,
+    and normal forms over different data are never equal.  The
+    constructor trusts that compatibility; ``nf`` checks it.
     """
 
     __slots__ = ("data", "zero", "w1", "g", "w2", "_key")
@@ -232,7 +233,8 @@ class NormalForm:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, NormalForm) and self._key == other._key
+        return (type(other) is NormalForm or isinstance(other, NormalForm)) \
+            and self._key == other._key and self.data is other.data
 
     def __hash__(self):
         return hash(self._key)
@@ -273,22 +275,29 @@ def nf_unit(data, v=None):
 
 
 def nf_mul(t1, t2):
-    """The three-case product: zero unless t1.w2 or t2.w1 starts the other."""
+    """The three-case product: zero unless t1.w2 or t2.w1 starts the other,
+    and then t1.g or t2.g^-1 walks the rest x of the longer word."""
     data = t1.data
     if data is not t2.data:
         raise ParseError("operands over different data")
     if t1.zero or t2.zero:
         return data._zero
-    G, (rv1, u1), (rv2, u2) = data.group, t1.w2, t2.w1
-    if (rv2, u2[:len(u1)]) == t1.w2:
-        gx, res = data.act_edges(t1.g, u2[len(u1):])
-        w1 = Path(t1.w1.rv, t1.w1.edges + gx)
-        return NormalForm(data, w1, G.op(res, t2.g), t2.w2)
-    if (rv1, u1[:len(u2)]) == t2.w1:
-        g2x, res = data.act_edges(G.inv[t2.g], u1[len(u2):])
-        w2 = Path(t2.w2.rv, t2.w2.edges + g2x)
-        return NormalForm(data, t1.w1, G.op(t1.g, G.inv[res]), w2)
-    return data._zero
+    (rv1, u1), (rv2, u2) = t1.w2, t2.w1
+    n1, n2 = len(u1), len(u2)
+    if rv1 != rv2 or (u2[:n1] != u1 if n1 <= n2 else u1[:n2] != u2):
+        return data._zero
+    mul, inv, step, out = data.group.mul, data.group.inv, data.step, []
+    if n1 == n2:
+        return NormalForm(data, t1.w1, mul[t1.g, t2.g], t2.w2)
+    g, w, x = (t1.g, t1.w1, u2[n1:]) if n1 < n2 else \
+        (inv[t2.g], t2.w2, u1[n2:])
+    for e in x:
+        e, g = step[g, e]
+        out.append(e)
+    w = tuple.__new__(Path, (w.rv, w.edges + tuple(out)))
+    if n1 < n2:
+        return NormalForm(data, w, mul[g, t2.g], t2.w2)
+    return NormalForm(data, t1.w1, mul[t1.g, inv[g]], w)
 
 
 def nf_star(t):
@@ -314,11 +323,17 @@ def act_on_word(t, z):
     if t.zero:
         raise Undefined("the zero element has empty domain")
     if isinstance(z, Path):
-        n = len(t.w2.edges)
-        if (z.rv, z.edges[:n]) != t.w2:
+        (rv, u), edges = t.w2, z.edges
+        n = len(u)
+        if z.rv != rv or edges[:n] != u:
             raise Undefined("{!r} does not start with {!r}", z, t.w2)
-        gx, _ = data.act_edges(t.g, z.edges[n:])
-        return Path(t.w1.rv, t.w1.edges + gx)
+        if len(edges) == n:
+            return t.w1
+        step, g, out = data.step, t.g, []
+        for e in edges[n:]:
+            e, g = step[g, e]
+            out.append(e)
+        return tuple.__new__(Path, (t.w1.rv, t.w1.edges + tuple(out)))
     if not data.ev_starts_with(z, t.w2):
         raise Undefined("{!r} does not start with {!r}", z, t.w2)
     tail = data.ev_drop(z, len(t.w2.edges))

@@ -4,8 +4,9 @@
 names each class by its key-least pair, as the library did before it
 read the classes off a transversal of the free right action.  On valid
 correspondences both must give the same composite, field for field and
-in the same dict order; on a right action that is not free the library
-raises ``ParseError``.
+in the same dict order (``cls``, which the library reads off its rows,
+pair for pair); on a right action that is not free the library raises
+``ParseError``.
 """
 
 import subprocess
@@ -27,21 +28,36 @@ from gpdcorr.errors import ParseError
 from gpdcorr.groupoid import FinGroupoid, Group
 from gpdcorr.selfsim import iterate
 
-FIELDS = ("carrier", "rmap", "smap", "lact", "ract", "pairs", "cls")
+FIELDS = ("carrier", "rmap", "smap", "lact", "ract", "pairs")
 DATAS = {"e1": e1(), "e2": e2(), "graph": ep_graph()}
+NOT_A_POINT = ("not a point",)
 
 
-def assert_same(got, want):
+def assert_same(got, want, c1, c2):
+    """Field for field and in dict order, but ``cls``: the library reads
+    it off its rows, so it has no order, and it must give the oracle's
+    point on every fibre pair of c1 and c2, through [] and get, and
+    nothing on the other pairs."""
     for field in FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a == b, field
         if isinstance(a, dict):
             assert list(a) == list(b), f"{field} order"
+    for pair, point in want.cls.items():
+        assert got.cls[pair] == got.cls.get(pair) == point, pair
+    outside = [(x, y) for x in c1.carrier for y in c2.carrier
+               if c1.smap[x] != c2.rmap[y]]
+    outside += [(x, NOT_A_POINT) for x in c1.carrier[:1]] + \
+        [(NOT_A_POINT, y) for y in c2.carrier[:1]]
+    for pair in outside:
+        with pytest.raises(KeyError):
+            got.cls[pair]
+        assert got.cls.get(pair) is None
 
 
 def assert_composes_like_oracle(c1, c2):
     got = compose(c1, c2)
-    assert_same(got, oracles.compose(c1, c2))
+    assert_same(got, oracles.compose(c1, c2), c1, c2)
     return got
 
 
