@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from gpdcorr.corr import Correspondence, composable
-from gpdcorr.errors import BoundExceeded
 from gpdcorr.diagram import _Tuples, singleton_thetas
+from gpdcorr.errors import BoundExceeded
 from gpdcorr.fincat import (IS_ORE, PresentedShape, groupoid_completion,
                             ore_check, product_table, slice_category)
 from gpdcorr.groupoid import FinGroupoid, Group, germ_groupoid
