@@ -481,7 +481,6 @@ class ZigzagGroupoid:
         self.classes = sorted(classes, key=self._key)
         self.members = {rep: sorted(classes[rep], key=self._key)
                         for rep in self.classes}
-        self._ends = {}         # g -> {g.k: [k, in arrow order]}, lazily
 
     def cls(self, g, h):
         return self._canon[(g, h)]
@@ -506,19 +505,17 @@ class ZigzagGroupoid:
         shape = self.shape
         for (g1, h1) in self.members[c1]:
             for (g2, h2) in self.members[c2]:
-                ends = self._ends.get(g2)
-                if ends is None:
-                    ends = self._ends[g2] = {}
-                    for k in self._arrows:
-                        if k[0] == g2[1]:
-                            ends.setdefault(shape.compose(g2, k), []).append(k)
                 for k1 in self._arrows:
                     if k1[0] != h1[1]:
                         continue
                     h1k1 = shape.compose(h1, k1)
                     if shape.length(h1k1) > self.bound:
                         continue
-                    for k2 in ends.get(h1k1, ()):
+                    for k2 in self._arrows:
+                        if k2[0] != g2[1]:
+                            continue
+                        if shape.compose(g2, k2) != h1k1:
+                            continue
                         g1k1 = shape.compose(g1, k1)
                         h2k2 = shape.compose(h2, k2)
                         if (shape.length(g1k1) <= self.bound and

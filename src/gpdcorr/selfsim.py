@@ -14,7 +14,7 @@ so that empty paths at different vertices stay distinct.  The data
 keeps one table ``step[(g, e)] = (g.e, g|_e)``, so a group element walks
 an edge tuple with one lookup per letter.  The product of normal forms
 and the action on finite paths compare range vertex and prefix, walk
-the rest of the longer word through ``step`` and build the answer's
+the rest of the longer word with ``act_edges`` and build the answer's
 path with ``tuple.__new__``, or reuse the operand's when no rest is left.
 
 Input is checked at the boundary: ``SelfSimilarData`` refuses tables
@@ -233,8 +233,8 @@ class NormalForm:
         return self._key
 
     def __eq__(self, other):
-        return (type(other) is NormalForm or isinstance(other, NormalForm)) \
-            and self._key == other._key and self.data is other.data
+        return isinstance(other, NormalForm) and self._key == other._key \
+            and self.data is other.data
 
     def __hash__(self):
         return hash(self._key)
@@ -286,15 +286,13 @@ def nf_mul(t1, t2):
     n1, n2 = len(u1), len(u2)
     if rv1 != rv2 or (u2[:n1] != u1 if n1 <= n2 else u1[:n2] != u2):
         return data._zero
-    mul, inv, step, out = data.group.mul, data.group.inv, data.step, []
+    mul, inv = data.group.mul, data.group.inv
     if n1 == n2:
         return NormalForm(data, t1.w1, mul[t1.g, t2.g], t2.w2)
     g, w, x = (t1.g, t1.w1, u2[n1:]) if n1 < n2 else \
         (inv[t2.g], t2.w2, u1[n2:])
-    for e in x:
-        e, g = step[g, e]
-        out.append(e)
-    w = tuple.__new__(Path, (w.rv, w.edges + tuple(out)))
+    gx, g = data.act_edges(g, x)
+    w = tuple.__new__(Path, (w.rv, w.edges + gx))
     if n1 < n2:
         return NormalForm(data, w, mul[g, t2.g], t2.w2)
     return NormalForm(data, t1.w1, mul[t1.g, inv[g]], w)
@@ -329,11 +327,8 @@ def act_on_word(t, z):
             raise Undefined("{!r} does not start with {!r}", z, t.w2)
         if len(edges) == n:
             return t.w1
-        step, g, out = data.step, t.g, []
-        for e in edges[n:]:
-            e, g = step[g, e]
-            out.append(e)
-        return tuple.__new__(Path, (t.w1.rv, t.w1.edges + tuple(out)))
+        gx, _ = data.act_edges(t.g, edges[n:])
+        return tuple.__new__(Path, (t.w1.rv, t.w1.edges + gx))
     if not data.ev_starts_with(z, t.w2):
         raise Undefined("{!r} does not start with {!r}", z, t.w2)
     tail = data.ev_drop(z, len(t.w2.edges))

@@ -21,8 +21,7 @@ nested loops that found composable arrows, shape composites within the
 length bound and fibre-product points before ``composable_pairs``,
 ``Diagram.composite`` and ``corr.composable`` did, and the double loops
 over built arrows (with the inverse scan of the graded groupoid) that
-filled composition tables before ``fincat.product_table`` did, and the
-scan over every shape arrow in ``ZigzagGroupoid.mul``.
+filled composition tables before ``fincat.product_table`` did.
 They walk every candidate and check at the leaves (the homomorphism
 count visits one leaf per homomorphism, the configuration enumerator one
 call per tree node, the self-similar walk re-checks every path it joins,
@@ -1771,32 +1770,6 @@ def completion_category(zz):
                        {c: (zz.s(c), zz.r(c)) for c in zz.classes},
                        table, {x: zz.identity(x) for x in zz.objects},
                        truncated=True)
-
-
-def zigzag_mul(zz, c1, c2):
-    """ZigzagGroupoid.mul as the nested loops that scanned every k2 of the
-    shape for g2.k2 == h1.k1, before it looked k2 up by composite."""
-    if zz.s(c1) != zz.r(c2):
-        return None
-    shape = zz.shape
-    for (g1, h1) in zz.members[c1]:
-        for (g2, h2) in zz.members[c2]:
-            for k1 in zz._arrows:
-                if k1[0] != h1[1]:
-                    continue
-                h1k1 = shape.compose(h1, k1)
-                if shape.length(h1k1) > zz.bound:
-                    continue
-                for k2 in zz._arrows:
-                    if k2[0] != g2[1] or shape.compose(g2, k2) != h1k1:
-                        continue
-                    g1k1 = shape.compose(g1, k1)
-                    h2k2 = shape.compose(h2, k2)
-                    if (shape.length(g1k1) <= zz.bound and
-                            shape.length(h2k2) <= zz.bound):
-                        return zz.cls(g1k1, h2k2)
-    raise BoundExceeded(
-        f"no common extension for {c1!r}.{c2!r} within bound {zz.bound}")
 
 
 def slice_category(shape, x, bound=3):

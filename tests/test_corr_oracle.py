@@ -36,8 +36,8 @@ NOT_A_POINT = ("not a point",)
 def assert_same(got, want, c1, c2):
     """Field for field and in dict order, but ``cls``: the library reads
     it off its rows, so it has no order, and it must give the oracle's
-    point on every fibre pair of c1 and c2, through [] and get, and
-    nothing on the other pairs."""
+    point on every fibre pair of c1 and c2, through [], get and ``in``,
+    and nothing on the other pairs or on keys that are not pairs."""
     for field in FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a == b, field
@@ -45,14 +45,17 @@ def assert_same(got, want, c1, c2):
             assert list(a) == list(b), f"{field} order"
     for pair, point in want.cls.items():
         assert got.cls[pair] == got.cls.get(pair) == point, pair
+        assert pair in got.cls
     outside = [(x, y) for x in c1.carrier for y in c2.carrier
                if c1.smap[x] != c2.rmap[y]]
     outside += [(x, NOT_A_POINT) for x in c1.carrier[:1]] + \
         [(NOT_A_POINT, y) for y in c2.carrier[:1]]
+    outside += [pair + (y,) for pair, y in zip(want.cls, c2.carrier)] + \
+        [0, None, ()]
     for pair in outside:
         with pytest.raises(KeyError):
             got.cls[pair]
-        assert got.cls.get(pair) is None
+        assert got.cls.get(pair) is None and pair not in got.cls
 
 
 def assert_composes_like_oracle(c1, c2):
