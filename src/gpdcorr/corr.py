@@ -203,7 +203,7 @@ def inner_product(c, x1, x2):
 class _Classes:
     """A composite's read-only class map, (x, y) -> row[x][index[s(x)][y]]:
     off the fibre product, and on keys that are not pairs, KeyError under
-    [], False under ``in`` and the default under get."""
+    [] and the default under get."""
 
     def __init__(self, row, index, smap):
         self.row, self.index, self.smap = row, index, smap
@@ -214,9 +214,6 @@ class _Classes:
             return self.row[x][self.index[self.smap[x]][y]]
         except (KeyError, TypeError, ValueError):
             raise KeyError(pair) from None
-
-    def __contains__(self, pair):
-        return self.get(pair, self) is not self
 
     def get(self, pair, default=None):
         try:

@@ -125,6 +125,15 @@ def test_completion_satisfies_groupoid_axioms():
             assert zz.mul(zz.inv(c), c) == zz.identity(zz.s(c))
 
 
+def test_completion_product_of_classes_that_do_not_meet_is_none():
+    shape = PresentedShape.path_category(("L", "R"), {"e": ("R", "L")})
+    zz = groupoid_completion(shape, bound=2)
+    e = zz.functor(("R", "L", ("e",)))
+    assert zz.mul(e, zz.identity("R")) is None
+    assert zz.mul(zz.identity("L"), e) is None
+    assert zz.mul(e, zz.identity("L")) == zz.mul(zz.identity("R"), e) == e
+
+
 def test_completion_functor_preserves_composition():
     shape = PresentedShape.free_monoid(("t",), length_bound=4)
     zz = groupoid_completion(shape, bound=4)
