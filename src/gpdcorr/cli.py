@@ -51,11 +51,17 @@ def _enc(value):
 
 
 def _dec(value):
+    """_enc read back, with a call only for an item that is an array."""
     if isinstance(value, list):
         tag, items = value
         if tag not in ("t", "l"):
             raise SchemaError(f"expected the tag 't' or 'l', got {tag!r}")
-        decoded = [_dec(v) for v in _array(items)]
+        if tag == "t" and isinstance(items, list) and len(items) == 2:
+            a, b = items
+            return (_dec(a) if isinstance(a, list) else a,
+                    _dec(b) if isinstance(b, list) else b)
+        decoded = [_dec(v) if isinstance(v, list) else v
+                   for v in _array(items)]
         return tuple(decoded) if tag == "t" else decoded
     return value
 
@@ -165,9 +171,11 @@ def action_payload(d, a):
 
 
 def _read(how, p):
-    """The value of a field written as how: _build read back."""
+    """The value of a field written as how: _build read back.  A PAIRS
+    key or value takes a call only if it is an array."""
     if how is PAIRS:
-        return {_dec(k): _dec(v) for k, v in _array(p)}
+        return {_dec(k) if isinstance(k, list) else k:
+                _dec(v) if isinstance(v, list) else v for k, v in _array(p)}
     if how in LAYOUTS:
         return (Group if how == "group" else KINDS[how])(*_values(how, p))
     if type(how) is tuple:
@@ -307,7 +315,8 @@ def _text(how, x, nl):
 
 
 def _value_text(x, nl):
-    """_write(_enc(x), nl), without _enc."""
+    """_write(_enc(x), nl), without _enc: a tuple's str and exact-int
+    items inline, the rest by recursion, and a pair by one f-string."""
     if type(x) is str:
         return _escape(x)
     if type(x) is int:
@@ -315,6 +324,13 @@ def _value_text(x, nl):
     if isinstance(x, tuple) and x:
         inner = nl + " "
         deeper = inner + " "
+        if len(x) == 2:
+            a, b = x
+            a = _escape(a) if type(a) is str else repr(a) if type(a) is int \
+                else _value_text(a, deeper)
+            b = _escape(b) if type(b) is str else repr(b) if type(b) is int \
+                else _value_text(b, deeper)
+            return f'[{inner}"t",{inner}[{deeper}{a},{deeper}{b}{inner}]{nl}]'
         items = [_escape(v) if type(v) is str else repr(v)
                  if type(v) is int else _value_text(v, deeper) for v in x]
         return (f'[{inner}"t",{inner}[{deeper}' + ("," + deeper).join(items)

@@ -17,11 +17,11 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corpus import documents, e1
+from corpus import documents, e1, ep_graph
 from gpdcorr import cli
 from gpdcorr.corr import compose, space_correspondence
 from gpdcorr.diagram import discrete_diagram
@@ -56,7 +56,7 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except RecursionError:
         return (RecursionError,)
-    except (TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         return (type(exc), str(exc))
 
 
@@ -147,34 +147,58 @@ def test_an_unreadable_optional_field_is_refused_on_any_diagram(key):
     assert read(cli, text)[0] is SchemaError
 
 
+def hand_written(c):
+    """The correspondence document of c as the hand-written builder and
+    json's indenting encoder write it."""
+    return oracles.dumps(cli.envelope("correspondence",
+                                      oracles.correspondence_payload(c)))
+
+
 def test_compose_through_main_writes_the_hand_written_document(tmp_path):
-    # the benchmark's heavy request: the 2,048-point composite
+    # the benchmark's heavy request: the 2,048-point composite of two
+    # correspondences read back from a document, written by write_document
     c = iterate(e1(), 5)
     path = tmp_path / "c.json"
-    path.write_text(oracles.dumps(cli.envelope(
-        "correspondence", oracles.correspondence_payload(c))),
-        encoding="utf-8")
+    path.write_text(hand_written(c), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["compose", str(path), str(path)])
-    want = oracles.dumps(cli.envelope(
-        "correspondence", oracles.correspondence_payload(compose(c, c))))
+    want = hand_written(compose(c, c))
     assert (code, err.getvalue()) == (0, "")
     assert len(want) == 1276179
     assert out.getvalue() == want
 
 
+@pytest.mark.parametrize("ks", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 4),
+                                (1, 2, 3)], ids=str)
+def test_graph_composites_are_written_as_the_hand_written_payload(ks):
+    # keys ((g0, g1), x) and, for three factors, (((g0, g1), g2), x); the
+    # composite of two read-back documents is written by main above
+    graph = ep_graph()
+    c = iterate(graph, ks[0])
+    for k in ks[1:]:
+        c = compose(c, iterate(graph, k))
+    assert cli.write_document("correspondence", c) == hand_written(c)
+
+
 # every character, lone surrogates and control characters included
 texts = st.text(st.characters(exclude_categories=()), max_size=6)
-ints = st.integers() | st.integers(-10 ** 400, 10 ** 400)
+# ints of up to 400 digits, drawn as digits so that hypothesis never
+# writes out a 400-digit bound; an int past the digits that repr may
+# write is a ValueError
+ints = st.integers() | st.builds(
+    lambda sign, digits: sign * int(digits), st.sampled_from([1, -1]),
+    st.text("0123456789", min_size=1, max_size=400)) | \
+    st.builds(pow, st.just(10), st.just(4400))
 floats = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"),
                                         float("-inf")])
 leaves = texts | ints | floats | st.booleans() | st.none()
+# pairs, the keys of every table, are drawn on their own at every depth
 hashables = st.recursive(
-    leaves, lambda c: st.lists(c, max_size=3).map(tuple) |
+    leaves, lambda c: st.tuples(c, c) | st.lists(c, max_size=3).map(tuple) |
     st.frozensets(c, max_size=3), max_leaves=8)
 values = st.recursive(
-    leaves, lambda c: st.lists(c, max_size=4).map(tuple) |
+    leaves, lambda c: st.tuples(c, c) | st.lists(c, max_size=4).map(tuple) |
     st.lists(c, max_size=4) | st.sets(hashables, max_size=3) |
     st.frozensets(hashables, max_size=3), max_leaves=25)
 closings = st.sampled_from(["\n", "\n ", "\n" + " " * 7, "\n" + " " * 40])
@@ -190,12 +214,72 @@ def test_value_text_matches_the_written_encoding(x, nl):
     assert outcome(cli._value_text, x, nl) == outcome(encoded_text, x, nl)
 
 
-@pytest.mark.parametrize("x", [10 ** 4400, ("t", -10 ** 4400),
-                               {1, 10 ** 4400}, ((), frozenset(), [])],
-                         ids=["int", "tuple", "set", "empty"])
+@pytest.mark.parametrize("x", [
+    10 ** 4400, ("t", -10 ** 4400), {1, 10 ** 4400}, ((), frozenset(), []),
+    ((1, "a"), (True, None)), ((float("nan"), -0.0), "\ud800"),
+    (10 ** 4400, (1,))],
+    ids=["int", "tuple", "set", "empty", "pairs", "floats", "pair-int"])
 def test_value_text_refuses_what_the_encoding_refuses(x):
-    # an int past the digits that repr may write is a ValueError
     assert outcome(cli._value_text, x, "\n") == outcome(encoded_text, x, "\n")
+
+
+def encoded(x):
+    """_enc(x), if it can be written."""
+    e = outcome(cli._enc, x)
+    assume(e[0] == "ok")
+    return e[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_dec_reads_every_encoding_as_the_parent_did(x):
+    e = encoded(x)
+    assert outcome(cli._dec, e) == outcome(oracles._dec, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(hashables, values), max_size=4))
+def test_pairs_read_every_encoding_as_the_parent_did(rows):
+    p = [[encoded(k), encoded(v)] for k, v in rows]
+    assert outcome(cli._read, cli.PAIRS, p) == outcome(oracles._unpairs, p)
+
+
+# JSON values that are tagged arrays only in part: any tag, items that
+# are no array, and arrays of any length
+tags = st.sampled_from(["t", "l", "x", 0, None])
+malformed = st.recursive(
+    leaves | tags, lambda c: st.tuples(tags, c | st.lists(c, max_size=3))
+    .map(list) | st.lists(c, max_size=3) |
+    st.dictionaries(texts, c, max_size=2), max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(malformed)
+def test_dec_refuses_what_the_parent_refused(v):
+    assert outcome(cli._dec, v) == outcome(oracles._dec, v)
+
+
+@settings(max_examples=500, deadline=None)
+@given(malformed | st.lists(malformed | st.tuples(malformed, malformed)
+                            .map(list), max_size=4))
+def test_pairs_refuse_what_the_parent_refused(p):
+    # a row that is not a pair, a key that is an array or no hashable value
+    assert outcome(cli._read, cli.PAIRS, p) == outcome(oracles._unpairs, p)
+
+
+@pytest.mark.parametrize("v", [
+    ["t"], ["t", [1], 2], ["s", [1, 2]], ["t", 5], ["t", [["l", [1]], 2]],
+    ["t", [1, ["t", [2, ["x", []]]]]], ["l", [["t", [1, 2]], "a"]]],
+    ids=str)
+def test_dec_on_each_malformed_shape(v):
+    assert outcome(cli._dec, v) == outcome(oracles._dec, v)
+
+
+@pytest.mark.parametrize("p", [
+    5, [[1]], [[1, 2, 3]], [1], ["ab"], [[["l", [1]], 2]], [[{}, 1]],
+    [[["t", [1, 2]], ["x", []]]]], ids=str)
+def test_pairs_on_each_malformed_row(p):
+    assert outcome(cli._read, cli.PAIRS, p) == outcome(oracles._unpairs, p)
 
 
 def nested(leaf, depth):
@@ -204,10 +288,17 @@ def nested(leaf, depth):
     return leaf
 
 
-def deep_correspondence(depth):
+def nested_pair(leaf, depth):
+    """((...(leaf, 0)...), 0), depth pairs deep: each level a table key."""
+    for _ in range(depth):
+        leaf = (leaf, 0)
+    return leaf
+
+
+def deep_correspondence(depth, nest=nested):
     """One point over a one-point space whose name is nested depth deep;
     composing it with itself keeps that space in both groupoids."""
-    point = nested(0, depth)
+    point = nest(0, depth)
     return space_correspondence((point,), (point,), {"x": point},
                                 {"x": point}, carrier=["x"])
 
@@ -243,29 +334,58 @@ def recursion_limit(headroom):
         sys.setrecursionlimit(old)
 
 
+NESTS = [nested, nested_pair]
+
+
 def test_nesting_past_the_recursion_limit_is_the_same_error():
-    c = deep_correspondence(200)
-    x = nested(0, 200)
-    with recursion_limit(150):
-        assert outcome(cli.write_document, "correspondence", c) == \
-            outcome(parent_path, "correspondence", c) == (RecursionError,)
-        assert outcome(cli._value_text, x, "\n") == \
-            outcome(lambda: cli.dumps(cli._enc(x))) == (RecursionError,)
+    for nest in NESTS:
+        c = deep_correspondence(200, nest)
+        x = nest(0, 200)
+        with recursion_limit(150):
+            assert outcome(cli.write_document, "correspondence", c) == \
+                outcome(parent_path, "correspondence", c) == \
+                (RecursionError,), nest
+            assert outcome(cli._value_text, x, "\n") == \
+                outcome(lambda: cli.dumps(cli._enc(x))) == \
+                (RecursionError,), nest
 
 
 def test_walker_never_differs_from_dumps_where_dumps_writes():
     # near the limit the walker and the builders run out of stack within a
-    # level of each other; where the walker gives up, dumps decides
-    seen = set()
-    for depth in range(100, 160, 2):
-        c = deep_correspondence(depth)
-        with recursion_limit(300):
-            got = outcome(cli.write_document, "correspondence", c)
-            want = outcome(parent_path, "correspondence", c)
-        if want[0] == "ok" or got[0] != "ok":
-            assert got == want, depth
-        seen.add((got[0], want[0]))
-    assert {("ok", "ok"), (RecursionError, RecursionError)} <= seen
+    # level of each other on tuples; a pair takes the walker one frame a
+    # level and the builders two, so it writes about twice as deep.  Where
+    # the walker gives up, dumps decides
+    for nest, depths in zip(NESTS, [range(100, 160, 2), range(100, 340, 6)]):
+        seen = set()
+        for depth in depths:
+            c = deep_correspondence(depth, nest)
+            with recursion_limit(300):
+                got = outcome(cli.write_document, "correspondence", c)
+                want = outcome(parent_path, "correspondence", c)
+            if want[0] == "ok" or got[0] != "ok":
+                assert got == want, (nest, depth)
+            seen.add((got[0], want[0]))
+        assert {("ok", "ok"), (RecursionError, RecursionError)} <= seen, nest
+
+
+@pytest.mark.parametrize("nest", NESTS, ids=["tuples", "pairs"])
+def test_validate_near_the_recursion_limit_prints_no_traceback(tmp_path,
+                                                               nest):
+    # the document nests two JSON arrays a level, ["t", [...]]
+    codes = set()
+    for depth in range(100, 190, 6):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text(hand_written(deep_correspondence(depth, nest)),
+                        encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), recursion_limit(300):
+            code = cli.main(["validate", str(path)])
+        assert (code, out.getvalue()) in ((0, "OK\n"), (2, "")), depth
+        assert code == 0 or err.getvalue().startswith("error: "), depth
+        assert "Traceback" not in err.getvalue(), depth
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_compose_near_the_recursion_limit_prints_no_traceback(tmp_path):
@@ -273,11 +393,8 @@ def test_compose_near_the_recursion_limit_prints_no_traceback(tmp_path):
     for depth in range(100, 160, 5):
         c = deep_correspondence(depth)
         path = tmp_path / f"deep{depth}.json"
-        path.write_text(oracles.dumps(cli.envelope(
-            "correspondence", oracles.correspondence_payload(c))),
-            encoding="utf-8")
-        want = oracles.dumps(cli.envelope(
-            "correspondence", oracles.correspondence_payload(compose(c, c))))
+        path.write_text(hand_written(c), encoding="utf-8")
+        want = hand_written(compose(c, c))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err), recursion_limit(300):
