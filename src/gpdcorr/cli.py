@@ -3,13 +3,13 @@
 Documents are JSON with a fixed key order per kind, so serialisation is
 byte-stable: finite maps are arrays of pairs, tuples are encoded as
 arrays and decoded back.  Each kind's layout is written once, in
-LAYOUTS, as its ordered fields (key, encoding, reader).  Three walkers
-read it: payload_of (and the *_payload names) builds a document's JSON
-value for dumps, write_document writes the same text straight from the
-library object without building that value, and value_of reads a
-document back field by field in the same order and hands the fields to
-its kind's constructor in KINDS.  Every command is deterministic; --seed
-is accepted for interface stability but nothing here is randomised.
+LAYOUTS, as its ordered fields (key, encoding, reader).  Two walkers
+read it: write_document writes a document's text straight from the
+library object, and value_of reads a document back field by field in
+the same order and hands the fields to its kind's constructor in KINDS.
+A payload (payload_of and the *_payload names) is the written text,
+parsed.  Every command is deterministic; --seed is accepted for
+interface stability but nothing here is randomised.
 
 Exit codes: 0 ok, 1 violation found, 2 usage or parse error, 3 bound
 exceeded.
@@ -88,8 +88,8 @@ def _pairs(mapping):
 # the nested kind, read back as that kind's fields.  Encodings: RAW (as
 # is), ENC (_enc), LIST (_enc of each item), PAIRS (_pairs), a kind (a
 # nested document) and (BY_KEY, encoding), [[_enc(k), encoded v]] over the
-# (k, v) items sorted by repr.  payload_of builds a document's JSON value,
-# write_document its text and value_of reads it back.
+# (k, v) items sorted by repr.  write_document writes a document's text
+# and value_of reads it back.
 
 RAW, ENC, LIST, PAIRS, BY_KEY = "raw", "enc", "list", "pairs", "by key"
 OMIT = object()
@@ -143,18 +143,8 @@ def _fields(kind, value):
 
 
 def payload_of(kind, value):
-    """The payload of value's document: what dumps writes for it."""
-    return {key: _build(how, x) for key, how, x in _fields(kind, value)}
-
-
-def _build(how, x):
-    if how in LAYOUTS:
-        return payload_of(how, x)
-    if type(how) is tuple:
-        return [[_enc(k), _build(how[1], v)]
-                for k, v in sorted(x.items(), key=repr)]
-    return x if how is RAW else _enc(x) if how is ENC else \
-        [_enc(v) for v in x] if how is LIST else _pairs(x)
+    """The payload of value's document: its text, as json.loads reads it."""
+    return json.loads(_text(kind, value, "\n"))
 
 
 category_payload = partial(payload_of, "category")
@@ -171,7 +161,7 @@ def action_payload(d, a):
 
 
 def _read(how, p):
-    """The value of a field written as how: _build read back.  A PAIRS
+    """The value of a field written as how: _text read back.  A PAIRS
     key or value takes a call only if it is an array."""
     if how is PAIRS:
         return {_dec(k) if isinstance(k, list) else k:
@@ -282,17 +272,15 @@ def _write(value, nl):
 
 
 def write_document(kind, value):
-    """dumps(envelope(kind, payload_of(kind, value))), without the payload."""
-    try:
-        text = _text(kind, value, "\n ")
-    except RecursionError:   # deeper than the walker goes: dumps decides
-        return dumps(envelope(kind, payload_of(kind, value)))
+    """value's document, in the bytes of json.dumps(doc, indent=1) + "\\n"."""
+    text = _text(kind, value, "\n ")
     return (f'{{\n "format_version": {_escape(FORMAT_VERSION)},\n '
             f'"kind": {_escape(kind)},\n "payload": {text}\n}}\n')
 
 
 def _text(how, x, nl):
-    """_write(_build(how, x), nl), without _build."""
+    """x written as how from its layout, indented and closing at nl: each
+    field, table row and value straight from the library object."""
     if how is ENC:
         return _value_text(x, nl)
     inner = nl + " "
@@ -315,15 +303,15 @@ def _text(how, x, nl):
 
 
 def _value_text(x, nl):
-    """_write(_enc(x), nl), without _enc: a tuple's str and exact-int
-    items inline, the rest by recursion, and a pair by one f-string."""
+    """_write(_enc(x), nl), without _enc: str and exact-int items of a
+    tuple, list or set inline, the rest by recursion, a pair by f-string."""
     if type(x) is str:
         return _escape(x)
     if type(x) is int:
         return repr(x)
+    inner = nl + " "
+    deeper = inner + " "
     if isinstance(x, tuple) and x:
-        inner = nl + " "
-        deeper = inner + " "
         if len(x) == 2:
             a, b = x
             a = _escape(a) if type(a) is str else repr(a) if type(a) is int \
@@ -331,11 +319,15 @@ def _value_text(x, nl):
             b = _escape(b) if type(b) is str else repr(b) if type(b) is int \
                 else _value_text(b, deeper)
             return f'[{inner}"t",{inner}[{deeper}{a},{deeper}{b}{inner}]{nl}]'
-        items = [_escape(v) if type(v) is str else repr(v)
-                 if type(v) is int else _value_text(v, deeper) for v in x]
-        return (f'[{inner}"t",{inner}[{deeper}' + ("," + deeper).join(items)
-                + f"{inner}]{nl}]")
-    return _write(_enc(x), nl)
+        tag = "t"
+    elif isinstance(x, (list, frozenset, set)) and x:
+        tag, x = "l", sorted(x, key=repr)
+    else:
+        return _write(_enc(x), nl)
+    items = [_escape(v) if type(v) is str else repr(v)
+             if type(v) is int else _value_text(v, deeper) for v in x]
+    return (f'[{inner}"{tag}",{inner}[{deeper}' + ("," + deeper).join(items)
+            + f"{inner}]{nl}]")
 
 
 def parse_document(text):
@@ -377,10 +369,8 @@ def value_of(kind, payload):
 
 def parse_word(data, text):
     """A path: dot-separated edges, 'e' for empty, with '@v' if needed."""
-    vertex = None
-    if "@" in text:
-        text, vtext = text.split("@", 1)
-        vertex = vtext
+    text, at, vertex = text.partition("@")
+    vertex = vertex if at else None
     letters = () if text in ("e", "") else tuple(text.split("."))
     for e in letters:
         if e not in data.edges:

@@ -348,8 +348,6 @@ class GermGroupoid:
     """
 
     def __init__(self, gens, carrier):
-        if not isinstance(gens, dict):
-            gens = {f"g{i}": f for i, f in enumerate(gens)}
         self.carrier = tuple(carrier)
         self.labels = {}
         for label, f in sorted(gens.items()):

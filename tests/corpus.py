@@ -88,9 +88,10 @@ def z2_fixed_point():
 def documents():
     """(kind, value) for every kind that ``cli.write_document`` writes:
     the data above, their iterates and groups, and the complexes, diagrams
-    and actions of the cgx and diagram tests.  An action's value is the
-    pair (diagram, action)."""
+    and actions of the cgx and diagram tests, with E_{1,2} for a diagram
+    over a path shape.  An action's value is the pair (diagram, action)."""
     from gpdcorr.diagram import discrete_diagram, enumerate_actions
+    from gpdcorr.mn import make_emn
     from gpdcorr.selfsim import iterate
     from test_cgx import CORPUS
     from test_diagram import (e1_diagram, point_diagram, swap_action,
@@ -102,7 +103,8 @@ def documents():
         [*space_correspondences().values(), z2_fixed_point(),
          swap_correspondence()]
     diagrams = [point_diagram(2), swap_diagram(2), z2_commutative_diagram(),
-                e1_diagram(2), discrete_diagram({"x": z3, "y": z3})]
+                e1_diagram(2), discrete_diagram({"x": z3, "y": z3}),
+                make_emn(1, 2)]
     complexes = [make() for make in CORPUS]
     swap = swap_diagram(2)
     actions = [swap_action(swap), *enumerate_actions(swap, 2),

@@ -9,12 +9,13 @@ from gpdcorr import cli
 from gpdcorr.cgx import cone_extend
 from gpdcorr.corr import (identity_correspondence, space_correspondence,
                           validate_correspondence)
-from gpdcorr.diagram import discrete_diagram, from_generators
+from gpdcorr.diagram import FAction, discrete_diagram, from_generators
 from gpdcorr.fincat import PresentedShape
 from gpdcorr.groupoid import FinGroupoid, Group
+from gpdcorr.mn import make_emn
 from gpdcorr.selfsim import iterate
 
-from test_cgx import cx_single_arrow
+from test_cgx import cx_loop, cx_single_arrow
 from test_diagram import (e1_diagram, point_diagram, swap_action,
                           swap_correspondence, swap_diagram,
                           z2_commutative_diagram)
@@ -773,6 +774,16 @@ def _two_loose_generators():
     return from_generators(shape, {"a": c, "b": c})
 
 
+def _one_letter_over_two_points():
+    """A free-monoid diagram over the space {0, 1} whose one letter goes
+    from 0 to 0: no vertex has two letters, so the universal action is
+    finite."""
+    c = space_correspondence((0, 1), (0, 1), {"x": 0}, {"x": 0},
+                             carrier=["x"])
+    shape = PresentedShape.free_monoid(("t",), length_bound=3)
+    return from_generators(shape, {"t": c})
+
+
 DOCUMENTS = {
     "e1": ("selfsimilar", lambda: cli.selfsimilar_payload(e1())),
     "corr": ("correspondence",
@@ -781,6 +792,8 @@ DOCUMENTS = {
            lambda: cli.complex_payload(cx_single_arrow())),
     "e1-diagram": ("diagram", lambda: cli.diagram_payload(e1_diagram(2))),
     "loose": ("diagram", lambda: cli.diagram_payload(_two_loose_generators())),
+    "finite": ("diagram",
+               lambda: cli.diagram_payload(_one_letter_over_two_points())),
 }
 # requests that reach a branch of main or a command that no other test
 # runs: (command, documents, arguments, exit code, stdout, stderr)
@@ -814,6 +827,21 @@ BRANCHES = {
     "no-model-construction": (
         "model", ["loose"], [], 2, "",
         "error: no model construction for shape kind 'free'\n"),
+    "model-finite": (
+        "model", ["finite"], [], 0,
+        "universal action: finite\nsample points: 1\n"
+        "pair arrows per grade: -1: 1, 0: 1, 1: 1\n", ""),
+    "selfsim-not-selfsimilar": (
+        "selfsim", ["cx"], ["effective"], 2, "",
+        "error: selfsim expects a selfsimilar document\n"),
+    "selfsim-unknown-subcommand": (
+        "selfsim", ["e1"], ["nope"], 2, "",
+        "error: unknown selfsim subcommand 'nope'\n"),
+    "point-without-bar": (
+        "selfsim", ["e1"], ["act", "e:1:0", "10"], 2, "",
+        "error: point must be pre|per, got '10'\n"),
+    "nf-mul-zero": ("selfsim", ["e1"], ["nf-mul", "e:1:0", "1:1:e"], 0,
+                    "0\n", ""),
 }
 
 
@@ -824,3 +852,100 @@ def test_each_cli_branch_keeps_the_exit_contract(tmp_path, capsys, name):
                        DOCUMENTS[doc][1]()) for doc in docs]
     code = cli.main([command, *paths, *rest])
     assert (code, *capsys.readouterr()) == tuple(want)
+
+
+def _cx_loop_inverting_at(arrow):
+    """cx_loop(3) with the automorphism g -> g^-1 of Z/3 at arrow."""
+    c = cx_loop(3)
+    c.homs[arrow] = {"1": "1", "a": "a2", "a2": "a"}
+    return c
+
+
+def _cx_arrow_with_z2_at(obj, hom):
+    """cx_single_arrow with Z/2 at obj and hom at its arrow g, which takes
+    the group at x to the group at y."""
+    c = cx_single_arrow()
+    z2 = Group.cyclic(2)
+    c.groups[obj] = z2
+    c.homs[("i", obj)] = {g: g for g in z2}
+    c.homs["g"] = hom
+    return c
+
+
+def _unit_moving_a_point():
+    c = space_correspondences()["r00-s00"]
+    c.lact[("u", 0), ("x", 0)] = ("x", 1)
+    return c
+
+
+def _alpha_fixing_the_base_points():
+    d = swap_diagram(2)
+    a = swap_action(d)
+    a.alph[SWAP_ARROW] = {((("x", v),), v): v for v in (0, 1)}
+    return d, a
+
+
+def _two_letters_onto_one_point():
+    two = space_correspondence(("*",), ("*",), {"p": "*", "q": "*"},
+                               {"p": "*", "q": "*"}, carrier=("p", "q"))
+    d = from_generators(PresentedShape.free_monoid(("t",), length_bound=2),
+                        {"t": two})
+    return d, FAction(d, (0,), {0: "*"}, {0: "*"}, {(("u", "*"), 0): 0},
+                      {SWAP_ARROW: {(("p",), 0): 0, (("q",), 0): 0}})
+
+
+ALPHA = "alpha(('*', '*', ('t',)))"
+# one broken table each, for a report line that no other document reaches:
+# (kind, the broken value, exit code and stdout of validate)
+REPORT_BRANCHES = {
+    "cgx-not-a-homomorphism": (
+        "complex_of_groups", lambda: _cx_arrow_with_z2_at("y", {"1": "a"}), 1,
+        "phi('g') is not a homomorphism\nnote: injective_loopfree = True\n"),
+    "cgx-unit-not-the-identity": (
+        "complex_of_groups", lambda: _cx_loop_inverting_at("1"), 1,
+        "phi at unit '1' is not the identity\n"
+        "note: injective_loopfree = False\n"),
+    "cgx-composite-not-conjugate": (
+        "complex_of_groups", lambda: _cx_loop_inverting_at("t"), 1,
+        "Ad(u).phi_h.phi_g != phi_gh at ('t','t')\n"
+        "note: injective_loopfree = False\n"),
+    "cgx-not-injective": (
+        "complex_of_groups",
+        lambda: _cx_arrow_with_z2_at("x", {"1": "1", "a": "1"}), 0,
+        "OK\nnote: injective_loopfree = False\n"),
+    "unit-moves-a-point": (
+        "correspondence", _unit_moving_a_point, 1,
+        "left action: unit at 0 moves ('x', 0)\n"),
+    "alpha-anchor": (
+        "action", _alpha_fixing_the_base_points, 1,
+        f"{ALPHA} anchor wrong at ((('x', 0),),0)\n"
+        f"{ALPHA} anchor wrong at ((('x', 1),),1)\n"
+        "(5.1) fails at (('u', 1),(('x', 0),),0)\n"
+        "(5.1) fails at (('u', 0),(('x', 1),),1)\n"),
+    "not-co-orbital": (
+        "action", _two_letters_onto_one_point, 1,
+        "(5.2) fails: ('p',),('q',) not co-orbital\n"
+        "(5.2) fails: ('q',),('p',) not co-orbital\n"),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_BRANCHES)
+def test_each_report_branch_prints_its_line(tmp_path, capsys, name):
+    kind, make, *want = REPORT_BRANCHES[name]
+    path = tmp_path / "doc.json"
+    path.write_text(cli.write_document(kind, make()), encoding="utf-8")
+    code = cli.main(["validate", str(path)])
+    assert (code, *capsys.readouterr()) == (*want, "")
+
+
+def test_path_shaped_diagram_document(tmp_path, capsys):
+    # E_{1,2}: a shape of two objects and two parallel generators
+    d = make_emn(1, 2)
+    assert d.shape.kind == "path"
+    text = cli.write_document("diagram", d)
+    again = cli.value_of(*cli.parse_document(text))
+    assert cli.write_document("diagram", again) == text
+    path = tmp_path / "emn.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr() == ("OK\n", "")

@@ -105,6 +105,68 @@ def test_tampered_mu_reported():
     assert validate_diagram(d) != []
 
 
+# a diagram document carries no mu: from_generators builds every table from
+# the canonical classes of the composites, so the four mu lines below are
+# reached through the library, on tables broken after the build
+T, TT = ("*", "*", ("t",)), ("*", "*", ("t", "t"))
+
+
+def letter_pair_diagram():
+    """One letter whose correspondence is two points p, q over a point."""
+    two = space_correspondence(("*",), ("*",), {"p": "*", "q": "*"},
+                               {"p": "*", "q": "*"}, carrier=("p", "q"))
+    return from_generators(PresentedShape.free_monoid(("t",), length_bound=2),
+                           {"t": two})
+
+
+def test_a_missing_mu_is_reported():
+    d = swap_diagram(2)
+    del d.mu[(T, T)]
+    assert validate_diagram(d) == [f"missing mu for ({T!r},{T!r})"]
+
+
+def test_an_unbalanced_mu_is_reported():
+    # e: L <- R and f: R <- L, Z/2 as a set with Z/2 on R acting by
+    # multiplication and the point L acting trivially: swapping two values
+    # of mu(e, f) breaks the balance over Z/2 and nothing else
+    z2, one = Group.cyclic(2), Group.trivial()
+    f = Correspondence(FinGroupoid.from_group(z2), FinGroupoid.from_group(one),
+                       z2.elements, {x: "*" for x in z2}, {x: "*" for x in z2},
+                       {(h, x): z2.op(h, x) for h in z2 for x in z2},
+                       {(x, "1"): x for x in z2})
+    shape = PresentedShape.path_category(
+        ("L", "R"), {"e": ("L", "R"), "f": ("R", "L")}, length_bound=2)
+    d = from_generators(shape, {"e": from_group_hom(one, z2, {"1": "1"}),
+                                "f": f})
+    e, f = ("L", "R", ("e",)), ("R", "L", ("f",))
+    table = d.mu[(e, f)]
+    table[("1",), ("1",)], table[("1",), ("a",)] = \
+        table[("1",), ("a",)], table[("1",), ("1",)]
+    assert validate_diagram(d) == [
+        f"mu({e!r},{f!r}) not balanced at ({xi!r},{eta!r},'a')"
+        for xi, eta in [(("1",), ("1",)), (("1",), ("a",)), (("a",), ("1",)),
+                        (("a",), ("a",))]]
+
+
+def test_a_mu_that_misses_a_point_is_reported():
+    d = letter_pair_diagram()
+    d.mu[(T, T)][("p",), ("q",)] = ("p", "p")
+    assert validate_diagram(d) == [
+        f"mu({T!r},{T!r}) not surjective onto X({TT!r})",
+        f"mu({T!r},{T!r}) not injective on classes"]
+
+
+def test_a_mu_onto_fewer_points_than_classes_is_reported():
+    # X(tt) cut to the three points that a tampered mu reaches
+    d = letter_pair_diagram()
+    image = [("p", "p"), ("p", "q"), ("q", "q")]
+    over = dict.fromkeys(image, "*")
+    d.corr[TT] = space_correspondence(("*",), ("*",), over, over,
+                                      carrier=image)
+    d.mu[(T, T)][("q",), ("p",)] = ("p", "q")
+    assert validate_diagram(d) == [f"mu({T!r},{T!r}) not injective on classes"]
+
+
 def test_hexagon_violation_named():
     # the (a, b) braiding twists the a-letter only when the b-letter is
     # b1, and the (b, c) braiding always flips the b-letter; the two
